@@ -1,10 +1,12 @@
 """First and second-order adjoint equations along a candidate trajectory.
 
-The first-order pair (p, q) solves an n-dimensional linear backward equation
-whose coefficients are the derivatives of the system along the candidate; the
-second-order pair (P, Q) solves the matrix-valued analogue, vectorized on the
-symmetric subspace with sqrt(2)-scaled off-diagonal coordinates so Frobenius
-inner products are preserved.
+``linearize`` evaluates the derivatives of the system along the candidate once;
+the adjoint equations here and the spike pieces read them from that one
+Linearization. The first-order pair (p, q) solves an n-dimensional linear
+backward equation whose coefficients are those derivatives; the second-order
+pair (P, Q) solves the matrix-valued analogue, vectorized on the symmetric
+subspace with sqrt(2)-scaled off-diagonal coordinates so Frobenius inner
+products are preserved.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .bsde import ControlledTrajectory, MultiLinearBsdeData, solve_multidim_line
 from .models import ModelSpec
 
 __all__ = [
+    "Linearization",
+    "linearize",
     "AdjointBundle",
     "svec",
     "unsvec",
@@ -70,65 +74,88 @@ def _operator_on_svec(linmap, n: int, batch_shape: tuple) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Linearization:
+    """Derivatives of the system along one candidate trajectory, per step.
+
+    b_x: (m, N, n, n); sigma_x: (m, N, d, n, n); b_xx: (m, N, n, n, n);
+    sigma_xx: (m, N, n, d, n, n); f_x: (m, N, n); f_y: (m, N); f_z: (m, N, d).
+    Built once by ``linearize`` and shared read-only by the adjoint equations
+    and every spike window.
+    """
+
+    model: ModelSpec
+    traj: ControlledTrajectory
+    b_x: np.ndarray = field(repr=False)
+    sigma_x: np.ndarray = field(repr=False)
+    b_xx: np.ndarray = field(repr=False)
+    sigma_xx: np.ndarray = field(repr=False)
+    f_x: np.ndarray = field(repr=False)
+    f_y: np.ndarray = field(repr=False)
+    f_z: np.ndarray = field(repr=False)
+
+
+def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
+    """Evaluate the model derivatives along the candidate (x, y, z, u)."""
+    grid = traj.w.grid
+    n, d = model.n, model.d
+    shapes = {
+        "b_x": (n, n),
+        "sigma_x": (d, n, n),
+        "b_xx": (n, n, n),
+        "sigma_xx": (n, d, n, n),
+        "f_x": (n,),
+        "f_y": (),
+        "f_z": (d,),
+    }
+    steps = {name: np.empty((traj.n_paths, grid.n_steps) + s) for name, s in shapes.items()}
+    for k in range(grid.n_steps):
+        t, xk, uk = grid.times[k], traj.x[:, k], traj.u[:, k]
+        for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"):
+            steps[name][:, k] = getattr(model, name)(t, xk, uk)
+        for name in ("f_x", "f_y", "f_z"):
+            steps[name][:, k] = getattr(model, name)(t, xk, traj.y[:, k], traj.z[:, k], uk)
+    return Linearization(model=model, traj=traj, **steps)
+
+
+@dataclass(frozen=True)
 class AdjointBundle:
     """Adjoint processes along one candidate trajectory.
 
     p: (m, N+1, n); q: (m, N, n, d); big_p: (m, N+1, n, n) symmetric;
-    big_q: (m, N, n, n, d); upsilon: (m, N, n, d).
+    big_q: (m, N, n, n, d).
     """
 
     p: np.ndarray = field(repr=False)
     q: np.ndarray = field(repr=False)
     big_p: np.ndarray = field(repr=False)
     big_q: np.ndarray = field(repr=False)
-    upsilon: np.ndarray = field(repr=False)
 
 
-def _eval_steps(model: ModelSpec, traj: ControlledTrajectory, names: list[str]) -> dict:
-    """Evaluate model derivative callables along the trajectory, per step."""
-    grid = traj.w.grid
-    times = grid.times
-    n_steps = grid.n_steps
-    out = {name: [] for name in names}
-    for k in range(n_steps):
-        args = (times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
-        for name in names:
-            fn = getattr(model, name)
-            if name in ("b_x", "sigma_x", "b_xx", "sigma_xx", "b_u", "sigma_u"):
-                out[name].append(fn(times[k], traj.x[:, k], traj.u[:, k]))
-            else:
-                out[name].append(fn(*args))
-    return {name: np.stack(vals, axis=1) for name, vals in out.items()}
-
-
-def assemble_first_order(model: ModelSpec, traj: ControlledTrajectory) -> MultiLinearBsdeData:
+def assemble_first_order(lin: Linearization) -> MultiLinearBsdeData:
     """Linear data of the first-order adjoint equation.
 
     Y-coefficient transpose: sum_i f_{z_i} (sigma_x^i)' + f_y I + b_x';
     Z^i-coefficient transpose: f_{z_i} I + (sigma_x^i)'; driver f_x; terminal
     phi_x at the trajectory endpoint.
     """
-    n = model.n
-    ev = _eval_steps(model, traj, ["f_z", "f_y", "f_x", "b_x", "sigma_x"])
-    eye = np.eye(n)
+    eye = np.eye(lin.model.n)
     a = (
-        np.einsum("mtd,mtdij->mtij", ev["f_z"], ev["sigma_x"])
-        + ev["f_y"][:, :, None, None] * eye
-        + ev["b_x"]
+        np.einsum("mtd,mtdij->mtij", lin.f_z, lin.sigma_x)
+        + lin.f_y[:, :, None, None] * eye
+        + lin.b_x
     )
     return MultiLinearBsdeData(
         a=a,
-        beta=ev["f_z"],
-        c=ev["sigma_x"],
-        driver=ev["f_x"],
-        xi=model.phi_x(traj.x[:, -1]),
-        state=traj.x,
+        beta=lin.f_z,
+        c=lin.sigma_x,
+        driver=lin.f_x,
+        xi=lin.model.phi_x(lin.traj.x[:, -1]),
+        state=lin.traj.x,
     )
 
 
 def solve_first_order(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
+    lin: Linearization,
     degree: int = 2,
     p_bound: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -136,8 +163,8 @@ def solve_first_order(
 
     Returns p: (m, N+1, n), q: (m, N, n, d) and a small diagnostics dict.
     """
-    data = assemble_first_order(model, traj)
-    p, q, report, _ = solve_multidim_linear_bsde(data, traj.w, degree=degree)
+    data = assemble_first_order(lin)
+    p, q, report, _ = solve_multidim_linear_bsde(data, lin.traj.w, degree=degree)
     sup_p = float(np.sqrt(np.sum(p**2, axis=2)).max())
     diag = {"sup_abs_p": sup_p, "report": report}
     if p_bound is not None:
@@ -145,41 +172,42 @@ def solve_first_order(
     return p, q, diag
 
 
-def upsilon_process(model: ModelSpec, traj: ControlledTrajectory, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def upsilon_process(lin: Linearization, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Columns (sigma_x^i)' p + q^i, shape (m, N, n, d)."""
-    ev = _eval_steps(model, traj, ["sigma_x"])
-    n_steps = traj.w.grid.n_steps
-    return np.einsum("mtdij,mti->mtjd", ev["sigma_x"], p[:, :n_steps]) + q
+    n_steps = lin.traj.w.grid.n_steps
+    return np.einsum("mtdij,mti->mtjd", lin.sigma_x, p[:, :n_steps]) + q
 
 
-def assemble_second_order_source(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
-    p: np.ndarray,
-    q: np.ndarray,
-) -> np.ndarray:
+def assemble_second_order_source(lin: Linearization, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Matrix source of the second-order equation, shape (m, N, n, n).
 
     sum_i b_xx^i p^i + sum_{i,j} sigma_xx^{ij} (f_{z_j} p^i + q^{ij})
     + (I, p, Upsilon) Hess(f) (I, p, Upsilon)'.
     """
+    model, traj = lin.model, lin.traj
     n = model.n
+    times = traj.w.grid.times
     n_steps = traj.w.grid.n_steps
-    ev = _eval_steps(model, traj, ["b_xx", "sigma_xx", "f_z", "f_hess"])
+    f_hess = np.stack(
+        [
+            model.f_hess(times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
+            for k in range(n_steps)
+        ],
+        axis=1,
+    )
     p_steps = p[:, :n_steps]
-    phi1 = np.einsum("mtijk,mti->mtjk", ev["b_xx"], p_steps)
-    coef = ev["f_z"][:, :, None, :] * p_steps[:, :, :, None] + q
-    phi2 = np.einsum("mtidjk,mtid->mtjk", ev["sigma_xx"], coef)
-    upsilon = upsilon_process(model, traj, p, q)
+    phi1 = np.einsum("mtijk,mti->mtjk", lin.b_xx, p_steps)
+    coef = lin.f_z[:, :, None, :] * p_steps[:, :, :, None] + q
+    phi2 = np.einsum("mtidjk,mtid->mtjk", lin.sigma_xx, coef)
+    upsilon = upsilon_process(lin, p, q)
     eye = np.broadcast_to(np.eye(n), p_steps.shape[:2] + (n, n))
     jac = np.concatenate([eye, p_steps[:, :, :, None], upsilon], axis=3)  # (m, t, n, n+1+d)
-    phi3 = np.einsum("mtia,mtab,mtjb->mtij", jac, ev["f_hess"], jac)
+    phi3 = np.einsum("mtia,mtab,mtjb->mtij", jac, f_hess, jac)
     return phi1 + phi2 + phi3
 
 
 def solve_second_order(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
+    lin: Linearization,
     p: np.ndarray,
     q: np.ndarray,
     degree: int = 2,
@@ -188,11 +216,11 @@ def solve_second_order(
 
     Returns big_p: (m, N+1, n, n), big_q: (m, N, n, n, d), diagnostics.
     """
+    model, traj = lin.model, lin.traj
     n, d = model.n, model.d
     n_steps = traj.w.grid.n_steps
     batch = (traj.n_paths, n_steps)
-    ev = _eval_steps(model, traj, ["f_y", "f_z", "b_x", "sigma_x"])
-    f_y, f_z, b_x, sigma_x = ev["f_y"], ev["f_z"], ev["b_x"], ev["sigma_x"]
+    f_y, f_z, b_x, sigma_x = lin.f_y, lin.f_z, lin.b_x, lin.sigma_x
 
     def map_for_p(s):
         out = f_y[:, :, None, None] * s
@@ -223,7 +251,7 @@ def solve_second_order(
 
         c[:, :, i] = np.swapaxes(_operator_on_svec(g_only, n, batch), 2, 3)
 
-    phi_src = assemble_second_order_source(model, traj, p, q)
+    phi_src = assemble_second_order_source(lin, p, q)
     data = MultiLinearBsdeData(
         a=a,
         beta=beta,
@@ -239,9 +267,8 @@ def solve_second_order(
     return big_p, big_q, {"sup_frobenius_P": sup_bp, "report": report}
 
 
-def solve_adjoints(model: ModelSpec, traj: ControlledTrajectory, degree: int = 2) -> AdjointBundle:
-    """Full bundle (p, q, P, Q, Upsilon) along the candidate trajectory."""
-    p, q, _ = solve_first_order(model, traj, degree=degree)
-    big_p, big_q, _ = solve_second_order(model, traj, p, q, degree=degree)
-    upsilon = upsilon_process(model, traj, p, q)
-    return AdjointBundle(p=p, q=q, big_p=big_p, big_q=big_q, upsilon=upsilon)
+def solve_adjoints(lin: Linearization, degree: int = 2) -> AdjointBundle:
+    """Full bundle (p, q, P, Q) along the candidate trajectory."""
+    p, q, _ = solve_first_order(lin, degree=degree)
+    big_p, big_q, _ = solve_second_order(lin, p, q, degree=degree)
+    return AdjointBundle(p=p, q=q, big_p=big_p, big_q=big_q)

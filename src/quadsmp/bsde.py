@@ -294,8 +294,6 @@ def solve_multidim_linear_bsde(
     data: MultiLinearBsdeData,
     w: BrownianEnsemble,
     degree: int = 2,
-    flow_pair: Optional[MatrixFlowPair] = None,
-    invert_flow: bool = True,
     t_min: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport, MatrixFlowPair]:
     """Fundamental-solution representation of the n-dimensional linear equation.
@@ -305,20 +303,16 @@ def solve_multidim_linear_bsde(
     one-step martingale increments of X'Y + int X'f ds as
     Lambda_t' psi^i_t - (beta^i I + C^i)' Y_t.
 
-    With invert_flow (default) Lambda is the pathwise inverse of the simulated
-    flow, so the scheme's flow/inverse product error does not contaminate the
-    representation; otherwise the integrated inverse flow is used as-is.
+    Lambda is the pathwise inverse of the simulated flow, so the scheme's
+    flow/inverse product error does not contaminate the representation.
     """
     grid = w.grid
     dt, n_steps, m = grid.dt, grid.n_steps, w.n_paths
-    pair = flow_pair if flow_pair is not None else simulate_matrix_flow(data.a, data.beta, data.c, w)
+    pair = simulate_matrix_flow(data.a, data.beta, data.c, w)
     flow = pair.flow
-    if invert_flow:
-        inv = np.linalg.inv(flow)
-        if not np.isfinite(inv).all():
-            raise BsdeSolverError("simulated flow is numerically singular; cannot invert")
-    else:
-        inv = pair.inverse
+    inv = np.linalg.inv(flow)
+    if not np.isfinite(inv).all():
+        raise BsdeSolverError("simulated flow is numerically singular; cannot invert")
     n = flow.shape[-1]
     d = w.increments.shape[2]
     driver = np.broadcast_to(np.asarray(data.driver, dtype=float), (m, n_steps, n))

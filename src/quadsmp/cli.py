@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bmo, example, smp
-from .adjoint import solve_adjoints
+from .adjoint import linearize, solve_adjoints
 from .bsde import (
     ControlledTrajectory,
     LinearBsdeData,
@@ -79,6 +79,26 @@ def _model_from(cfg: dict):
     return model
 
 
+def _solve_candidate(cfg: dict, model, control_key: str = "control"):
+    """Brownian ensemble -> constant control -> forward SDE -> LSMC.
+
+    Returns the candidate trajectory, the solver report and the basis degree.
+    x0 defaults to 0 for the arctan example (its optimal state) and to 1
+    otherwise; the control to 0 and the basis degree to 2.
+    """
+    n_paths, grid, seed = _common(cfg)
+    x0_default = 0.0 if model.name == "arctan-example" else 1.0
+    cfg = {"x0": x0_default, control_key: 0.0, "basis_degree": 2, **cfg}
+    x0 = _require(cfg, "x0", float)
+    control = _require(cfg, control_key, float)
+    degree = _require(cfg, "basis_degree", int, positive=True)
+    w = generate_brownian(n_paths, grid, model.d, seed)
+    u = constant_control(control, n_paths, grid.n_steps)
+    x = simulate_forward_sde(model, x0, u, w)
+    y, z, report = solve_bsde_lsmc(model, x, u, w, degree=degree)
+    return ControlledTrajectory(w=w, x=x, y=y, z=z, u=u), report, degree
+
+
 def run_simulate(cfg: dict, out: Path) -> dict:
     n_paths, grid, seed = _common(cfg)
     model = _model_from(cfg)
@@ -123,16 +143,10 @@ def run_solve_bsde(cfg: dict, out: Path) -> dict:
             checks["closed_form_within_1pct"] = bool(rel <= 0.01)
         (out / "solver.json").write_text(report.to_json() + "\n")
         return {"checks": checks, **payload}
-    model = _model_from(cfg)
-    x0 = cfg.get("x0", 1.0)
-    control = cfg.get("control", 0.0)
-    w = generate_brownian(n_paths, grid, model.d, seed)
-    u = constant_control(control, n_paths, grid.n_steps)
-    x = simulate_forward_sde(model, x0, u, w)
-    y, z, report = solve_bsde_lsmc(model, x, u, w, degree=int(cfg.get("basis_degree", 2)))
+    traj, report, _ = _solve_candidate(cfg, _model_from(cfg))
     (out / "solver.json").write_text(report.to_json() + "\n")
     return {
-        "checks": {"finite": bool(np.isfinite(y).all() and np.isfinite(z).all())},
+        "checks": {"finite": bool(np.isfinite(traj.y).all() and np.isfinite(traj.z).all())},
         "y0": report.y0,
         "y0_std_error": report.y0_std_error,
         "clip_rate": report.clip_rate,
@@ -140,19 +154,13 @@ def run_solve_bsde(cfg: dict, out: Path) -> dict:
 
 
 def run_adjoint(cfg: dict, out: Path) -> dict:
-    n_paths, grid, seed = _common(cfg)
     model = _model_from(cfg)
-    x0 = cfg.get("x0", 0.0 if model.name == "arctan-example" else 1.0)
-    control = cfg.get("control", 0.0)
-    w = generate_brownian(n_paths, grid, model.d, seed)
-    u = constant_control(control, n_paths, grid.n_steps)
-    x = simulate_forward_sde(model, x0, u, w)
-    y, z, _ = solve_bsde_lsmc(model, x, u, w, degree=int(cfg.get("basis_degree", 2)))
-    traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-    adj = solve_adjoints(model, traj, degree=int(cfg.get("basis_degree", 2)))
+    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float)
+    traj, _, degree = _solve_candidate(cfg, model)
+    adj = solve_adjoints(linearize(model, traj), degree=degree)
     rows = [
         [k, float(np.abs(adj.p[:, k]).mean()), float(np.abs(adj.big_p[:, k]).mean())]
-        for k in range(grid.n_steps + 1)
+        for k in range(traj.w.grid.n_steps + 1)
     ]
     write_csv(out / "adjoint_means.csv", ["step", "mean_abs_p", "mean_abs_P"], rows)
     payload = {
@@ -162,8 +170,7 @@ def run_adjoint(cfg: dict, out: Path) -> dict:
         "sup_rms_Q": example.sup_time_rms(adj.big_q),
     }
     checks = {"p_bounded": bool(np.isfinite(payload["sup_abs_p"]))}
-    if model.name == "arctan-example" and control == 0.0:
-        tol = float(cfg.get("tolerance", 0.05))
+    if model.name == "arctan-example" and cfg.get("control", 0.0) == 0.0:
         checks["adjoint_constants"] = bool(
             abs(payload["sup_abs_p"] - 1.0) <= tol
             and payload["sup_rms_q"] <= tol
@@ -234,17 +241,10 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
 
 
 def run_check_smp(cfg: dict, out: Path) -> dict:
-    n_paths, grid, seed = _common(cfg)
     model = _model_from(cfg)
-    x0 = cfg.get("x0", 0.0 if model.name == "arctan-example" else 1.0)
-    control = cfg.get("candidate", 0.0)
-    tol = float(cfg.get("tolerance", 0.05))
-    w = generate_brownian(n_paths, grid, model.d, seed)
-    u = constant_control(control, n_paths, grid.n_steps)
-    x = simulate_forward_sde(model, x0, u, w)
-    y, z, _ = solve_bsde_lsmc(model, x, u, w)
-    traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-    adj = solve_adjoints(model, traj)
+    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float)
+    traj, _, degree = _solve_candidate(cfg, model, control_key="candidate")
+    adj = solve_adjoints(linearize(model, traj), degree=degree)
     test_controls = cfg.get("test_controls")
     if test_controls is None:
         test_controls = model.control_domain.test_controls(model.k).tolist()
@@ -272,12 +272,9 @@ def run_check_smp(cfg: dict, out: Path) -> dict:
 
 
 def run_example(cfg: dict, out: Path) -> dict:
-    n_paths = int(cfg.get("n_paths", 20000))
-    n_steps = int(cfg.get("n_steps", 200))
-    horizon = float(cfg.get("horizon", 1.0))
-    seed = _require(cfg, "seed", int)
+    n_paths, grid, seed = _common({"n_paths": 20000, "n_steps": 200, "horizon": 1.0, **cfg})
     verdict = example.run_example_experiment(
-        n_paths=n_paths, n_steps=n_steps, horizon=horizon, seed=seed
+        n_paths=n_paths, n_steps=grid.n_steps, horizon=grid.horizon, seed=seed
     )
     rows = [
         [name, int(check["passed"])]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smp
-from .adjoint import solve_adjoints
+from .adjoint import linearize, solve_adjoints
 from .bsde import ControlledTrajectory, solve_bsde_lsmc
 from .grids import TimeGrid, constant_control, generate_brownian
 from .models import ControlDomain, ModelSpec, scalar_model
@@ -224,14 +224,19 @@ def example_adjoints(
     the known constants (1, 0) and (0, 0)."""
     model = example_model()
     traj, _ = _solve_for_control(model, 0.0, n_paths, grid, seed)
-    adj = solve_adjoints(model, traj, degree=degree)
+    adj, report = _adjoints_along(model, traj, degree)
+    return traj, adj, report
+
+
+def _adjoints_along(model: ModelSpec, traj: ControlledTrajectory, degree: int = 2):
+    adj = solve_adjoints(linearize(model, traj), degree=degree)
     report = ExampleAdjointReport(
         sup_p_minus_one=float(np.abs(adj.p - 1.0).max()),
         sup_q=sup_time_rms(adj.q),
         sup_big_p=float(np.abs(adj.big_p).max()),
         sup_big_q=sup_time_rms(adj.big_q),
     )
-    return traj, adj, report
+    return adj, report
 
 
 def analytic_adjoint_residual() -> float:
@@ -348,12 +353,14 @@ def run_example_experiment(
     conditions = validate_example_conditions()
     positivity = integrand_positivity()
 
-    j0, se0 = evaluate_cost(0.0, n_paths, grid, seed, model)
+    # one solve of the zero-control candidate gives J(0) and the adjoints
+    traj0, report0 = _solve_for_control(model, 0.0, n_paths, grid, seed)
+    j0, se0 = report0.y0, report0.y0_std_error
     traj1, report1 = _solve_for_control(model, 1.0, n_paths, grid, seed)
     j1, se1 = report1.y0, report1.y0_std_error
     jg, seg = girsanov_cost_estimate(traj1)
 
-    traj0, adj, adj_report = example_adjoints(n_paths, grid, seed)
+    adj, adj_report = _adjoints_along(model, traj0)
     smp_result = confirm_global_smp(traj0, adj, tolerance=adjoint_tolerance)
     hull = convex_hull_counterexample(traj0, adj, tolerance=adjoint_tolerance)
 

@@ -87,10 +87,18 @@ def conditional_expectation(
     m, p = a.shape
 
     coef, _, rank, _ = np.linalg.lstsq(a, t, rcond=None)
-    if rank < p:
+    pretest = t_min > 0.0 and p > 1 and m > p + 2
+    deficiency = f"{rank} < {p} columns" if rank < p else None
+    if deficiency is None and pretest:
+        # lstsq ranks the singular values of a; the Gram matrix squares its
+        # condition number and can be singular at full rank
+        try:
+            gram_inv_diag = np.diag(np.linalg.inv(a.T @ a))
+        except np.linalg.LinAlgError:
+            deficiency = f"singular Gram matrix at rank {rank}"
+    if deficiency is not None:
         warnings.warn(
-            f"rank-deficient regression design ({rank} < {p} columns); "
-            "falling back to ridge",
+            f"rank-deficient regression design ({deficiency}); falling back to ridge",
             RankDeficientRegression,
             stacklevel=2,
         )
@@ -102,11 +110,10 @@ def conditional_expectation(
         fitted = a @ coef
         return fitted[:, 0] if squeeze else fitted
 
-    if t_min > 0.0 and p > 1 and m > p + 2:
+    if pretest:
         resid = t - a @ coef
         dof = m - p
         sigma2 = np.sum(resid**2, axis=0) / dof  # per target column
-        gram_inv_diag = np.diag(np.linalg.inv(a.T @ a))
         fitted = np.empty_like(t)
         for col in range(t.shape[1]):
             se = np.sqrt(np.maximum(sigma2[col] * gram_inv_diag, 1e-300))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .adjoint import AdjointBundle, solve_adjoints
+from .adjoint import AdjointBundle, Linearization, linearize, solve_adjoints
 from .bsde import (
     ControlledTrajectory,
     LinearBsdeData,
@@ -87,24 +87,19 @@ class HattedCoefficients:
     """Replacement-minus-candidate coefficient gaps along the candidate path.
 
     b_hat: (m, N, n); sigma_hat: (m, N, n, d); sigma_x_hat: (m, N, d, n, n);
-    f_hat: (m, N); delta: (m, N, d) with delta^i = (sigma_hat^i)' p;
+    delta: (m, N, d) with delta^i = (sigma_hat^i)' p;
     f_hat_delta: (m, N) the generator gap with the z-slot shifted by delta.
     """
 
     b_hat: np.ndarray = field(repr=False)
     sigma_hat: np.ndarray = field(repr=False)
     sigma_x_hat: np.ndarray = field(repr=False)
-    f_hat: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
     f_hat_delta: np.ndarray = field(repr=False)
 
 
-def hatted_coefficients(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
-    u_repl: np.ndarray,
-    p: np.ndarray,
-) -> HattedCoefficients:
+def hatted_coefficients(lin: Linearization, u_repl: np.ndarray, p: np.ndarray) -> HattedCoefficients:
+    model, traj = lin.model, lin.traj
     grid = traj.w.grid
     times = grid.times
     n_steps = grid.n_steps
@@ -113,7 +108,6 @@ def hatted_coefficients(
     b_hat = np.empty((m, n_steps, model.n))
     sigma_hat = np.empty((m, n_steps, model.n, model.d))
     sigma_x_hat = np.empty((m, n_steps, model.d, model.n, model.n))
-    f_hat = np.empty((m, n_steps))
     delta = np.empty((m, n_steps, model.d))
     f_hat_delta = np.empty((m, n_steps))
     for k in range(n_steps):
@@ -122,49 +116,31 @@ def hatted_coefficients(
         b_hat[:, k] = model.b(t, xk, ur) - model.b(t, xk, ub)
         sh = model.sigma(t, xk, ur) - model.sigma(t, xk, ub)
         sigma_hat[:, k] = sh
-        sigma_x_hat[:, k] = model.sigma_x(t, xk, ur) - model.sigma_x(t, xk, ub)
+        sigma_x_hat[:, k] = model.sigma_x(t, xk, ur) - lin.sigma_x[:, k]
         f_base = model.f(t, xk, yk, zk, ub)
-        f_hat[:, k] = model.f(t, xk, yk, zk, ur) - f_base
         delta[:, k] = np.einsum("mid,mi->md", sh, p[:, k])
         f_hat_delta[:, k] = model.f(t, xk, yk, zk + delta[:, k], ur) - f_base
     return HattedCoefficients(
         b_hat=b_hat,
         sigma_hat=sigma_hat,
         sigma_x_hat=sigma_x_hat,
-        f_hat=f_hat,
         delta=delta,
         f_hat_delta=f_hat_delta,
     )
 
 
-def _first_order_coeffs(model: ModelSpec, traj: ControlledTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    grid = traj.w.grid
-    b_x = np.empty((traj.n_paths, grid.n_steps, model.n, model.n))
-    sigma_x = np.empty((traj.n_paths, grid.n_steps, model.d, model.n, model.n))
-    for k in range(grid.n_steps):
-        b_x[:, k] = model.b_x(grid.times[k], traj.x[:, k], traj.u[:, k])
-        sigma_x[:, k] = model.sigma_x(grid.times[k], traj.x[:, k], traj.u[:, k])
-    return b_x, sigma_x
-
-
-def solve_x1(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
-    spike: SpikePerturbation,
-    hats: HattedCoefficients,
-) -> np.ndarray:
+def solve_x1(lin: Linearization, spike: SpikePerturbation, hats: HattedCoefficients) -> np.ndarray:
     """First variational state: linearized dynamics with the window diffusion
     impulse sigma_hat 1_E; starts at 0. Shape (m, N+1, n)."""
-    grid = traj.w.grid
+    grid = lin.traj.w.grid
     dt = grid.dt
-    dw = traj.w.increments
+    dw = lin.traj.w.increments
     ind = spike.indicator(grid)
-    b_x, sigma_x = _first_order_coeffs(model, traj)
-    x1 = np.zeros((traj.n_paths, grid.n_steps + 1, model.n))
+    x1 = np.zeros((lin.traj.n_paths, grid.n_steps + 1, lin.model.n))
     for k in range(grid.n_steps):
         xk = x1[:, k]
-        incr = np.einsum("mij,mj->mi", b_x[:, k], xk) * dt
-        incr += np.einsum("mdij,mj,md->mi", sigma_x[:, k], xk, dw[:, k])
+        incr = np.einsum("mij,mj->mi", lin.b_x[:, k], xk) * dt
+        incr += np.einsum("mdij,mj,md->mi", lin.sigma_x[:, k], xk, dw[:, k])
         if ind[k]:
             incr += np.einsum("mid,md->mi", hats.sigma_hat[:, k], dw[:, k])
         x1[:, k + 1] = xk + incr
@@ -172,32 +148,24 @@ def solve_x1(
 
 
 def solve_x2(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
-    spike: SpikePerturbation,
-    x1: np.ndarray,
-    hats: HattedCoefficients,
+    lin: Linearization, spike: SpikePerturbation, x1: np.ndarray, hats: HattedCoefficients
 ) -> np.ndarray:
     """Second variational state: window drift impulse b_hat 1_E, window
     diffusion sigma_x_hat X1 1_E and the quadratic curvature sources."""
-    grid = traj.w.grid
+    grid = lin.traj.w.grid
     dt = grid.dt
-    dw = traj.w.increments
-    times = grid.times
+    dw = lin.traj.w.increments
     ind = spike.indicator(grid)
-    b_x, sigma_x = _first_order_coeffs(model, traj)
-    x2 = np.zeros((traj.n_paths, grid.n_steps + 1, model.n))
+    x2 = np.zeros((lin.traj.n_paths, grid.n_steps + 1, lin.model.n))
     for k in range(grid.n_steps):
         xk = x2[:, k]
         x1k = x1[:, k]
-        b_xx = model.b_xx(times[k], traj.x[:, k], traj.u[:, k])
-        s_xx = model.sigma_xx(times[k], traj.x[:, k], traj.u[:, k])
-        drift = np.einsum("mij,mj->mi", b_x[:, k], xk)
-        drift += 0.5 * np.einsum("mijk,mj,mk->mi", b_xx, x1k, x1k)
+        drift = np.einsum("mij,mj->mi", lin.b_x[:, k], xk)
+        drift += 0.5 * np.einsum("mijk,mj,mk->mi", lin.b_xx[:, k], x1k, x1k)
         if ind[k]:
             drift += hats.b_hat[:, k]
-        diff = np.einsum("mdij,mj->mid", sigma_x[:, k], xk)
-        diff += 0.5 * np.einsum("mjdab,ma,mb->mjd", s_xx, x1k, x1k)
+        diff = np.einsum("mdij,mj->mid", lin.sigma_x[:, k], xk)
+        diff += 0.5 * np.einsum("mjdab,ma,mb->mjd", lin.sigma_xx[:, k], x1k, x1k)
         if ind[k]:
             diff += np.einsum("mdij,mj->mid", hats.sigma_x_hat[:, k], x1k)
         x2[:, k + 1] = xk + drift * dt + np.einsum("mid,md->mi", diff, dw[:, k])
@@ -205,8 +173,7 @@ def solve_x2(
 
 
 def compute_y1z1(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
+    lin: Linearization,
     spike: SpikePerturbation,
     x1: np.ndarray,
     adj: AdjointBundle,
@@ -217,13 +184,12 @@ def compute_y1z1(
     Y1 = p'X1 on nodes; Z1^i = p'sigma_hat^i 1_E + [p'sigma_x^i + q^i'] X1
     on steps.
     """
-    grid = traj.w.grid
+    grid = lin.traj.w.grid
     n_steps = grid.n_steps
     ind = spike.indicator(grid)
     y1 = np.einsum("mti,mti->mt", adj.p, x1)
-    _, sigma_x = _first_order_coeffs(model, traj)
     p_steps = adj.p[:, :n_steps]
-    row = np.einsum("mtl,mtdlj->mtdj", p_steps, sigma_x) + np.swapaxes(adj.q, 2, 3)
+    row = np.einsum("mtl,mtdlj->mtdj", p_steps, lin.sigma_x) + np.swapaxes(adj.q, 2, 3)
     z1 = np.einsum("mtdj,mtj->mtd", row, x1[:, :n_steps])
     z1 += ind[None, :, None] * np.einsum("mti,mtid->mtd", p_steps, hats.sigma_hat)
     return y1, z1
@@ -247,8 +213,7 @@ def _yhat_driver(
 
 
 def solve_yhat(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
+    lin: Linearization,
     spike: SpikePerturbation,
     adj: AdjointBundle,
     hats: HattedCoefficients,
@@ -256,20 +221,12 @@ def solve_yhat(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Auxiliary pair: scalar linear equation with the window Hamiltonian-gap
     driver, generator slopes (f_y, f_z) and zero terminal value."""
-    grid = traj.w.grid
-    n_steps = grid.n_steps
-    m = traj.n_paths
-    lam = np.empty((m, n_steps))
-    mu = np.empty((m, n_steps, model.d))
-    for k in range(n_steps):
-        args = (grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
-        lam[:, k] = model.f_y(*args)
-        mu[:, k] = model.f_z(*args)
+    traj = lin.traj
     data = LinearBsdeData(
-        lam=lam,
-        mu=mu,
+        lam=lin.f_y,
+        mu=lin.f_z,
         phi=_yhat_driver(traj, spike, adj, hats),
-        xi=np.zeros(m),
+        xi=np.zeros(traj.n_paths),
         state=traj.x,
     )
     y_hat, z_hat, _ = solve_linear_bsde_weighted(data, traj.w, degree=degree)
@@ -277,8 +234,7 @@ def solve_yhat(
 
 
 def yhat0_direct_estimate(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
+    lin: Linearization,
     spike: SpikePerturbation,
     adj: AdjointBundle,
     hats: HattedCoefficients,
@@ -289,26 +245,21 @@ def yhat0_direct_estimate(
     Euler-Maruyama (dG = f_y G dt + G f_z'dW, G_0 = 1) instead of the closed
     exponential, and averages pathwise. Returns (estimate, std error).
     """
-    grid = traj.w.grid
-    dt = grid.dt
-    n_steps = grid.n_steps
+    traj = lin.traj
+    dt = traj.w.grid.dt
     m = traj.n_paths
     weight = np.ones(m)
     acc = np.zeros(m)
     drv = _yhat_driver(traj, spike, adj, hats)
-    for k in range(n_steps):
+    for k in range(traj.w.grid.n_steps):
         acc += weight * drv[:, k] * dt
-        args = (grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
-        growth = model.f_y(*args) * dt + np.einsum(
-            "md,md->m", model.f_z(*args), traj.w.increments[:, k]
-        )
+        growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])
         weight = weight * (1.0 + growth)
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(m))
 
 
 def compute_y2z2(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
+    lin: Linearization,
     spike: SpikePerturbation,
     x1: np.ndarray,
     x2: np.ndarray,
@@ -322,13 +273,13 @@ def compute_y2z2(
     Y2 = Yhat + p'X2 + X1'P X1 / 2 on nodes; Z2 adds to Zhat the X2-transport
     row, the X1-quadratic bracket and the window coupling terms.
     """
-    grid = traj.w.grid
+    grid = lin.traj.w.grid
     n_steps = grid.n_steps
     ind = spike.indicator(grid)
     y2 = y_hat + np.einsum("mti,mti->mt", adj.p, x2)
     y2 += 0.5 * np.einsum("mti,mtij,mtj->mt", x1, adj.big_p, x1)
 
-    _, sigma_x = _first_order_coeffs(model, traj)
+    sigma_x = lin.sigma_x
     p_steps = adj.p[:, :n_steps]
     big_p = adj.big_p[:, :n_steps]
     x1_s, x2_s = x1[:, :n_steps], x2[:, :n_steps]
@@ -336,14 +287,10 @@ def compute_y2z2(
     row_x2 = np.einsum("mtl,mtdlj->mtdj", p_steps, sigma_x) + np.swapaxes(adj.q, 2, 3)
     z2 = np.einsum("mtdj,mtj->mtd", row_x2, x2_s)
 
-    m = traj.n_paths
-    s_xx = np.empty((m, n_steps, model.n, model.d, model.n, model.n))
-    for k in range(n_steps):
-        s_xx[:, k] = model.sigma_xx(grid.times[k], traj.x[:, k], traj.u[:, k])
     bracket = np.einsum("mtdji,mtjk->mtdik", sigma_x, big_p)
     bracket += np.einsum("mtij,mtdjk->mtdik", big_p, sigma_x)
     bracket += np.moveaxis(adj.big_q, 4, 2)
-    bracket += np.einsum("mtjiab,mtj->mtiab", s_xx, p_steps)
+    bracket += np.einsum("mtjiab,mtj->mtiab", lin.sigma_xx, p_steps)
     z2 += 0.5 * np.einsum("mta,mtdab,mtb->mtd", x1_s, bracket, x1_s)
 
     window_row = np.einsum("mtad,mtab->mtdb", hats.sigma_hat, big_p)
@@ -399,8 +346,7 @@ def expansion_residuals(
 
 
 def value_remainder_estimate(
-    model: ModelSpec,
-    base: ControlledTrajectory,
+    lin: Linearization,
     spiked: ControlledTrajectory,
     x1: np.ndarray,
     adj: AdjointBundle,
@@ -415,6 +361,7 @@ def value_remainder_estimate(
     Y2(0)); with common random numbers the leading fluctuations cancel
     pathwise. Returns (estimate, std error).
     """
+    model, base = lin.model, lin.traj
     grid = base.w.grid
     dt = grid.dt
     n_steps = grid.n_steps
@@ -434,10 +381,9 @@ def value_remainder_estimate(
         "mi,mi->m", model.phi_x(base.x[:, -1]), x1[:, n_steps]
     )
     for k in range(n_steps):
-        args = (times[k], base.x[:, k], base.y[:, k], base.z[:, k], base.u[:, k])
-        drv = np.einsum("mi,mi->m", model.f_x(*args), x1[:, k])
+        drv = np.einsum("mi,mi->m", lin.f_x[:, k], x1[:, k])
         if ind[k]:
-            drv -= np.einsum("md,md->m", model.f_z(*args), hats.delta[:, k])
+            drv -= np.einsum("md,md->m", lin.f_z[:, k], hats.delta[:, k])
             drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k])
         r1 += gamma_tilde[:, k] * drv * dt
 
@@ -558,9 +504,9 @@ def run_spike_study(
     y_bar, z_bar, base_report = solve_bsde_lsmc(
         model, x_bar, u_bar, w, degree=degree, z_truncation=z_truncation
     )
-    base = ControlledTrajectory(w=w, x=x_bar, y=y_bar, z=z_bar, u=u_bar)
-    adj = solve_adjoints(model, base, degree=degree)
-    gamma, gamma_tilde = _generator_weight(model, base)
+    lin = linearize(model, ControlledTrajectory(w=w, x=x_bar, y=y_bar, z=z_bar, u=u_bar))
+    adj = solve_adjoints(lin, degree=degree)
+    gamma, gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
     dt = grid.dt
 
     def study_window(n_eps: int) -> dict:
@@ -576,16 +522,15 @@ def run_spike_study(
         )
         spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
 
-        hats = hatted_coefficients(model, base, u_eps, adj.p)
-        x1 = solve_x1(model, base, spike, hats)
-        x2 = solve_x2(model, base, spike, x1, hats)
-        y1, z1 = compute_y1z1(model, base, spike, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(model, base, spike, adj, hats, degree=degree)
-        y2, z2 = compute_y2z2(model, base, spike, x1, x2, y_hat, z_hat, adj, hats)
-        res = expansion_residuals(base, spiked, x1, x2, y1, y2, z1, z2)
-        rem_cv, rem_se = value_remainder_estimate(
-            model, base, spiked, x1, adj, hats, spike, gamma_tilde
-        )
+        hats = hatted_coefficients(lin, u_eps, adj.p)
+        x1 = solve_x1(lin, spike, hats)
+        x2 = solve_x2(lin, spike, x1, hats)
+        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, spike, adj, hats, degree=degree)
+        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
+        del y_hat, z_hat
+        res = expansion_residuals(lin.traj, spiked, x1, x2, y1, y2, z1, z2)
+        rem_cv, rem_se = value_remainder_estimate(lin, spiked, x1, adj, hats, spike, gamma_tilde)
         return {
             "state_gap_sup_sq": sup_square(res.xi1),
             "x1_sup_sq": sup_square(x1),
@@ -636,18 +581,3 @@ def run_spike_study(
         y_bar_0=base_report.y0,
         diagnostics={"base_report": base_report, "adjoint_sup_p": float(np.abs(adj.p).max())},
     )
-
-
-def _generator_weight(model: ModelSpec, traj: ControlledTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Stochastic exponential of the generator z-slope along the candidate,
-    bare and with the y-slope growth factor."""
-    grid = traj.w.grid
-    m, n_steps = traj.n_paths, grid.n_steps
-    lam = np.empty((m, n_steps))
-    mu = np.empty((m, n_steps, model.d))
-    for k in range(n_steps):
-        args = (grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
-        lam[:, k] = model.f_y(*args)
-        mu[:, k] = model.f_z(*args)
-    gamma, gamma_tilde = exponential_weight(lam, mu, traj.w)
-    return gamma, gamma_tilde

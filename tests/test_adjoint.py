@@ -8,6 +8,7 @@ from support import driver_model
 from quadsmp.adjoint import (
     assemble_first_order,
     assemble_second_order_source,
+    linearize,
     solve_adjoints,
     solve_first_order,
     solve_second_order,
@@ -17,7 +18,7 @@ from quadsmp.adjoint import (
 from quadsmp.bsde import ControlledTrajectory, solve_bsde_lsmc
 from quadsmp.example import example_model
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
-from quadsmp.models import scalar_model
+from quadsmp.models import benchmark_model, scalar_model
 from quadsmp.sde import simulate_forward_sde
 
 
@@ -94,6 +95,23 @@ def quadratic_terminal_model():
     )
 
 
+class TestLinearization:
+    @pytest.mark.parametrize("factory,x0", [(benchmark_model, 1.0), (example_model, 0.0)])
+    def test_arrays_equal_per_step_evaluation(self, factory, x0):
+        model = factory()
+        traj = _trajectory(model, x0, n_paths=300, n_steps=16, seed=8)
+        lin = linearize(model, traj)
+        assert lin.model is model and lin.traj is traj
+        times = traj.w.grid.times
+        for k in range(traj.w.grid.n_steps):
+            t, xk, yk, zk, uk = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
+            for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"):
+                assert np.array_equal(getattr(lin, name)[:, k], getattr(model, name)(t, xk, uk)), name
+            for name in ("f_x", "f_y", "f_z"):
+                expected = getattr(model, name)(t, xk, yk, zk, uk)
+                assert np.array_equal(getattr(lin, name)[:, k], expected), name
+
+
 class TestFirstOrder:
     def test_zero_derivative_model_constant_pair(self):
         model = driver_model(
@@ -116,14 +134,14 @@ class TestFirstOrder:
             alpha=1.0, gamma=0.1, l1=1.0, l2=1.0, l3=0.1, phi_bound=5.0, f_y_bound=0.0,
         )
         traj = _trajectory(model, 0.0, n_paths=1000, n_steps=32)
-        p, q, diag = solve_first_order(model, traj)
+        p, q, diag = solve_first_order(linearize(model, traj))
         assert np.abs(p - 2.0).max() < 1e-8
         assert np.abs(q).max() < 0.05
 
     def test_example_assembly_constants(self):
         model = example_model()
         traj = _trajectory(model, 0.0, n_paths=200, n_steps=16, seed=3)
-        data = assemble_first_order(model, traj)
+        data = assemble_first_order(linearize(model, traj))
         assert np.abs(data.a).max() == 0.0  # f_z sigma_x + f_y I + b_x all vanish
         assert data.beta == pytest.approx(np.full((200, 16, 1), -0.5))  # g'(0)
         assert np.abs(data.c).max() == 0.0
@@ -133,7 +151,7 @@ class TestFirstOrder:
     def test_constant_coefficient_ode_oracle(self):
         model = constant_slope_model()
         traj = _trajectory(model, 1.0, n_paths=4000, n_steps=128, seed=11)
-        p, q, diag = solve_first_order(model, traj)
+        p, q, diag = solve_first_order(linearize(model, traj))
 
         k_lin = 0.25 * 0.3 + 0.1 + 0.2
         rhs = lambda t, pv: -(k_lin * pv + 0.05)
@@ -147,7 +165,7 @@ class TestFirstOrder:
     def test_state_proportional_oracle(self):
         model = quadratic_terminal_model()
         traj = _trajectory(model, 0.5, n_paths=6000, n_steps=64, seed=13)
-        p, q, _ = solve_first_order(model, traj)
+        p, q, _ = solve_first_order(linearize(model, traj))
         grid_t = traj.w.grid.times
         oracle = traj.x[:, :, 0] * (0.4 + 0.1 * (1.0 - grid_t))
         err = np.sqrt(((p[:, :, 0] - oracle) ** 2).mean(axis=0)).max()
@@ -164,8 +182,9 @@ class TestSecondOrder:
             lambda x: 0.0 * x, 0.0, 0.0, 0.0, 1.0,
         )
         traj = _trajectory(model, 0.0, n_paths=500, n_steps=16, seed=5)
-        p, q, _ = solve_first_order(model, traj)
-        big_p, big_q, _ = solve_second_order(model, traj, p, q)
+        lin = linearize(model, traj)
+        p, q, _ = solve_first_order(lin)
+        big_p, big_q, _ = solve_second_order(lin, p, q)
         assert np.abs(big_p).max() < 1e-10
         assert np.abs(big_q).max() < 1e-10
 
@@ -174,14 +193,15 @@ class TestSecondOrder:
         traj = _trajectory(model, 0.5, n_paths=200, n_steps=8, seed=2)
         p = np.zeros((200, 9, 1))
         q = np.zeros((200, 8, 1, 1))
-        src = assemble_second_order_source(model, traj, p, q)
+        src = assemble_second_order_source(linearize(model, traj), p, q)
         assert src == pytest.approx(np.full((200, 8, 1, 1), 0.1))
 
     def test_linear_in_time_oracle(self):
         model = quadratic_terminal_model()
         traj = _trajectory(model, 0.5, n_paths=4000, n_steps=64, seed=13)
-        p, q, _ = solve_first_order(model, traj)
-        big_p, big_q, _ = solve_second_order(model, traj, p, q)
+        lin = linearize(model, traj)
+        p, q, _ = solve_first_order(lin)
+        big_p, big_q, _ = solve_second_order(lin, p, q)
         grid_t = traj.w.grid.times
         oracle = 0.4 + 0.1 * (1.0 - grid_t)
         est = big_p[:, :, 0, 0].mean(axis=0)
@@ -191,7 +211,7 @@ class TestSecondOrder:
     def test_symmetry_exact(self):
         model = constant_slope_model()
         traj = _trajectory(model, 1.0, n_paths=500, n_steps=16, seed=4)
-        adj = solve_adjoints(model, traj)
+        adj = solve_adjoints(linearize(model, traj))
         assert np.array_equal(adj.big_p, np.swapaxes(adj.big_p, 2, 3))
 
 
@@ -199,7 +219,7 @@ class TestExampleAdjoints:
     def test_known_constants_loose(self):
         model = example_model()
         traj = _trajectory(model, 0.0, n_paths=4000, n_steps=64, seed=1)
-        adj = solve_adjoints(model, traj)
+        adj = solve_adjoints(linearize(model, traj))
         assert np.abs(adj.p - 1.0).max() < 0.1
         assert np.sqrt((adj.q**2).mean(axis=0)).max() < 0.1
         assert np.abs(adj.big_p).max() < 0.05

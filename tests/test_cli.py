@@ -59,6 +59,29 @@ class TestValidation:
         code = cli.main(["spike", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "experiment,fields,bad_key",
+        [
+            ("example", {"n_paths": "abc"}, "n_paths"),
+            ("example", {"n_paths": 0}, "n_paths"),
+            ("example", {"horizon": "1"}, "horizon"),
+            ("adjoint", {"tolerance": "x"}, "tolerance"),
+            ("adjoint", {"x0": "0"}, "x0"),
+            ("solve-bsde", {"control": [1.0, 2.0]}, "control"),
+            ("solve-bsde", {"basis_degree": 0}, "basis_degree"),
+            ("check-smp", {"candidate": "zero"}, "candidate"),
+            ("check-smp", {"tolerance": None}, "tolerance"),
+        ],
+    )
+    def test_malformed_field_rejected(self, tmp_path, capsys, experiment, fields, bad_key):
+        payload = {"seed": 1, **fields}
+        if experiment != "example":
+            payload = {"n_paths": 10, "n_steps": 4, "horizon": 1.0, **payload}
+        cfg = _write_config(tmp_path, payload)
+        code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert bad_key in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_simulate_writes_reports(self, tmp_path):

@@ -85,3 +85,16 @@ def test_winsorization_caps_tail_leverage():
     y = 1.0 + rng.standard_normal(4000)
     fitted = conditional_expectation(x, y, degree=2, t_min=0.0)
     assert np.abs(fitted - 1.0).max() < 0.5
+
+
+def test_singular_gram_at_full_rank_falls_back_to_ridge():
+    # two features 1e-9 apart: lstsq still sees a full-rank design, but its
+    # Gram matrix, whose condition number is the square, is singular
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal(50)
+    x = np.column_stack([base, base + 1e-9 * rng.standard_normal(50)])
+    y = base + rng.standard_normal(50)
+    with pytest.warns(RankDeficientRegression, match="singular Gram"):
+        fitted = conditional_expectation(x, y, degree=1)
+    assert np.isfinite(fitted).all()
+    assert np.corrcoef(fitted, base)[0, 1] > 0.99

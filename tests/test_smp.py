@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadsmp import smp
-from quadsmp.adjoint import solve_adjoints
+from quadsmp.adjoint import linearize, solve_adjoints
 from quadsmp.bsde import ControlledTrajectory, solve_bsde_lsmc
 from quadsmp.example import example_model, g_running
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
@@ -132,7 +132,7 @@ def example_candidate():
     x = simulate_forward_sde(model, 0.0, u, w)
     y, z, _ = solve_bsde_lsmc(model, x, u, w)
     traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-    adj = solve_adjoints(model, traj)
+    adj = solve_adjoints(linearize(model, traj))
     return model, traj, adj
 
 
@@ -160,7 +160,7 @@ class TestGlobalSmp:
         x = simulate_forward_sde(model, 0.0, u, w)
         y, z, _ = solve_bsde_lsmc(model, x, u, w)
         traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-        adj = solve_adjoints(model, traj)
+        adj = solve_adjoints(linearize(model, traj))
         report = smp.check_global_smp(
             model, traj, adj.p, adj.q, adj.big_p, [[0.0], [1.0]], tolerance=0.05
         )
@@ -295,7 +295,7 @@ def lq_candidate():
     x = simulate_forward_sde(model, 0.5, u, w)
     y, z, _ = solve_bsde_lsmc(model, x, u, w)
     traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-    adj = solve_adjoints(model, traj)
+    adj = solve_adjoints(linearize(model, traj))
     return model, traj, adj
 
 
@@ -319,7 +319,7 @@ class TestSufficientConditions:
         x = simulate_forward_sde(model, 0.5, u, w)
         y, z, _ = solve_bsde_lsmc(model, x, u, w)
         traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-        adj = solve_adjoints(model, traj)
+        adj = solve_adjoints(linearize(model, traj))
         # affine generator, linear sigma, but a convex terminal: the
         # auxiliary-Hamiltonian inequality binds with equality
         report = smp.check_sufficient_conditions(
@@ -336,7 +336,7 @@ class TestSufficientConditions:
         x = simulate_forward_sde(model, 0.5, u, w)
         y, z, _ = solve_bsde_lsmc(model, x, u, w)
         traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-        adj = solve_adjoints(model, traj)
+        adj = solve_adjoints(linearize(model, traj))
         report = smp.check_sufficient_conditions(
             model, traj, adj.p, adj.q, 0.5, comparison_controls=[[1.0]], n_samples=1024, seed=3
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quadsmp.adjoint import solve_adjoints
+from quadsmp.adjoint import linearize, solve_adjoints
 from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import benchmark_model
@@ -33,8 +33,9 @@ def base_pipeline():
     x = simulate_forward_sde(model, 1.0, u_bar, w)
     y, z, _ = solve_bsde_lsmc(model, x, u_bar, w)
     traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u_bar)
-    adj = solve_adjoints(model, traj)
-    return model, grid, traj, adj
+    lin = linearize(model, traj)
+    adj = solve_adjoints(lin)
+    return model, grid, traj, adj, lin
 
 
 class TestSpikeWindow:
@@ -69,14 +70,14 @@ class TestSpikeWindow:
 
 class TestVariationalStates:
     def test_no_spike_gives_zero(self, base_pipeline):
-        model, grid, traj, adj = base_pipeline
+        model, grid, traj, adj, lin = base_pipeline
         spike = SpikePerturbation(t0=0.25, eps=8 * grid.dt, replacement=np.array([0.0]))
-        hats = hatted_coefficients(model, traj, traj.u, adj.p)
-        x1 = solve_x1(model, traj, spike, hats)
-        x2 = solve_x2(model, traj, spike, x1, hats)
-        y1, z1 = compute_y1z1(model, traj, spike, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(model, traj, spike, adj, hats)
-        y2, z2 = compute_y2z2(model, traj, spike, x1, x2, y_hat, z_hat, adj, hats)
+        hats = hatted_coefficients(lin, traj.u, adj.p)
+        x1 = solve_x1(lin, spike, hats)
+        x2 = solve_x2(lin, spike, x1, hats)
+        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, spike, adj, hats)
+        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
         res = expansion_residuals(traj, traj, x1, x2, y1, y2, z1, z2)
         for arr in (x1, x2, y1, z1, y_hat, z_hat, y2, z2, res.xi3, res.eta3, res.zeta3):
             assert np.all(arr == 0.0)
@@ -112,8 +113,9 @@ class TestVariationalStates:
         spike = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array([2.0]))
         u_eps = build_spiked_control(u_bar, spike, grid)
         p = np.ones((200, 65, 1))
-        hats = hatted_coefficients(flat, frozen, u_eps, p)
-        x1 = solve_x1(flat, frozen, spike, hats)
+        lin = linearize(flat, frozen)
+        hats = hatted_coefficients(lin, u_eps, p)
+        x1 = solve_x1(lin, spike, hats)
         k0, n_eps = spike.window(grid)
         paths = w.paths()[:, :, 0]
         window_w = paths[:, np.minimum(np.arange(65), k0 + n_eps)] - paths[:, np.minimum(np.arange(65), k0)]
@@ -145,49 +147,50 @@ class TestVariationalStates:
         )
         spike = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array([3.0]))
         u_eps = build_spiked_control(u_bar, spike, grid)
-        hats = hatted_coefficients(flat, frozen, u_eps, np.ones((50, 65, 1)))
-        x1 = solve_x1(flat, frozen, spike, hats)
-        x2 = solve_x2(flat, frozen, spike, x1, hats)
+        lin = linearize(flat, frozen)
+        hats = hatted_coefficients(lin, u_eps, np.ones((50, 65, 1)))
+        x1 = solve_x1(lin, spike, hats)
+        x2 = solve_x2(lin, spike, x1, hats)
         elapsed = np.clip(grid.times, 0.25, 0.5) - 0.25
         assert x2[:, :, 0] == pytest.approx(np.broadcast_to(3.0 * elapsed, (50, 65)), abs=1e-12)
 
 
 @pytest.fixture(scope="module")
 def spiked(base_pipeline):
-    model, grid, traj, adj = base_pipeline
+    model, grid, traj, adj, lin = base_pipeline
     spike = SpikePerturbation(t0=0.25, eps=16 * grid.dt, replacement=np.array([1.0]))
     u_eps = build_spiked_control(traj.u, spike, grid)
-    hats = hatted_coefficients(model, traj, u_eps, adj.p)
-    x1 = solve_x1(model, traj, spike, hats)
-    x2 = solve_x2(model, traj, spike, x1, hats)
+    hats = hatted_coefficients(lin, u_eps, adj.p)
+    x1 = solve_x1(lin, spike, hats)
+    x2 = solve_x2(lin, spike, x1, hats)
     return spike, u_eps, hats, x1, x2
 
 
 class TestBackwardRelations:
     def test_y1_starts_at_zero(self, base_pipeline, spiked):
-        model, grid, traj, adj = base_pipeline
+        model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, _ = spiked
-        y1, z1 = compute_y1z1(model, traj, spike, x1, adj, hats)
+        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
         assert np.all(y1[:, 0] == 0.0)
 
     def test_y2_equals_yhat_at_zero(self, base_pipeline, spiked):
-        model, grid, traj, adj = base_pipeline
+        model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, x2 = spiked
-        y_hat, z_hat = solve_yhat(model, traj, spike, adj, hats)
-        y2, z2 = compute_y2z2(model, traj, spike, x1, x2, y_hat, z_hat, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, spike, adj, hats)
+        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
         assert y2[:, 0] == pytest.approx(y_hat[:, 0], abs=1e-12)
 
     def test_yhat0_against_direct_weight_sde(self, base_pipeline, spiked):
-        model, grid, traj, adj = base_pipeline
+        model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, _, _ = spiked
-        y_hat, _ = solve_yhat(model, traj, spike, adj, hats)
-        direct, se = yhat0_direct_estimate(model, traj, spike, adj, hats)
+        y_hat, _ = solve_yhat(lin, spike, adj, hats)
+        direct, se = yhat0_direct_estimate(lin, spike, adj, hats)
         assert abs(float(y_hat[:, 0].mean()) - direct) <= 2.0 * se + 1e-4
 
     def test_first_variation_weighted_cross_check(self, base_pipeline, spiked):
         # solving the first backward variation as its own linear equation
         # reproduces the value at 0 implied by the adjoint relation (zero)
-        model, grid, traj, adj = base_pipeline
+        model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, _ = spiked
         m, n_steps = traj.n_paths, grid.n_steps
         ind = spike.indicator(grid)
@@ -208,14 +211,14 @@ class TestBackwardRelations:
         assert abs(rep.y0) <= 3.0 * rep.y0_std_error + 1e-3
 
     def test_residual_telescoping_exact(self, base_pipeline, spiked):
-        model, grid, traj, adj = base_pipeline
+        model, grid, traj, adj, lin = base_pipeline
         spike, u_eps, hats, x1, x2 = spiked
         x_eps = simulate_forward_sde(model, 1.0, u_eps, traj.w)
         y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, traj.w)
         spiked_traj = ControlledTrajectory(w=traj.w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
-        y_hat, z_hat = solve_yhat(model, traj, spike, adj, hats)
-        y1, z1 = compute_y1z1(model, traj, spike, x1, adj, hats)
-        y2, z2 = compute_y2z2(model, traj, spike, x1, x2, y_hat, z_hat, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, spike, adj, hats)
+        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
+        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
         res = expansion_residuals(traj, spiked_traj, x1, x2, y1, y2, z1, z2)
         assert np.array_equal(res.xi2, res.xi1 - x1)
         assert np.array_equal(res.xi3, res.xi2 - x2)
