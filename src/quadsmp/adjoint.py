@@ -108,12 +108,15 @@ def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
         "f_z": (d,),
     }
     steps = {name: np.empty((traj.n_paths, grid.n_steps) + s) for name, s in shapes.items()}
+    times = grid.times
     for k in range(grid.n_steps):
-        t, xk, uk = grid.times[k], traj.x[:, k], traj.u[:, k]
+        t, xk, uk = times[k], traj.x[:, k], traj.u[:, k]
         for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"):
             steps[name][:, k] = getattr(model, name)(t, xk, uk)
         for name in ("f_x", "f_y", "f_z"):
             steps[name][:, k] = getattr(model, name)(t, xk, traj.y[:, k], traj.z[:, k], uk)
+    for arr in steps.values():  # shared across spike windows and threads
+        arr.flags.writeable = False
     return Linearization(model=model, traj=traj, **steps)
 
 

@@ -528,7 +528,7 @@ def run_spike_study(
         y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
         y_hat, z_hat = solve_yhat(lin, spike, adj, hats, degree=degree)
         y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
-        del y_hat, z_hat
+        del y_hat, z_hat  # folded into Y2/Z2; freed before the functionals
         res = expansion_residuals(lin.traj, spiked, x1, x2, y1, y2, z1, z2)
         rem_cv, rem_se = value_remainder_estimate(lin, spiked, x1, adj, hats, spike, gamma_tilde)
         return {

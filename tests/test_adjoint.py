@@ -110,6 +110,8 @@ class TestLinearization:
             for name in ("f_x", "f_y", "f_z"):
                 expected = getattr(model, name)(t, xk, yk, zk, uk)
                 assert np.array_equal(getattr(lin, name)[:, k], expected), name
+        for name in ("b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
+            assert not getattr(lin, name).flags.writeable, name
 
 
 class TestFirstOrder:
