@@ -75,16 +75,19 @@ def _operator_on_svec(linmap, n: int, batch_shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Linearization:
-    """Derivatives of the system along one candidate trajectory, per step.
+    """Coefficients and their derivatives along one candidate trajectory, per step.
 
-    b_x: (m, N, n, n); sigma_x: (m, N, d, n, n); b_xx: (m, N, n, n, n);
-    sigma_xx: (m, N, n, d, n, n); f_x: (m, N, n); f_y: (m, N); f_z: (m, N, d).
-    Built once by ``linearize`` and shared read-only by the adjoint equations
-    and every spike window.
+    b: (m, N, n); sigma: (m, N, n, d); f: (m, N); b_x: (m, N, n, n);
+    sigma_x: (m, N, d, n, n); b_xx: (m, N, n, n, n); sigma_xx: (m, N, n, d, n, n);
+    f_x: (m, N, n); f_y: (m, N); f_z: (m, N, d). Built once by ``linearize``
+    and shared read-only by the adjoint equations and every spike window.
     """
 
     model: ModelSpec
     traj: ControlledTrajectory
+    b: np.ndarray = field(repr=False)
+    sigma: np.ndarray = field(repr=False)
+    f: np.ndarray = field(repr=False)
     b_x: np.ndarray = field(repr=False)
     sigma_x: np.ndarray = field(repr=False)
     b_xx: np.ndarray = field(repr=False)
@@ -95,10 +98,13 @@ class Linearization:
 
 
 def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
-    """Evaluate the model derivatives along the candidate (x, y, z, u)."""
+    """Evaluate the model coefficients and derivatives along the candidate (x, y, z, u)."""
     grid = traj.w.grid
     n, d = model.n, model.d
     shapes = {
+        "b": (n,),
+        "sigma": (n, d),
+        "f": (),
         "b_x": (n, n),
         "sigma_x": (d, n, n),
         "b_xx": (n, n, n),
@@ -111,9 +117,9 @@ def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
     times = grid.times
     for k in range(grid.n_steps):
         t, xk, uk = times[k], traj.x[:, k], traj.u[:, k]
-        for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"):
+        for name in ("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx"):
             steps[name][:, k] = getattr(model, name)(t, xk, uk)
-        for name in ("f_x", "f_y", "f_z"):
+        for name in ("f", "f_x", "f_y", "f_z"):
             steps[name][:, k] = getattr(model, name)(t, xk, traj.y[:, k], traj.z[:, k], uk)
     for arr in steps.values():  # shared across spike windows and threads
         arr.flags.writeable = False
@@ -157,11 +163,7 @@ def assemble_first_order(lin: Linearization) -> MultiLinearBsdeData:
     )
 
 
-def solve_first_order(
-    lin: Linearization,
-    degree: int = 2,
-    p_bound: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+def solve_first_order(lin: Linearization, degree: int = 2) -> tuple[np.ndarray, np.ndarray, dict]:
     """Solve for (p, q); p is expected essentially bounded.
 
     Returns p: (m, N+1, n), q: (m, N, n, d) and a small diagnostics dict.
@@ -169,10 +171,7 @@ def solve_first_order(
     data = assemble_first_order(lin)
     p, q, report, _ = solve_multidim_linear_bsde(data, lin.traj.w, degree=degree)
     sup_p = float(np.sqrt(np.sum(p**2, axis=2)).max())
-    diag = {"sup_abs_p": sup_p, "report": report}
-    if p_bound is not None:
-        diag["p_within_bound"] = bool(sup_p <= p_bound)
-    return p, q, diag
+    return p, q, {"sup_abs_p": sup_p, "report": report}
 
 
 def upsilon_process(lin: Linearization, p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -1,21 +1,20 @@
 """Backward solvers for the controlled system.
 
-Three routes:
+One quadratic solver and one linear representation:
 
 * ``solve_bsde_lsmc`` - regression Monte Carlo backward induction for the
   quadratic-generator equation dY = -f(t,X,Y,Z,u) dt + Z'dW, Y_T = phi(X_T),
   implicit in Y and explicit (clipped) in Z;
-* ``solve_linear_bsde_weighted`` - the exponential-weight conditional
-  expectation for the scalar equation with driver lam Y + mu'Z + phi;
-* ``solve_multidim_linear_bsde`` - the fundamental-solution route for the
-  n-dimensional equation with driver A'Y + sum_i (beta^i I + C^i)' Z^i + f,
-  built on the matrix flow pair.
+* the fundamental-solution representation of the linear equation with driver
+  A'Y + sum_i (beta^i I + C^i)' Z^i + f, one kernel with two entry points:
+  ``solve_multidim_linear_bsde`` (n-dimensional, on the matrix flow pair) and
+  ``solve_linear_bsde_weighted`` (scalar, driver lam Y + mu'Z + phi, where the
+  flow is the exponential weight).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -133,27 +132,23 @@ def solve_bsde_lsmc(
     u: np.ndarray,
     w: BrownianEnsemble,
     degree: int = 2,
-    z_truncation: Optional[float] = None,
-    max_inner: int = 10,
-    inner_tol: float = 1e-10,
-    t_min: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
     """Backward regression induction for the quadratic-generator equation.
 
     Per step: Z from the regression of the centered increment
     (Y_{k+1} - E^[Y_{k+1}|X_k]) dW_k / dt on the state basis (centering by the
     fitted conditional mean changes nothing in expectation and removes the
-    O(|Y|/sqrt(dt)) variance of the raw product), clipped in norm at
-    z_truncation; Y from the regression of Y_{k+1} plus an implicit fixed
-    point in the f(.., Y, ..) dt term.
+    O(|Y|/sqrt(dt)) variance of the raw product), clipped in norm at the
+    model's z_truncation_default; Y from the regression of Y_{k+1} plus an
+    implicit fixed point in the f(.., Y, ..) dt term (at most 10 iterations,
+    to a sup-norm gap of 1e-10). The regressions keep every basis term.
     """
     grid = w.grid
     dt, times, n_steps = grid.dt, grid.times, grid.n_steps
     m = w.n_paths
     u = np.asarray(u, dtype=float)
     u = np.broadcast_to(u, (m, n_steps, u.shape[-1]))
-    if z_truncation is None:
-        z_truncation = model.z_truncation_default(grid.horizon)
+    z_truncation = model.z_truncation_default(grid.horizon)
 
     y = np.empty((m, n_steps + 1))
     z = np.zeros((m, n_steps, model.d))
@@ -162,9 +157,9 @@ def solve_bsde_lsmc(
     for k in range(n_steps - 1, -1, -1):
         feats = x[:, k]
         y_next = y[:, k + 1]
-        e_next = conditional_expectation(feats, y_next, degree, t_min=t_min)
+        e_next = conditional_expectation(feats, y_next, degree, t_min=0.0)
         z_fit = conditional_expectation(
-            feats, (y_next - e_next)[:, None] * w.increments[:, k] / dt, degree, t_min=t_min
+            feats, (y_next - e_next)[:, None] * w.increments[:, k] / dt, degree, t_min=0.0
         )
         z_norm = np.sqrt(np.sum(z_fit**2, axis=1))
         over = z_norm > z_truncation
@@ -172,15 +167,13 @@ def solve_bsde_lsmc(
         scale = np.where(over, z_truncation / np.maximum(z_norm, 1e-300), 1.0)
         z[:, k] = z_fit * scale[:, None]
         y_k = e_next
-        converged = False
-        for _ in range(max_inner):
+        for _ in range(10):
             y_new = e_next + model.f(times[k], feats, y_k, z[:, k], u[:, k]) * dt
             gap = float(np.max(np.abs(y_new - y_k)))
             y_k = y_new
-            if gap <= inner_tol:
-                converged = True
+            if gap <= 1e-10:
                 break
-        if not converged and gap > inner_tol:
+        else:
             raise BsdeSolverError(f"implicit Y iteration did not converge at step {k} (gap {gap:.3e})")
         y[:, k] = y_k
 
@@ -215,154 +208,128 @@ def exponential_weight(
     log_total = log_gamma + lam_int
     if float(log_total.max()) > _LOG_OVERFLOW:
         raise WeightOverflowError(
-            "exponential weight overflows float64; truncate mu (mu_bound) or shorten the horizon"
+            "exponential weight overflows float64; truncate mu or shorten the horizon"
         )
     return np.exp(log_gamma), np.exp(log_total)
+
+
+def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degree: int):
+    """Fundamental-solution representation of the linear equation with driver
+    A'Y + sum_i (beta^i I + C^i)' Z^i + f.
+
+    flow: (m, N+1, n, n) the fundamental solution X of the coefficients and
+    inv its pathwise inverse Lambda; driver, xi, beta, c and state as in
+    MultiLinearBsdeData. Y_t = Lambda_t' E[X_T' xi + int_t^T X_s' f_s ds | F_t];
+    Z^i is recovered from the one-step martingale increments of
+    X'Y + int X'f ds as Lambda_t' psi^i_t - (beta^i I + C^i)' Y_t. The flattened
+    flow (and state) are the regression features, with the default t-pretest.
+
+    Returns y: (m, N+1, n), z: (m, N, n, d) and the pathwise Y0 targets (m, n).
+    """
+    grid = w.grid
+    dt, n_steps, m = grid.dt, grid.n_steps, w.n_paths
+    n = flow.shape[-1]
+    d = w.increments.shape[2]
+    driver = np.broadcast_to(np.asarray(driver, dtype=float), (m, n_steps, n))
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), (m, n))
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), (m, n_steps, d))
+    c = np.broadcast_to(np.asarray(c, dtype=float), (m, n_steps, d, n, n))
+
+    weighted_f = np.einsum("mtij,mti->mtj", flow[:, :n_steps], driver) * dt
+    # pathwise X_T' xi + int_t^T X_s' f_s ds
+    bracket = np.zeros((m, n_steps + 1, n))
+    bracket[:, :n_steps] = np.cumsum(weighted_f[:, ::-1], axis=1)[:, ::-1]
+    bracket += np.einsum("mij,mi->mj", flow[:, n_steps], xi)[:, None]
+
+    # the inverse flow at the conditioning time is known per path, so it goes
+    # inside the regression target; regressing Lambda'(bracket) keeps the
+    # noise level uniform instead of amplifying it where the flow is small.
+    # y holds each node's target until its regression replaces it; a constant
+    # target is its own conditional expectation and stays
+    y = np.empty((m, n_steps + 1, n))
+    np.einsum("mtji,mtj->mti", inv[:, :n_steps], bracket[:, :n_steps], out=y[:, :n_steps])
+    y[:, n_steps] = xi
+    flat_flow = flow.reshape(m, n_steps + 1, n * n)
+    for k in range(n_steps):
+        target = y[:, k]
+        if not np.all(target == target[0]):
+            y[:, k] = conditional_expectation(_node_features(flat_flow[:, k], state, k), target, degree)
+
+    prefix = np.zeros((m, n_steps + 1, n))
+    np.cumsum(weighted_f, axis=1, out=prefix[:, 1:])
+    g_mart = np.einsum("mtji,mtj->mti", flow, y) + prefix
+    incrs = np.einsum("mtji,mtj->mti", inv[:, :n_steps], np.diff(g_mart, axis=1))
+    del g_mart  # only its increments are regressed
+    z = np.empty((m, n_steps, n, d))
+    eye = np.eye(n)
+    for k in range(n_steps):
+        tgt = (incrs[:, k, :, None] * w.increments[:, k][:, None, :] / dt).reshape(m, n * d)
+        if np.all(tgt == 0.0):
+            psi_scaled = np.zeros((m, n, d))
+        else:
+            psi_scaled = conditional_expectation(
+                _node_features(flat_flow[:, k], state, k), tgt, degree
+            ).reshape(m, n, d)
+        d_k = beta[:, k, :, None, None] * eye + c[:, k]  # (m, d, n, n)
+        z[:, k] = psi_scaled - np.einsum("mdji,mj->mid", d_k, y[:, k])
+    return y, z, bracket[:, 0]
 
 
 def solve_linear_bsde_weighted(
     data: LinearBsdeData,
     w: BrownianEnsemble,
     degree: int = 2,
-    mu_bound: Optional[float] = None,
-    t_min: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport]:
-    """Exponential-weight representation of the scalar linear equation.
+    """Scalar linear equation: the representation with the exponential weight
+    G~ as the one-dimensional flow.
 
     Y_t is the conditional expectation of (G~_T/G~_t) xi + int_t^T (G~_s/G~_t)
-    phi_s ds; the weight ratio is applied to the bracket per path before the
-    cross-path regression (the ratio is known at the conditioning time, and
-    regressing it directly keeps the noise level uniform across paths); Z is
-    unwound from the one-step martingale increment of G~ Y + int G~ phi ds
-    against dW, scaled the same way.
+    phi_s ds; Z = psi - Y mu with psi from the one-step martingale increment
+    of G~ Y + int G~ phi ds against dW. Returns y: (m, N+1), z: (m, N, d).
     """
-    grid = w.grid
-    dt, n_steps, m = grid.dt, grid.n_steps, w.n_paths
-    mu = np.broadcast_to(np.asarray(data.mu, dtype=float), w.increments.shape)
-    if mu_bound is not None:
-        norm = np.sqrt(np.sum(mu**2, axis=2, keepdims=True))
-        over = norm > mu_bound
-        if np.any(over):
-            warnings.warn(f"mu exceeds bound {mu_bound} on {int(over.sum())} cells; truncating")
-            mu = np.where(over, mu * (mu_bound / norm), mu)
-    phi = np.broadcast_to(np.asarray(data.phi, dtype=float), (m, n_steps))
-    xi = np.broadcast_to(np.asarray(data.xi, dtype=float), (m,))
-
-    _, gt = exponential_weight(data.lam, mu, w)
-
-    weighted_phi = gt[:, :n_steps] * phi * dt
-    suffix = np.zeros((m, n_steps + 1))
-    suffix[:, :n_steps] = np.cumsum(weighted_phi[:, ::-1], axis=1)[:, ::-1]
-    terminal = gt[:, n_steps] * xi
-
-    y = np.empty((m, n_steps + 1))
-    y[:, n_steps] = xi
-    for k in range(n_steps):
-        target = (terminal + suffix[:, k]) / gt[:, k]
-        if np.all(target == target[0]):
-            y[:, k] = target[0]
-        else:
-            y[:, k] = conditional_expectation(
-                _node_features(gt[:, k : k + 1], data.state, k), target, degree, t_min=t_min
-            )
-
-    prefix = np.zeros((m, n_steps + 1))
-    np.cumsum(weighted_phi, axis=1, out=prefix[:, 1:])
-    g_mart = gt * y + prefix
-    z = np.empty((m, n_steps, mu.shape[2]))
-    for k in range(n_steps):
-        incr = ((g_mart[:, k + 1] - g_mart[:, k]) / gt[:, k])[:, None] * w.increments[:, k] / dt
-        if np.all(incr == 0.0):
-            psi_scaled = np.zeros_like(incr)
-        else:
-            psi_scaled = conditional_expectation(
-                _node_features(gt[:, k : k + 1], data.state, k), incr, degree, t_min=t_min
-            )
-        z[:, k] = psi_scaled - y[:, k : k + 1] * mu[:, k]
-
-    target0 = terminal + suffix[:, 0]
-    se = float(target0.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    report = SolverReport(
-        y0=float(y[:, 0].mean()),
-        y0_std_error=se,
-        extras={"solver": "weighted"},
+    m, n_steps, d = w.increments.shape
+    _, gt = exponential_weight(data.lam, data.mu, w)
+    flow = gt[:, :, None, None]
+    y, z, target0 = _represent(
+        flow,
+        1.0 / flow,
+        np.asarray(data.phi, dtype=float)[..., None],
+        np.asarray(data.xi, dtype=float)[..., None],
+        data.mu,
+        np.broadcast_to(0.0, (m, n_steps, d, 1, 1)),
+        data.state,
+        w,
+        degree,
     )
-    return y, z, report
+    se = float(target0[:, 0].std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    report = SolverReport(y0=float(y[:, 0, 0].mean()), y0_std_error=se, extras={"solver": "weighted"})
+    return y[:, :, 0], z[:, :, 0], report
 
 
 def solve_multidim_linear_bsde(
     data: MultiLinearBsdeData,
     w: BrownianEnsemble,
     degree: int = 2,
-    t_min: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray, SolverReport, MatrixFlowPair]:
-    """Fundamental-solution representation of the n-dimensional linear equation.
-
-    Y_t = Lambda_t' E[X_T' xi + int_t^T X_s' f_s ds | F_t] with (X, Lambda)
-    the matrix flow pair of the data coefficients; Z^i is recovered from the
-    one-step martingale increments of X'Y + int X'f ds as
-    Lambda_t' psi^i_t - (beta^i I + C^i)' Y_t.
+    """n-dimensional linear equation: the representation on the matrix flow
+    pair of the data coefficients.
 
     Lambda is the pathwise inverse of the simulated flow, so the scheme's
     flow/inverse product error does not contaminate the representation.
+    Returns y: (m, N+1, n), z: (m, N, n, d), the report and the flow pair.
     """
-    grid = w.grid
-    dt, n_steps, m = grid.dt, grid.n_steps, w.n_paths
     pair = simulate_matrix_flow(data.a, data.beta, data.c, w)
-    flow = pair.flow
-    inv = np.linalg.inv(flow)
+    inv = np.linalg.inv(pair.flow)
     if not np.isfinite(inv).all():
         raise BsdeSolverError("simulated flow is numerically singular; cannot invert")
-    n = flow.shape[-1]
-    d = w.increments.shape[2]
-    driver = np.broadcast_to(np.asarray(data.driver, dtype=float), (m, n_steps, n))
-    xi = np.broadcast_to(np.asarray(data.xi, dtype=float), (m, n))
-    beta = np.broadcast_to(np.asarray(data.beta, dtype=float), (m, n_steps, d))
-    c = np.broadcast_to(np.asarray(data.c, dtype=float), (m, n_steps, d, n, n))
-
-    weighted_f = np.einsum("mtij,mti->mtj", flow[:, :n_steps], driver) * dt
-    suffix = np.zeros((m, n_steps + 1, n))
-    suffix[:, :n_steps] = np.cumsum(weighted_f[:, ::-1], axis=1)[:, ::-1]
-    terminal = np.einsum("mij,mi->mj", flow[:, n_steps], xi)
-
-    # the inverse flow at the conditioning time is known per path, so it goes
-    # inside the regression target; regressing Lambda'(bracket) keeps the
-    # noise level uniform instead of amplifying it where the flow is small
-    y = np.empty((m, n_steps + 1, n))
-    y[:, n_steps] = xi
-    flat_flow = flow.reshape(m, n_steps + 1, n * n)
-    for k in range(n_steps):
-        target = np.einsum("mji,mj->mi", inv[:, k], terminal + suffix[:, k])
-        if np.all(target == target[0]):
-            y[:, k] = target[0]
-        else:
-            y[:, k] = conditional_expectation(
-                _node_features(flat_flow[:, k], data.state, k), target, degree, t_min=t_min
-            )
-
-    prefix = np.zeros((m, n_steps + 1, n))
-    np.cumsum(weighted_f, axis=1, out=prefix[:, 1:])
-    g_mart = np.einsum("mtji,mtj->mti", flow, y) + prefix
-    z = np.empty((m, n_steps, n, d))
-    eye = np.eye(n)
-    for k in range(n_steps):
-        incr = np.einsum("mji,mj->mi", inv[:, k], g_mart[:, k + 1] - g_mart[:, k])
-        tgt = (incr[:, :, None] * w.increments[:, k][:, None, :] / dt).reshape(m, n * d)
-        if np.all(tgt == 0.0):
-            psi_scaled = np.zeros((m, n, d))
-        else:
-            psi_scaled = conditional_expectation(
-                _node_features(flat_flow[:, k], data.state, k), tgt, degree, t_min=t_min
-            ).reshape(m, n, d)
-        d_k = beta[:, k, :, None, None] * eye + c[:, k]  # (m, d, n, n)
-        z[:, k] = psi_scaled - np.einsum("mdji,mj->mid", d_k, y[:, k])
-
-    target0 = terminal + suffix[:, 0]
-    se_vec = target0.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(n)
+    y, z, target0 = _represent(pair.flow, inv, data.driver, data.xi, data.beta, data.c, data.state, w, degree)
+    m = w.n_paths
+    se_vec = target0.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(y.shape[2])
+    y0_vec = y[:, 0].mean(axis=0)
     report = SolverReport(
-        y0=float(np.linalg.norm(y[:, 0].mean(axis=0))),
+        y0=float(np.linalg.norm(y0_vec)),
         y0_std_error=float(np.linalg.norm(se_vec)),
-        extras={"solver": "multidim", "y0_vector": y[:, 0].mean(axis=0).tolist()},
+        extras={"solver": "multidim", "y0_vector": y0_vec.tolist()},
     )
     return y, z, report, pair
 

@@ -102,12 +102,13 @@ def _solve_candidate(cfg: dict, model, control_key: str = "control"):
 def run_simulate(cfg: dict, out: Path) -> dict:
     n_paths, grid, seed = _common(cfg)
     model = _model_from(cfg)
-    x0 = cfg.get("x0", 1.0)
-    control = cfg.get("control", 0.0)
+    cfg = {"x0": 1.0, "control": 0.0, "csv_paths": 32, **cfg}
+    x0 = _require(cfg, "x0", float)
+    control = _require(cfg, "control", float)
+    snap = min(n_paths, _require(cfg, "csv_paths", int))
     w = generate_brownian(n_paths, grid, model.d, seed)
     u = constant_control(control, n_paths, grid.n_steps)
     x = simulate_forward_sde(model, x0, u, w)
-    snap = min(n_paths, int(cfg.get("csv_paths", 32)))
     write_ensemble_csv(out / "state.csv", x[:snap])
     terminal = x[:, -1]
     return {
@@ -121,10 +122,8 @@ def run_solve_bsde(cfg: dict, out: Path) -> dict:
     n_paths, grid, seed = _common(cfg)
     kind = cfg.get("equation", "model")
     if kind == "linear":
-        lam = float(cfg.get("lam", 0.0))
-        mu = float(cfg.get("mu", 0.0))
-        phi = float(cfg.get("phi", 0.0))
-        xi = float(cfg.get("xi", 1.0))
+        cfg = {"lam": 0.0, "mu": 0.0, "phi": 0.0, "xi": 1.0, **cfg}
+        lam, mu, phi, xi = (_require(cfg, key, float) for key in ("lam", "mu", "phi", "xi"))
         w = generate_brownian(n_paths, grid, 1, seed)
         data = LinearBsdeData(
             lam=np.full((n_paths, grid.n_steps), lam),
@@ -188,7 +187,8 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
         raise ConfigError("config field 'eps_steps' must be a list of positive integers")
     if max(eps_steps) > grid.n_steps:
         raise ConfigError("config field 'eps_steps': window exceeds the horizon")
-    t0 = float(cfg.get("t0", 0.25))
+    cfg = {"t0": 0.25, "x0": 1.0, "replacement": 1.0, "candidate": 0.0, "basis_degree": 2, **cfg}
+    t0 = _require(cfg, "t0", float)
     k0 = t0 / grid.dt
     if abs(k0 - round(k0)) > 1e-9:
         raise ConfigError(f"config field 't0': {t0} is not on the grid (dt={grid.dt})")
@@ -196,15 +196,15 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
         raise ConfigError("config field 't0': largest window leaves the horizon")
     result = run_spike_study(
         model,
-        cfg.get("x0", 1.0),
+        _require(cfg, "x0", float),
         grid,
         n_paths,
         seed,
         t0,
         tuple(eps_steps),
-        replacement=cfg.get("replacement", 1.0),
-        u_bar_value=cfg.get("candidate", 0.0),
-        degree=int(cfg.get("basis_degree", 2)),
+        replacement=_require(cfg, "replacement", float),
+        u_bar_value=_require(cfg, "candidate", float),
+        degree=_require(cfg, "basis_degree", int, positive=True),
         jobs=jobs,
     )
     rows = []
@@ -291,7 +291,7 @@ def run_example(cfg: dict, out: Path) -> dict:
 
 def run_bmo_suite(cfg: dict, out: Path) -> dict:
     n_paths, grid, seed = _common(cfg)
-    norms = np.logspace(-6, 0.4, int(cfg.get("n_norms", 100)))
+    norms = np.logspace(-6, 0.4, _require({"n_norms": 100, **cfg}, "n_norms", int, positive=True))
     worst_roundtrip = max(
         abs(bmo.psi(bmo.critical_exponent(v)) - v) for v in norms
     )

@@ -148,14 +148,13 @@ def check_global_smp(
     big_p: np.ndarray,
     test_controls,
     tolerance: float,
-    violation_quantile: float = 0.0,
     max_entries: int = 1000,
 ) -> SmpViolationReport:
     """Hamiltonian gap H(u) - H(u_bar) over every (path, step, test control).
 
-    A cell violates when its gap is below -tolerance; the check passes when
-    the violating fraction does not exceed violation_quantile (default: no
-    cell may violate).
+    A cell violates when its gap is below -tolerance; the check passes
+    (``empty``) only when no cell violates. The first max_entries violating
+    cells are listed.
     """
     grid = traj.w.grid
     m, n_steps = traj.n_paths, grid.n_steps

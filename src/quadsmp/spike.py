@@ -111,15 +111,13 @@ def hatted_coefficients(lin: Linearization, u_repl: np.ndarray, p: np.ndarray) -
     delta = np.empty((m, n_steps, model.d))
     f_hat_delta = np.empty((m, n_steps))
     for k in range(n_steps):
-        t, xk, yk, zk = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k]
-        ub, ur = traj.u[:, k], u_repl[:, k]
-        b_hat[:, k] = model.b(t, xk, ur) - model.b(t, xk, ub)
-        sh = model.sigma(t, xk, ur) - model.sigma(t, xk, ub)
+        t, xk, yk, zk, ur = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], u_repl[:, k]
+        b_hat[:, k] = model.b(t, xk, ur) - lin.b[:, k]
+        sh = model.sigma(t, xk, ur) - lin.sigma[:, k]
         sigma_hat[:, k] = sh
         sigma_x_hat[:, k] = model.sigma_x(t, xk, ur) - lin.sigma_x[:, k]
-        f_base = model.f(t, xk, yk, zk, ub)
         delta[:, k] = np.einsum("mid,mi->md", sh, p[:, k])
-        f_hat_delta[:, k] = model.f(t, xk, yk, zk + delta[:, k], ur) - f_base
+        f_hat_delta[:, k] = model.f(t, xk, yk, zk + delta[:, k], ur) - lin.f[:, k]
     return HattedCoefficients(
         b_hat=b_hat,
         sigma_hat=sigma_hat,
@@ -372,7 +370,7 @@ def value_remainder_estimate(
     for k in range(n_steps):
         diff += (
             model.f(times[k], spiked.x[:, k], spiked.y[:, k], spiked.z[:, k], spiked.u[:, k])
-            - model.f(times[k], base.x[:, k], base.y[:, k], base.z[:, k], base.u[:, k])
+            - lin.f[:, k]
         ) * dt
 
     # first-variation rollout: terminal phi_x'X1 plus driver f_x'X1 minus the
@@ -487,7 +485,6 @@ def run_spike_study(
     replacement,
     u_bar_value=0.0,
     degree: int = 2,
-    z_truncation: float | None = None,
     jobs: int = 1,
 ) -> SpikeStudyResult:
     """Full spike-order study on one common ensemble.
@@ -501,9 +498,7 @@ def run_spike_study(
     w = generate_brownian(n_paths, grid, model.d, seed)
     u_bar = constant_control(u_bar_value, n_paths, grid.n_steps)
     x_bar = simulate_forward_sde(model, x0, u_bar, w)
-    y_bar, z_bar, base_report = solve_bsde_lsmc(
-        model, x_bar, u_bar, w, degree=degree, z_truncation=z_truncation
-    )
+    y_bar, z_bar, base_report = solve_bsde_lsmc(model, x_bar, u_bar, w, degree=degree)
     lin = linearize(model, ControlledTrajectory(w=w, x=x_bar, y=y_bar, z=z_bar, u=u_bar))
     adj = solve_adjoints(lin, degree=degree)
     gamma, gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
@@ -517,9 +512,7 @@ def run_spike_study(
         )
         u_eps = build_spiked_control(u_bar, spike, grid)
         x_eps = simulate_forward_sde(model, x0, u_eps, w)
-        y_eps, z_eps, _ = solve_bsde_lsmc(
-            model, x_eps, u_eps, w, degree=degree, z_truncation=z_truncation
-        )
+        y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
         spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
 
         hats = hatted_coefficients(lin, u_eps, adj.p)

@@ -105,12 +105,12 @@ class TestLinearization:
         times = traj.w.grid.times
         for k in range(traj.w.grid.n_steps):
             t, xk, yk, zk, uk = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
-            for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"):
+            for name in ("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx"):
                 assert np.array_equal(getattr(lin, name)[:, k], getattr(model, name)(t, xk, uk)), name
-            for name in ("f_x", "f_y", "f_z"):
+            for name in ("f", "f_x", "f_y", "f_z"):
                 expected = getattr(model, name)(t, xk, yk, zk, uk)
                 assert np.array_equal(getattr(lin, name)[:, k], expected), name
-        for name in ("b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
+        for name in ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
             assert not getattr(lin, name).flags.writeable, name
 
 

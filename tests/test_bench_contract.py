@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps quadsmp functions by name and requires named
-bindings to be entered; every name it lists must exist in the package."""
+bindings to be entered; every name it lists must exist in the package. The
+benchmark's oracle operations call the library directly and must keep running."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,24 @@ def test_expected_site_binds_a_traced_function(workload, site):
     binding = getattr(importlib.import_module(f"quadsmp.{mod}"), attr, None)
     assert binding is not None, f"quadsmp.{mod} has no attribute {attr}"
     assert id(binding) in _traced_functions(), f"{site} is not a traced function"
+
+
+def test_oracles_operations_run_on_small_inputs(tmp_path, monkeypatch):
+    """The benchmark's oracle operations call the library directly (positional
+    MultiLinearBsdeData, LinearBsdeData with state, 3- and 4-tuple returns,
+    the flow pair's inverse_identity_error); run each one on small inputs, its
+    check left out, so a signature change fails here."""
+    for scale, fields in [
+        (workloads.CLOSED_FORM, {"n_paths": 300, "n_steps": 20}),
+        (workloads.AGREEMENT, {"n_paths": 300, "n_steps": 20}),
+        (workloads.MATRIX_ODE, {"n_paths": 300, "n_steps": 16}),
+        (workloads.FLOW_INVERSE, {"n_paths": 100, "n_steps": (8, 16)}),
+        (workloads.BMO_SUITE, {"n_paths": 200, "n_steps": 16}),
+    ]:
+        for key, value in fields.items():
+            monkeypatch.setitem(scale, key, value)
+    inputs = workloads.prepare("oracles", 1, tmp_path)
+    for name, run, _ in workloads.operations("oracles"):
+        output = run(inputs)
+        assert isinstance(output, dict) and output, name
+        json.dumps(output)

@@ -11,6 +11,7 @@ from quadsmp.bsde import (
     LinearBsdeData,
     MultiLinearBsdeData,
     WeightOverflowError,
+    exponential_weight,
     solve_bsde_lsmc,
     solve_linear_bsde_weighted,
     solve_multidim_linear_bsde,
@@ -18,6 +19,7 @@ from quadsmp.bsde import (
 )
 from quadsmp.example import example_model
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
+from quadsmp.regression import conditional_expectation
 from quadsmp.sde import simulate_forward_sde
 
 
@@ -30,6 +32,31 @@ def small_setup():
 
 def _const(value, shape):
     return np.full(shape, value)
+
+
+def _weighted_reference(data, w, degree=2):
+    """The scalar exponential-weight representation written out directly,
+    dividing by G~ where the solver multiplies by the 1x1 flow inverse.
+    Needs a (m, N+1, 1) state and non-constant, non-zero regression targets."""
+    dt, n_steps, m = w.grid.dt, w.grid.n_steps, w.n_paths
+    _, gt = exponential_weight(data.lam, data.mu, w)
+    weighted_phi = gt[:, :n_steps] * data.phi * dt
+    suffix = np.zeros((m, n_steps + 1))
+    suffix[:, :n_steps] = np.cumsum(weighted_phi[:, ::-1], axis=1)[:, ::-1]
+    terminal = gt[:, n_steps] * data.xi
+    feats = [np.column_stack([gt[:, k], data.state[:, k, 0]]) for k in range(n_steps)]
+    y = np.empty((m, n_steps + 1))
+    y[:, n_steps] = data.xi
+    for k in range(n_steps):
+        y[:, k] = conditional_expectation(feats[k], (terminal + suffix[:, k]) / gt[:, k], degree)
+    prefix = np.zeros((m, n_steps + 1))
+    np.cumsum(weighted_phi, axis=1, out=prefix[:, 1:])
+    g_mart = gt * y + prefix
+    z = np.empty((m, n_steps, 1))
+    for k in range(n_steps):
+        incr = ((g_mart[:, k + 1] - g_mart[:, k]) / gt[:, k])[:, None] * w.increments[:, k] / dt
+        z[:, k] = conditional_expectation(feats[k], incr, degree) - y[:, k : k + 1] * data.mu[:, k]
+    return y, z
 
 
 class TestLsmcSolver:
@@ -142,6 +169,16 @@ class TestWeightedSolver:
         assert np.sqrt((y - 2.0) ** 2).mean() < 0.01
         assert np.sqrt((z**2).mean()) < 0.02
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_direct_scalar_algorithm(self, seed):
+        _, data, _, _, w = random_linear_instance(seed, n_paths=2000, n_steps=40)
+        y, z, rep = solve_linear_bsde_weighted(data, w)
+        y_ref, z_ref = _weighted_reference(data, w)
+        # multiplying by 1/G~ instead of dividing by G~ changes rounding only
+        assert np.abs(y - y_ref).max() <= 1e-10 * np.abs(y_ref).max()
+        assert np.abs(z - z_ref).max() <= 1e-10 * np.abs(z_ref).max()
+        assert rep.y0 == pytest.approx(float(y_ref[:, 0].mean()), rel=1e-12)
+
     def test_doubling_is_exact(self):
         _, data, _, _, w = random_linear_instance(seed=0, n_paths=2000, n_steps=40)
         y1, z1, _ = solve_linear_bsde_weighted(data, w)
@@ -175,16 +212,6 @@ class TestWeightedSolver:
         )
         with pytest.raises(WeightOverflowError, match="truncate"):
             solve_linear_bsde_weighted(data, w)
-
-    def test_mu_bound_truncates_with_warning(self, small_setup):
-        grid, w = small_setup
-        m, n = w.n_paths, grid.n_steps
-        data = LinearBsdeData(
-            lam=_const(0.0, (m, n)), mu=_const(2.0, (m, n, 1)),
-            phi=_const(0.0, (m, n)), xi=_const(1.0, m),
-        )
-        with pytest.warns(UserWarning, match="truncating"):
-            solve_linear_bsde_weighted(data, w, mu_bound=1.0)
 
 
 class TestMultidimSolver:

@@ -71,6 +71,20 @@ class TestValidation:
             ("solve-bsde", {"basis_degree": 0}, "basis_degree"),
             ("check-smp", {"candidate": "zero"}, "candidate"),
             ("check-smp", {"tolerance": None}, "tolerance"),
+            ("spike", {"t0": "x", "eps_steps": [1, 2]}, "t0"),
+            ("spike", {"x0": "one", "eps_steps": [1, 2]}, "x0"),
+            ("spike", {"replacement": "one", "eps_steps": [1, 2]}, "replacement"),
+            ("spike", {"candidate": "zero", "eps_steps": [1, 2]}, "candidate"),
+            ("spike", {"basis_degree": "two", "eps_steps": [1, 2]}, "basis_degree"),
+            ("simulate", {"x0": "one"}, "x0"),
+            ("simulate", {"control": "zero"}, "control"),
+            ("simulate", {"csv_paths": "all"}, "csv_paths"),
+            ("bmo-suite", {"n_norms": "many"}, "n_norms"),
+            ("bmo-suite", {"n_norms": 0}, "n_norms"),
+            ("solve-bsde", {"equation": "linear", "lam": "x"}, "lam"),
+            ("solve-bsde", {"equation": "linear", "mu": None}, "mu"),
+            ("solve-bsde", {"equation": "linear", "phi": "x"}, "phi"),
+            ("solve-bsde", {"equation": "linear", "xi": [1.0]}, "xi"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, capsys, experiment, fields, bad_key):
