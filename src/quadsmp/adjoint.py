@@ -163,15 +163,13 @@ def assemble_first_order(lin: Linearization) -> MultiLinearBsdeData:
     )
 
 
-def solve_first_order(lin: Linearization, degree: int = 2) -> tuple[np.ndarray, np.ndarray, dict]:
+def solve_first_order(lin: Linearization, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Solve for (p, q); p is expected essentially bounded.
 
-    Returns p: (m, N+1, n), q: (m, N, n, d) and a small diagnostics dict.
+    Returns p: (m, N+1, n) and q: (m, N, n, d).
     """
-    data = assemble_first_order(lin)
-    p, q, report, _ = solve_multidim_linear_bsde(data, lin.traj.w, degree=degree)
-    sup_p = float(np.sqrt(np.sum(p**2, axis=2)).max())
-    return p, q, {"sup_abs_p": sup_p, "report": report}
+    p, q, _, _ = solve_multidim_linear_bsde(assemble_first_order(lin), lin.traj.w, degree=degree)
+    return p, q
 
 
 def upsilon_process(lin: Linearization, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -187,24 +185,21 @@ def assemble_second_order_source(lin: Linearization, p: np.ndarray, q: np.ndarra
     + (I, p, Upsilon) Hess(f) (I, p, Upsilon)'.
     """
     model, traj = lin.model, lin.traj
-    n = model.n
+    m, n = traj.n_paths, model.n
     times = traj.w.grid.times
     n_steps = traj.w.grid.n_steps
-    f_hess = np.stack(
-        [
-            model.f_hess(times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
-            for k in range(n_steps)
-        ],
-        axis=1,
-    )
     p_steps = p[:, :n_steps]
     phi1 = np.einsum("mtijk,mti->mtjk", lin.b_xx, p_steps)
     coef = lin.f_z[:, :, None, :] * p_steps[:, :, :, None] + q
     phi2 = np.einsum("mtidjk,mtid->mtjk", lin.sigma_xx, coef)
     upsilon = upsilon_process(lin, p, q)
-    eye = np.broadcast_to(np.eye(n), p_steps.shape[:2] + (n, n))
-    jac = np.concatenate([eye, p_steps[:, :, :, None], upsilon], axis=3)  # (m, t, n, n+1+d)
-    phi3 = np.einsum("mtia,mtab,mtjb->mtij", jac, f_hess, jac)
+    eye = np.broadcast_to(np.eye(n), (m, n, n))
+    # Hess(f) is contracted step by step, so one (m, n+1+d, n+1+d) block is live at a time
+    phi3 = np.empty((m, n_steps, n, n))
+    for k in range(n_steps):
+        jac = np.concatenate([eye, p_steps[:, k, :, None], upsilon[:, k]], axis=2)  # (m, n, n+1+d)
+        f_hess = model.f_hess(times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
+        phi3[:, k] = np.einsum("mia,mab,mjb->mij", jac, f_hess, jac)
     return phi1 + phi2 + phi3
 
 
@@ -213,10 +208,10 @@ def solve_second_order(
     p: np.ndarray,
     q: np.ndarray,
     degree: int = 2,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve for (P, Q) in svec coordinates; P stays symmetric by construction.
 
-    Returns big_p: (m, N+1, n, n), big_q: (m, N, n, n, d), diagnostics.
+    Returns big_p: (m, N+1, n, n) and big_q: (m, N, n, n, d).
     """
     model, traj = lin.model, lin.traj
     n, d = model.n, model.d
@@ -262,15 +257,13 @@ def solve_second_order(
         xi=svec(model.phi_xx(traj.x[:, -1])),
         state=traj.x,
     )
-    pv, qv, report, _ = solve_multidim_linear_bsde(data, traj.w, degree=degree)
-    big_p = unsvec(pv, n)
+    pv, qv, _, _ = solve_multidim_linear_bsde(data, traj.w, degree=degree)
     big_q = np.stack([unsvec(qv[:, :, :, i], n) for i in range(d)], axis=-1)
-    sup_bp = float(np.sqrt(np.sum(big_p**2, axis=(2, 3))).max())
-    return big_p, big_q, {"sup_frobenius_P": sup_bp, "report": report}
+    return unsvec(pv, n), big_q
 
 
 def solve_adjoints(lin: Linearization, degree: int = 2) -> AdjointBundle:
     """Full bundle (p, q, P, Q) along the candidate trajectory."""
-    p, q, _ = solve_first_order(lin, degree=degree)
-    big_p, big_q, _ = solve_second_order(lin, p, q, degree=degree)
+    p, q = solve_first_order(lin, degree=degree)
+    big_p, big_q = solve_second_order(lin, p, q, degree=degree)
     return AdjointBundle(p=p, q=q, big_p=big_p, big_q=big_q)

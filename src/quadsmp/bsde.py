@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import bmo
 from .grids import BrownianEnsemble
 from .regression import conditional_expectation
 from .sde import MatrixFlowPair, simulate_matrix_flow
@@ -36,7 +35,6 @@ __all__ = [
     "solve_bsde_lsmc",
     "solve_linear_bsde_weighted",
     "solve_multidim_linear_bsde",
-    "verify_apriori_bounds",
 ]
 
 _LOG_OVERFLOW = 700.0  # exp overflows float64 just above this
@@ -192,25 +190,23 @@ def solve_bsde_lsmc(
     return y, z, report
 
 
-def exponential_weight(
-    lam: np.ndarray, mu: np.ndarray, w: BrownianEnsemble
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node paths of Gamma = exp(int mu'dW - 1/2 int |mu|^2 ds) and of
-    Gamma-tilde = exp(int lam ds) * Gamma."""
+def exponential_weight(lam: np.ndarray, mu: np.ndarray, w: BrownianEnsemble) -> np.ndarray:
+    """Node paths (m, N+1) of the weight
+    Gamma-tilde = exp(int lam ds + int mu'dW - 1/2 int |mu|^2 ds)."""
     dt = w.grid.dt
     m, n_steps, _ = w.increments.shape
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (m, n_steps))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), w.increments.shape)
-    log_gamma = np.zeros((m, n_steps + 1))
-    np.cumsum(np.sum(mu * w.increments, axis=2) - 0.5 * np.sum(mu * mu, axis=2) * dt, axis=1, out=log_gamma[:, 1:])
+    log_weight = np.zeros((m, n_steps + 1))
+    np.cumsum(np.sum(mu * w.increments, axis=2) - 0.5 * np.sum(mu * mu, axis=2) * dt, axis=1, out=log_weight[:, 1:])
     lam_int = np.zeros((m, n_steps + 1))
     np.cumsum(lam * dt, axis=1, out=lam_int[:, 1:])
-    log_total = log_gamma + lam_int
-    if float(log_total.max()) > _LOG_OVERFLOW:
+    log_weight += lam_int
+    if float(log_weight.max()) > _LOG_OVERFLOW:
         raise WeightOverflowError(
             "exponential weight overflows float64; truncate mu or shorten the horizon"
         )
-    return np.exp(log_gamma), np.exp(log_total)
+    return np.exp(log_weight)
 
 
 def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degree: int):
@@ -288,7 +284,7 @@ def solve_linear_bsde_weighted(
     of G~ Y + int G~ phi ds against dW. Returns y: (m, N+1), z: (m, N, d).
     """
     m, n_steps, d = w.increments.shape
-    _, gt = exponential_weight(data.lam, data.mu, w)
+    gt = exponential_weight(data.lam, data.mu, w)
     flow = gt[:, :, None, None]
     y, z, target0 = _represent(
         flow,
@@ -333,21 +329,3 @@ def solve_multidim_linear_bsde(
     )
     return y, z, report, pair
 
-
-def verify_apriori_bounds(
-    traj: ControlledTrajectory,
-    c2: float,
-    conditioner: Optional[np.ndarray] = None,
-    degree: int = 2,
-) -> dict:
-    """Report sup|Y| and the estimated BMO2 norm of Z.W against a candidate C2."""
-    sup_y = float(np.abs(traj.y).max())
-    mart = bmo.MartingalePathSet.from_integrand(traj.z, traj.w)
-    cond = conditioner if conditioner is not None else traj.x
-    z_bmo = bmo.estimate_bmo2_norm(mart, conditioner=cond, degree=degree)
-    return {
-        "sup_abs_y": sup_y,
-        "z_bmo2_estimate": z_bmo,
-        "c2_candidate": c2,
-        "within_bound": bool(sup_y + z_bmo <= c2),
-    }

@@ -19,6 +19,7 @@ import numpy as np
 from . import bmo, example, smp
 from .adjoint import linearize, solve_adjoints
 from .bsde import (
+    BsdeSolverError,
     ControlledTrajectory,
     LinearBsdeData,
     solve_bsde_lsmc,
@@ -27,7 +28,7 @@ from .bsde import (
 from .grids import TimeGrid, constant_control, generate_brownian, write_ensemble_csv
 from .models import benchmark_model, validate_derivatives
 from .reports import content_hash, write_csv, write_json
-from .sde import simulate_forward_sde
+from .sde import SimulationError, simulate_forward_sde
 from .spike import run_spike_study
 
 DEFAULT_SLOPE_BANDS = {
@@ -48,14 +49,24 @@ def _models():
     return {"benchmark": benchmark_model, "example": example.example_model}
 
 
+def _is_number(val) -> bool:
+    """A finite JSON number; bool subclasses int, but true and false are no numbers."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
+
+
+def _is_vector(val, length: int) -> bool:
+    return isinstance(val, list) and len(val) == length and all(_is_number(v) for v in val)
+
+
 def _require(cfg: dict, key: str, kind, positive: bool = False):
     if key not in cfg:
         raise ConfigError(f"config field '{key}' is required")
     val = cfg[key]
-    if kind is float and isinstance(val, int):
+    ok = _is_number(val) if kind is float else isinstance(val, kind) and not isinstance(val, bool)
+    if not ok:
+        raise ConfigError(f"config field '{key}': expected {kind.__name__}, got {val!r:.40}")
+    if kind is float:
         val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigError(f"config field '{key}': expected {kind.__name__}, got {type(val).__name__}")
     if positive and not val > 0:
         raise ConfigError(f"config field '{key}' must be positive, got {val}")
     return val
@@ -66,11 +77,13 @@ def _common(cfg: dict):
     n_steps = _require(cfg, "n_steps", int, positive=True)
     horizon = _require(cfg, "horizon", float, positive=True)
     seed = _require(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"config field 'seed' must be non-negative, got {seed}")
     return n_paths, TimeGrid(horizon, n_steps), seed
 
 
 def _model_from(cfg: dict):
-    name = cfg.get("model", "benchmark")
+    name = _require({"model": "benchmark", **cfg}, "model", str)
     factory = _models().get(name)
     if factory is None:
         raise ConfigError(f"config field 'model': unknown model '{name}' (choose from {sorted(_models())})")
@@ -106,6 +119,8 @@ def run_simulate(cfg: dict, out: Path) -> dict:
     x0 = _require(cfg, "x0", float)
     control = _require(cfg, "control", float)
     snap = min(n_paths, _require(cfg, "csv_paths", int))
+    if snap < 0:
+        raise ConfigError(f"config field 'csv_paths' must be non-negative, got {snap}")
     w = generate_brownian(n_paths, grid, model.d, seed)
     u = constant_control(control, n_paths, grid.n_steps)
     x = simulate_forward_sde(model, x0, u, w)
@@ -182,30 +197,38 @@ def run_adjoint(cfg: dict, out: Path) -> dict:
 def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
     n_paths, grid, seed = _common(cfg)
     model = _model_from(cfg)
+    if model.name == "arctan-example":  # b = 0 and sigma = u: X2 vanishes, no order-2 fit exists
+        raise ConfigError("config field 'model': the spike study needs a second variation; use 'benchmark'")
     eps_steps = cfg.get("eps_steps", [8, 16, 32, 64])
-    if not isinstance(eps_steps, list) or not all(isinstance(e, int) and e > 0 for e in eps_steps):
-        raise ConfigError("config field 'eps_steps' must be a list of positive integers")
+    if not isinstance(eps_steps, list) or not eps_steps or not all(
+        isinstance(e, int) and not isinstance(e, bool) and e > 0 for e in eps_steps
+    ):
+        raise ConfigError("config field 'eps_steps' must be a non-empty list of positive integers")
     if max(eps_steps) > grid.n_steps:
         raise ConfigError("config field 'eps_steps': window exceeds the horizon")
     cfg = {"t0": 0.25, "x0": 1.0, "replacement": 1.0, "candidate": 0.0, "basis_degree": 2, **cfg}
     t0 = _require(cfg, "t0", float)
     k0 = t0 / grid.dt
-    if abs(k0 - round(k0)) > 1e-9:
+    if abs(k0 - round(k0)) > 1e-9 or k0 < 0:
         raise ConfigError(f"config field 't0': {t0} is not on the grid (dt={grid.dt})")
     if round(k0) + max(eps_steps) > grid.n_steps:
         raise ConfigError("config field 't0': largest window leaves the horizon")
+    x0 = _require(cfg, "x0", float)
+    replacement = _require(cfg, "replacement", float)
+    candidate = _require(cfg, "candidate", float)
+    degree = _require(cfg, "basis_degree", int, positive=True)
+    if replacement == candidate:
+        raise ConfigError("config field 'replacement' must differ from 'candidate'")
+    if len(set(eps_steps)) < 4:
+        raise ConfigError("config field 'eps_steps' needs at least 4 distinct widths to fit orders")
+    bands = cfg.get("slope_bands", {})
+    if not isinstance(bands, dict) or not all(
+        name in DEFAULT_SLOPE_BANDS and _is_vector(band, 2) for name, band in bands.items()
+    ):
+        raise ConfigError(f"config field 'slope_bands' must map names from {sorted(DEFAULT_SLOPE_BANDS)} to [lo, hi]")
     result = run_spike_study(
-        model,
-        _require(cfg, "x0", float),
-        grid,
-        n_paths,
-        seed,
-        t0,
-        tuple(eps_steps),
-        replacement=_require(cfg, "replacement", float),
-        u_bar_value=_require(cfg, "candidate", float),
-        degree=_require(cfg, "basis_degree", int, positive=True),
-        jobs=jobs,
+        model, x0, grid, n_paths, seed, t0, tuple(eps_steps),
+        replacement=replacement, u_bar_value=candidate, degree=degree, jobs=jobs,
     )
     rows = []
     for name, fit in result.fits.items():
@@ -216,7 +239,7 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
         ["functional", "eps", "error", "slope", "ci_low", "ci_high"],
         rows,
     )
-    bands = {**DEFAULT_SLOPE_BANDS, **cfg.get("slope_bands", {})}
+    bands = {**DEFAULT_SLOPE_BANDS, **bands}
     checks = {}
     for name, fit in result.fits.items():
         lo, hi = bands[name]
@@ -243,11 +266,15 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
 def run_check_smp(cfg: dict, out: Path) -> dict:
     model = _model_from(cfg)
     tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float)
-    traj, _, degree = _solve_candidate(cfg, model, control_key="candidate")
-    adj = solve_adjoints(linearize(model, traj), degree=degree)
     test_controls = cfg.get("test_controls")
     if test_controls is None:
         test_controls = model.control_domain.test_controls(model.k).tolist()
+    elif not (isinstance(test_controls, list) and test_controls) or not all(
+        _is_vector(c, model.k) for c in test_controls
+    ):
+        raise ConfigError(f"config field 'test_controls' must be a non-empty list of {model.k}-number lists")
+    traj, _, degree = _solve_candidate(cfg, model, control_key="candidate")
+    adj = solve_adjoints(linearize(model, traj), degree=degree)
     report = smp.check_global_smp(
         model, traj, adj.p, adj.q, adj.big_p, test_controls, tolerance=tol
     )
@@ -381,6 +408,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (SimulationError, BsdeSolverError) as exc:
+        # a valid config whose run breaks down numerically passes no check
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 The matrix flow X solves dX = A X dt + sum_i D^i X dW^i from the identity,
 with D^i = beta^i I + C^i; the companion flow Lambda solves
 dLambda = Lambda (-A + sum_i (D^i)^2) dt - sum_i Lambda D^i dW^i and is the
-pathwise inverse of X, which the pair exposes for conditioning and checks.
+pathwise inverse of X, which the pair exposes for the inverse-identity check.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BrownianEnsemble
-from .regression import conditional_expectation
 
 __all__ = [
     "SimulationError",
     "simulate_forward_sde",
     "MatrixFlowPair",
     "simulate_matrix_flow",
-    "flow_reverse_holder_probe",
 ]
 
 
@@ -123,40 +121,3 @@ def simulate_matrix_flow(a, beta, c, w: BrownianEnsemble) -> MatrixFlowPair:
         _abort_if_nonfinite(lam[:, k + 1], k + 1, "inverse flow")
     return MatrixFlowPair(w=w, flow=x, inverse=lam)
 
-
-def flow_reverse_holder_probe(
-    pair: MatrixFlowPair,
-    p: float,
-    bound: float | None = None,
-    degree: int = 2,
-) -> dict:
-    """Conditional p-th moments of the forward flow ratios at each grid node.
-
-    Estimates E[sup_{s>=t} |X_s X_t^-1|^p | F_t] by regressing the pathwise
-    sup on the flattened flow state at t, and reports the per-node maximum of
-    the fitted values (Frobenius norm). O(n_steps^2) in time; intended as a
-    diagnostic on modest grids.
-    """
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    flow, inverse = pair.flow, pair.inverse
-    n_steps = flow.shape[1] - 1
-    n_paths = flow.shape[0]
-    per_node = np.empty(n_steps + 1)
-    for k in range(n_steps + 1):
-        ratio = np.einsum("msij,mjk->msik", flow[:, k:], inverse[:, k])
-        norms = np.sqrt(np.sum(ratio**2, axis=(2, 3)))
-        target = norms.max(axis=1) ** p
-        if np.all(target == target[0]):
-            per_node[k] = target[0]
-        else:
-            features = flow[:, k].reshape(n_paths, -1)
-            per_node[k] = conditional_expectation(features, target, degree).max()
-    worst = float(per_node.max())
-    return {
-        "p": p,
-        "per_node_moment": per_node,
-        "max_moment": worst,
-        "bound": bound,
-        "within_bound": None if bound is None else bool(worst <= bound),
-    }

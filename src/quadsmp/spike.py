@@ -37,7 +37,6 @@ __all__ = [
     "solve_x2",
     "compute_y1z1",
     "solve_yhat",
-    "yhat0_direct_estimate",
     "compute_y2z2",
     "ExpansionResiduals",
     "expansion_residuals",
@@ -229,31 +228,6 @@ def solve_yhat(
     )
     y_hat, z_hat, _ = solve_linear_bsde_weighted(data, traj.w, degree=degree)
     return y_hat, z_hat
-
-
-def yhat0_direct_estimate(
-    lin: Linearization,
-    spike: SpikePerturbation,
-    adj: AdjointBundle,
-    hats: HattedCoefficients,
-) -> tuple[float, float]:
-    """Independent estimate of the auxiliary value at 0.
-
-    Integrates the window driver against the weight solved as an SDE by
-    Euler-Maruyama (dG = f_y G dt + G f_z'dW, G_0 = 1) instead of the closed
-    exponential, and averages pathwise. Returns (estimate, std error).
-    """
-    traj = lin.traj
-    dt = traj.w.grid.dt
-    m = traj.n_paths
-    weight = np.ones(m)
-    acc = np.zeros(m)
-    drv = _yhat_driver(traj, spike, adj, hats)
-    for k in range(traj.w.grid.n_steps):
-        acc += weight * drv[:, k] * dt
-        growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])
-        weight = weight * (1.0 + growth)
-    return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(m))
 
 
 def compute_y2z2(
@@ -452,15 +426,18 @@ def fit_convergence_order(eps_values, errors) -> OrderFitReport:
 
 @dataclass(frozen=True)
 class SpikeStudyResult:
-    """Per-window error functionals, fitted orders and value-level ratios."""
+    """Fitted orders and per-window value-level ratios of one spike study.
+
+    fits maps each FIT_TARGETS functional to its OrderFitReport, whose errors
+    hold the functional's value per window; y2_at_zero and remainder_over_eps
+    hold one value per window and y_bar_0 is the candidate value.
+    """
 
     eps_values: tuple
-    functionals: dict  # name -> list of values, one per eps
     fits: dict  # name -> OrderFitReport
     y2_at_zero: tuple
     remainder_over_eps: tuple
     y_bar_0: float
-    diagnostics: dict
 
 
 # functionals fitted on the dyadic ladder, with their target slopes
@@ -501,7 +478,7 @@ def run_spike_study(
     y_bar, z_bar, base_report = solve_bsde_lsmc(model, x_bar, u_bar, w, degree=degree)
     lin = linearize(model, ControlledTrajectory(w=w, x=x_bar, y=y_bar, z=z_bar, u=u_bar))
     adj = solve_adjoints(lin, degree=degree)
-    gamma, gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
+    gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
     dt = grid.dt
 
     def study_window(n_eps: int) -> dict:
@@ -532,12 +509,6 @@ def run_spike_study(
             "value_gap_sup_sq_plus_int_z": sup_square(res.eta1)
             + integrated_square(res.zeta1, dt),
             "y1_sup_sq": sup_square(y1),
-            "eta2_sup_sq": sup_square(res.eta2),
-            "zeta2_int_sq": integrated_square(res.zeta2, dt),
-            "weighted_eta2_sup": float((gamma * res.eta2**2).max(axis=1).mean()),
-            "weighted_zeta2_int": float(
-                (np.sum(gamma[:, :-1, None] * res.zeta2**2, axis=(1, 2)) * dt).mean()
-            ),
             "y2_at_zero": float(y2[:, 0].mean()),
             "value_remainder": abs(rem_cv),
             "value_remainder_se": rem_se,
@@ -552,25 +523,13 @@ def run_spike_study(
     else:
         window_results = [study_window(n_eps) for n_eps in eps_steps]
 
-    names = list(FIT_TARGETS) + [
-        "eta2_sup_sq",
-        "zeta2_int_sq",
-        "weighted_eta2_sup",
-        "weighted_zeta2_int",
-    ]
-    functionals = {name: [res[name] for res in window_results] for name in names}
-    y2_zero = [res["y2_at_zero"] for res in window_results]
-    remainders = [res["value_remainder"] for res in window_results]
-
-    fits = {
-        name: fit_convergence_order(eps_values, functionals[name]) for name in FIT_TARGETS
-    }
     return SpikeStudyResult(
         eps_values=tuple(eps_values),
-        functionals=functionals,
-        fits=fits,
-        y2_at_zero=tuple(y2_zero),
-        remainder_over_eps=tuple(r / e for r, e in zip(remainders, eps_values)),
+        fits={
+            name: fit_convergence_order(eps_values, [res[name] for res in window_results])
+            for name in FIT_TARGETS
+        },
+        y2_at_zero=tuple(res["y2_at_zero"] for res in window_results),
+        remainder_over_eps=tuple(res["value_remainder"] / e for res, e in zip(window_results, eps_values)),
         y_bar_0=base_report.y0,
-        diagnostics={"base_report": base_report, "adjoint_sup_p": float(np.abs(adj.p).max())},
     )

@@ -1,4 +1,5 @@
-"""Shared builders for solver tests: linear-generator models and instances."""
+"""Shared builders for solver tests: linear-generator models and instances,
+and an independent estimate of the spike auxiliary value."""
 
 import numpy as np
 
@@ -6,6 +7,7 @@ from quadsmp.bsde import LinearBsdeData
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import scalar_model
 from quadsmp.sde import simulate_forward_sde
+from quadsmp.spike import _yhat_driver
 
 
 def driver_model(lam_fn, mu_fn, phi_fn, terminal_fn, lam_sup, mu_sup, phi_sup, term_sup):
@@ -70,3 +72,23 @@ def random_linear_instance(seed, n_paths=8000, n_steps=100):
         phi[:, k] = phi_fn(grid.times[k], x[:, k, 0])
     data = LinearBsdeData(lam=lam, mu=mu, phi=phi, xi=terminal_fn(x[:, -1, 0]), state=x)
     return model, data, x, u, w
+
+
+def yhat0_direct_estimate(lin, spike, adj, hats):
+    """Independent estimate of the auxiliary value at 0.
+
+    Integrates the window driver against the weight solved as an SDE by
+    Euler-Maruyama (dG = f_y G dt + G f_z'dW, G_0 = 1) instead of the closed
+    exponential, and averages pathwise. Returns (estimate, std error).
+    """
+    traj = lin.traj
+    dt = traj.w.grid.dt
+    m = traj.n_paths
+    weight = np.ones(m)
+    acc = np.zeros(m)
+    drv = _yhat_driver(traj, spike, adj, hats)
+    for k in range(traj.w.grid.n_steps):
+        acc += weight * drv[:, k] * dt
+        growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])
+        weight = weight * (1.0 + growth)
+    return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(m))

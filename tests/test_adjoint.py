@@ -14,6 +14,7 @@ from quadsmp.adjoint import (
     solve_second_order,
     svec,
     unsvec,
+    upsilon_process,
 )
 from quadsmp.bsde import ControlledTrajectory, solve_bsde_lsmc
 from quadsmp.example import example_model
@@ -136,7 +137,7 @@ class TestFirstOrder:
             alpha=1.0, gamma=0.1, l1=1.0, l2=1.0, l3=0.1, phi_bound=5.0, f_y_bound=0.0,
         )
         traj = _trajectory(model, 0.0, n_paths=1000, n_steps=32)
-        p, q, diag = solve_first_order(linearize(model, traj))
+        p, q = solve_first_order(linearize(model, traj))
         assert np.abs(p - 2.0).max() < 1e-8
         assert np.abs(q).max() < 0.05
 
@@ -153,7 +154,7 @@ class TestFirstOrder:
     def test_constant_coefficient_ode_oracle(self):
         model = constant_slope_model()
         traj = _trajectory(model, 1.0, n_paths=4000, n_steps=128, seed=11)
-        p, q, diag = solve_first_order(linearize(model, traj))
+        p, q = solve_first_order(linearize(model, traj))
 
         k_lin = 0.25 * 0.3 + 0.1 + 0.2
         rhs = lambda t, pv: -(k_lin * pv + 0.05)
@@ -167,7 +168,7 @@ class TestFirstOrder:
     def test_state_proportional_oracle(self):
         model = quadratic_terminal_model()
         traj = _trajectory(model, 0.5, n_paths=6000, n_steps=64, seed=13)
-        p, q, _ = solve_first_order(linearize(model, traj))
+        p, q = solve_first_order(linearize(model, traj))
         grid_t = traj.w.grid.times
         oracle = traj.x[:, :, 0] * (0.4 + 0.1 * (1.0 - grid_t))
         err = np.sqrt(((p[:, :, 0] - oracle) ** 2).mean(axis=0)).max()
@@ -185,8 +186,8 @@ class TestSecondOrder:
         )
         traj = _trajectory(model, 0.0, n_paths=500, n_steps=16, seed=5)
         lin = linearize(model, traj)
-        p, q, _ = solve_first_order(lin)
-        big_p, big_q, _ = solve_second_order(lin, p, q)
+        p, q = solve_first_order(lin)
+        big_p, big_q = solve_second_order(lin, p, q)
         assert np.abs(big_p).max() < 1e-10
         assert np.abs(big_q).max() < 1e-10
 
@@ -202,13 +203,35 @@ class TestSecondOrder:
         model = quadratic_terminal_model()
         traj = _trajectory(model, 0.5, n_paths=4000, n_steps=64, seed=13)
         lin = linearize(model, traj)
-        p, q, _ = solve_first_order(lin)
-        big_p, big_q, _ = solve_second_order(lin, p, q)
+        p, q = solve_first_order(lin)
+        big_p, big_q = solve_second_order(lin, p, q)
         grid_t = traj.w.grid.times
         oracle = 0.4 + 0.1 * (1.0 - grid_t)
         est = big_p[:, :, 0, 0].mean(axis=0)
         assert np.abs(est - oracle).max() / oracle.max() < 0.01
         assert np.sqrt((big_q**2).mean()) < 0.02
+
+    def test_source_equals_batched_contraction(self):
+        # the step-by-step Hessian contraction equals the stacked (m, N, .., ..)
+        # contraction it replaced, bit for bit
+        model = benchmark_model()
+        m, n_steps = 300, 8
+        traj = _trajectory(model, 1.0, n_paths=m, n_steps=n_steps, seed=6)
+        lin = linearize(model, traj)
+        rng = np.random.default_rng(2)
+        p = rng.standard_normal((m, n_steps + 1, 1))
+        q = rng.standard_normal((m, n_steps, 1, 1))
+        times = traj.w.grid.times
+        f_hess = np.stack(
+            [model.f_hess(times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]) for k in range(n_steps)],
+            axis=1,
+        )
+        p_steps = p[:, :n_steps]
+        jac = np.concatenate([np.ones((m, n_steps, 1, 1)), p_steps[:, :, :, None], upsilon_process(lin, p, q)], axis=3)
+        phi1 = np.einsum("mtijk,mti->mtjk", lin.b_xx, p_steps)
+        phi2 = np.einsum("mtidjk,mtid->mtjk", lin.sigma_xx, lin.f_z[:, :, None, :] * p_steps[:, :, :, None] + q)
+        phi3 = np.einsum("mtia,mtab,mtjb->mtij", jac, f_hess, jac)
+        assert np.array_equal(assemble_second_order_source(lin, p, q), phi1 + phi2 + phi3)
 
     def test_symmetry_exact(self):
         model = constant_slope_model()

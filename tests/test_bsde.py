@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg as sla
 from support import driver_model, random_linear_instance
 
+from quadsmp import bmo
 from quadsmp.bsde import (
     BsdeSolverError,
-    ControlledTrajectory,
     LinearBsdeData,
     MultiLinearBsdeData,
     WeightOverflowError,
@@ -15,7 +15,6 @@ from quadsmp.bsde import (
     solve_bsde_lsmc,
     solve_linear_bsde_weighted,
     solve_multidim_linear_bsde,
-    verify_apriori_bounds,
 )
 from quadsmp.example import example_model
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
@@ -39,7 +38,7 @@ def _weighted_reference(data, w, degree=2):
     dividing by G~ where the solver multiplies by the 1x1 flow inverse.
     Needs a (m, N+1, 1) state and non-constant, non-zero regression targets."""
     dt, n_steps, m = w.grid.dt, w.grid.n_steps, w.n_paths
-    _, gt = exponential_weight(data.lam, data.mu, w)
+    gt = exponential_weight(data.lam, data.mu, w)
     weighted_phi = gt[:, :n_steps] * data.phi * dt
     suffix = np.zeros((m, n_steps + 1))
     suffix[:, :n_steps] = np.cumsum(weighted_phi[:, ::-1], axis=1)[:, ::-1]
@@ -117,18 +116,19 @@ class TestLsmcSolver:
 
 class TestExponentialWeight:
     def test_starts_at_one_and_stays_positive(self, small_setup):
-        from quadsmp.bsde import exponential_weight
-
         grid, w = small_setup
         m, n = w.n_paths, grid.n_steps
         rng = np.random.default_rng(0)
         lam = rng.uniform(-0.5, 0.5, (m, n))
         mu = rng.uniform(-0.5, 0.5, (m, n, 1))
-        gamma, gamma_tilde = exponential_weight(lam, mu, w)
-        assert np.all(gamma[:, 0] == 1.0) and np.all(gamma_tilde[:, 0] == 1.0)
-        assert np.all(gamma > 0.0) and np.all(gamma_tilde > 0.0)
+        gamma_tilde = exponential_weight(lam, mu, w)
+        assert gamma_tilde.shape == (m, n + 1)
+        assert np.all(gamma_tilde[:, 0] == 1.0) and np.all(gamma_tilde > 0.0)
         growth = np.exp(np.cumsum(lam * grid.dt, axis=1))
-        assert gamma_tilde[:, 1:] == pytest.approx(growth * gamma[:, 1:], rel=1e-12)
+        girsanov = np.exp(
+            np.cumsum(mu[:, :, 0] * w.increments[:, :, 0] - 0.5 * mu[:, :, 0] ** 2 * grid.dt, axis=1)
+        )
+        assert gamma_tilde[:, 1:] == pytest.approx(growth * girsanov, rel=1e-12)
 
 
 class TestWeightedSolver:
@@ -289,11 +289,9 @@ class TestAprioriBounds:
         u = constant_control(0.0, 1000, 40)
         x = simulate_forward_sde(model, 0.0, u, w)
         y, z, _ = solve_bsde_lsmc(model, x, u, w)
-        traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-        report = verify_apriori_bounds(traj, c2=1.0)
-        assert report["sup_abs_y"] <= 1e-10
-        assert report["z_bmo2_estimate"] <= 1e-8
-        assert report["within_bound"]
+        assert float(np.abs(y).max()) <= 1e-10
+        mart = bmo.MartingalePathSet.from_integrand(z, w)
+        assert bmo.estimate_bmo2_norm(mart, conditioner=x) <= 1e-8
 
     def test_bounded_terminal_martingale(self):
         # zero generator: Y is the conditional expectation of a bounded payoff

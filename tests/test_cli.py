@@ -1,8 +1,12 @@
 """CLI harness: validation, artifacts, determinism."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadsmp import cli
 
@@ -85,6 +89,22 @@ class TestValidation:
             ("solve-bsde", {"equation": "linear", "mu": None}, "mu"),
             ("solve-bsde", {"equation": "linear", "phi": "x"}, "phi"),
             ("solve-bsde", {"equation": "linear", "xi": [1.0]}, "xi"),
+            ("solve-bsde", {"equation": "linear", "xi": True}, "xi"),
+            ("solve-bsde", {"basis_degree": True}, "basis_degree"),
+            ("adjoint", {"x0": float("inf")}, "x0"),
+            ("adjoint", {"x0": 10**400}, "x0"),
+            ("simulate", {"csv_paths": -3}, "csv_paths"),
+            ("simulate", {"model": ["x"]}, "model"),
+            ("simulate", {"seed": -1}, "seed"),
+            ("spike", {"eps_steps": [True, 2]}, "eps_steps"),
+            ("spike", {"eps_steps": []}, "eps_steps"),
+            ("spike", {"eps_steps": [1, 2]}, "eps_steps"),
+            ("spike", {"replacement": 0.0, "eps_steps": [1, 2]}, "replacement"),
+            ("spike", {"model": "example", "eps_steps": [1, 2]}, "model"),
+            ("spike", {"slope_bands": [], "t0": 0.0, "eps_steps": [1, 2, 3, 4]}, "slope_bands"),
+            ("spike", {"slope_bands": {"x1_sup_sq": 5}, "t0": 0.0, "eps_steps": [1, 2, 3, 4]}, "slope_bands"),
+            ("check-smp", {"test_controls": "abc"}, "test_controls"),
+            ("check-smp", {"test_controls": [[0.5, 1.0]]}, "test_controls"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, capsys, experiment, fields, bad_key):
@@ -95,6 +115,60 @@ class TestValidation:
         code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert bad_key in capsys.readouterr().err
+
+
+    def test_numerical_breakdown_exits_1(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path, {"n_paths": 10, "n_steps": 4, "horizon": 1.0, "seed": 1, "control": 1e308}
+        )
+        code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "run failed" in capsys.readouterr().err
+
+
+NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# fields that size an allocation draw small numbers or non-numbers only
+SIZES = st.integers(-2, 8) | st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(-2, 8), max_size=5)
+FIELD_VALUES = {
+    "model": st.sampled_from(["benchmark", "example"]) | JSON_VALUES,
+    "equation": st.just("linear") | JSON_VALUES,
+    "eps_steps": st.lists(st.integers(1, 6), min_size=4, max_size=5, unique=True) | SIZES,
+    "test_controls": st.lists(st.lists(NUMBERS, min_size=1, max_size=2), max_size=3) | JSON_VALUES,
+    "slope_bands": st.dictionaries(
+        st.sampled_from(["x1_sup_sq", "y1_sup_sq", "other"]), st.lists(NUMBERS, min_size=2, max_size=2)
+    ) | JSON_VALUES,
+    **{key: SIZES for key in ("basis_degree", "csv_paths", "n_paths", "n_steps", "n_norms")},
+}
+OPTIONAL_FIELDS = {
+    "simulate": ["model", "x0", "control", "csv_paths"],
+    "solve-bsde": ["model", "x0", "control", "basis_degree", "equation", "lam", "mu", "phi", "xi"],
+    "adjoint": ["model", "x0", "control", "basis_degree", "tolerance"],
+    "spike": ["model", "eps_steps", "t0", "x0", "replacement", "candidate", "basis_degree", "slope_bands"],
+    "check-smp": ["model", "x0", "candidate", "basis_degree", "tolerance", "test_controls", "local"],
+    "example": ["n_paths", "n_steps", "horizon"],
+    "bmo-suite": ["n_norms"],
+}
+
+
+class TestAnyConfig:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), experiment=st.sampled_from(sorted(OPTIONAL_FIELDS)))
+    def test_exit_status_never_a_traceback(self, data, experiment):
+        # 10 paths x 8 steps: every run is small, whatever the optional fields say
+        cfg = {"n_paths": 10, "n_steps": 8, "horizon": 1.0, "seed": 1}
+        fields = st.lists(st.sampled_from(OPTIONAL_FIELDS[experiment]), unique=True, min_size=1, max_size=3)
+        for key in data.draw(fields):
+            cfg[key] = data.draw(FIELD_VALUES.get(key, NUMBERS | JSON_VALUES), label=key)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            code = cli.main([experiment, "--config", str(path), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 1, 2)
 
 
 class TestArtifacts:

@@ -7,7 +7,6 @@ from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import scalar_model
 from quadsmp.sde import (
     SimulationError,
-    flow_reverse_holder_probe,
     simulate_forward_sde,
     simulate_matrix_flow,
 )
@@ -101,37 +100,3 @@ class TestMatrixFlow:
         fit = fit_convergence_order(dts, errors)
         assert 0.7 <= fit.slope <= 1.3
 
-
-class TestReverseHolderProbe:
-    def test_zero_coefficients_unit_report(self):
-        w = generate_brownian(64, TimeGrid(1.0, 8), 1, seed=7)
-        pair = simulate_matrix_flow(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1, 1)), w)
-        report = flow_reverse_holder_probe(pair, p=2.0, bound=1.5)
-        assert report["per_node_moment"] == pytest.approx(np.ones(9))
-        assert report["within_bound"] is True
-
-    def test_deterministic_flow_exact(self):
-        a = -0.5
-        w = generate_brownian(64, TimeGrid(1.0, 16), 1, seed=8)
-        pair = simulate_matrix_flow(np.array([[a]]), np.zeros(1), np.zeros((1, 1, 1)), w)
-        report = flow_reverse_holder_probe(pair, p=2.0)
-        # decaying deterministic flow: sup_{s>=t} X_s/X_t = 1 at every node
-        assert report["max_moment"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_scalar_noise_against_mc_oracle(self):
-        beta = 0.4
-        grid = TimeGrid(1.0, 32)
-        w = generate_brownian(2000, grid, 1, seed=9)
-        pair = simulate_matrix_flow(np.zeros((1, 1)), np.array([beta]), np.zeros((1, 1, 1)), w)
-        probe = flow_reverse_holder_probe(pair, p=2.0)
-        # oracle at t = 0 with a 10x-path independent ensemble
-        w_big = generate_brownian(20_000, grid, 1, seed=10)
-        big = simulate_matrix_flow(np.zeros((1, 1)), np.array([beta]), np.zeros((1, 1, 1)), w_big)
-        oracle = float((np.abs(big.flow[:, :, 0, 0]).max(axis=1) ** 2).mean())
-        assert probe["per_node_moment"][0] == pytest.approx(oracle, rel=0.1)
-
-    def test_p_validated(self):
-        w = generate_brownian(8, TimeGrid(1.0, 4), 1, seed=11)
-        pair = simulate_matrix_flow(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1, 1)), w)
-        with pytest.raises(ValueError):
-            flow_reverse_holder_probe(pair, p=1.0)
