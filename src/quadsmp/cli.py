@@ -29,16 +29,11 @@ from .grids import TimeGrid, constant_control, generate_brownian, write_ensemble
 from .models import benchmark_model, validate_derivatives
 from .reports import content_hash, write_csv, write_json
 from .sde import SimulationError, simulate_forward_sde
-from .spike import run_spike_study
+from .spike import FIT_TARGETS, run_spike_study
 
-DEFAULT_SLOPE_BANDS = {
-    "state_gap_sup_sq": (0.8, 1.2),
-    "x1_sup_sq": (0.8, 1.2),
-    "state_gap_minus_x1_sup_sq": (1.7, 2.3),
-    "x2_sup_sq": (1.7, 2.3),
-    "value_gap_sup_sq_plus_int_z": (0.8, 1.2),
-    "y1_sup_sq": (0.8, 1.2),
-}
+# slope band of each fitted functional, by its target order
+ORDER_BANDS = {1.0: (0.8, 1.2), 2.0: (1.7, 2.3)}
+DEFAULT_SLOPE_BANDS = {name: ORDER_BANDS[order] for name, order in FIT_TARGETS.items()}
 
 
 class ConfigError(ValueError):
@@ -69,6 +64,14 @@ def _require(cfg: dict, key: str, kind, positive: bool = False):
         val = float(val)
     if positive and not val > 0:
         raise ConfigError(f"config field '{key}' must be positive, got {val}")
+    return val
+
+
+def _control(cfg: dict, key: str, model) -> float:
+    """A constant control: a finite number inside the model's control domain."""
+    val = _require(cfg, key, float)
+    if not model.control_domain.contains(val):
+        raise ConfigError(f"config field '{key}': {val} lies outside the model's control domain")
     return val
 
 
@@ -103,7 +106,7 @@ def _solve_candidate(cfg: dict, model, control_key: str = "control"):
     x0_default = 0.0 if model.name == "arctan-example" else 1.0
     cfg = {"x0": x0_default, control_key: 0.0, "basis_degree": 2, **cfg}
     x0 = _require(cfg, "x0", float)
-    control = _require(cfg, control_key, float)
+    control = _control(cfg, control_key, model)
     degree = _require(cfg, "basis_degree", int, positive=True)
     w = generate_brownian(n_paths, grid, model.d, seed)
     u = constant_control(control, n_paths, grid.n_steps)
@@ -117,7 +120,7 @@ def run_simulate(cfg: dict, out: Path) -> dict:
     model = _model_from(cfg)
     cfg = {"x0": 1.0, "control": 0.0, "csv_paths": 32, **cfg}
     x0 = _require(cfg, "x0", float)
-    control = _require(cfg, "control", float)
+    control = _control(cfg, "control", model)
     snap = min(n_paths, _require(cfg, "csv_paths", int))
     if snap < 0:
         raise ConfigError(f"config field 'csv_paths' must be non-negative, got {snap}")
@@ -136,6 +139,8 @@ def run_simulate(cfg: dict, out: Path) -> dict:
 def run_solve_bsde(cfg: dict, out: Path) -> dict:
     n_paths, grid, seed = _common(cfg)
     kind = cfg.get("equation", "model")
+    if kind not in ("model", "linear"):
+        raise ConfigError(f"config field 'equation' must be 'model' or 'linear', got {kind!r:.40}")
     if kind == "linear":
         cfg = {"lam": 0.0, "mu": 0.0, "phi": 0.0, "xi": 1.0, **cfg}
         lam, mu, phi, xi = (_require(cfg, key, float) for key in ("lam", "mu", "phi", "xi"))
@@ -214,8 +219,8 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
     if round(k0) + max(eps_steps) > grid.n_steps:
         raise ConfigError("config field 't0': largest window leaves the horizon")
     x0 = _require(cfg, "x0", float)
-    replacement = _require(cfg, "replacement", float)
-    candidate = _require(cfg, "candidate", float)
+    replacement = _control(cfg, "replacement", model)
+    candidate = _control(cfg, "candidate", model)
     degree = _require(cfg, "basis_degree", int, positive=True)
     if replacement == candidate:
         raise ConfigError("config field 'replacement' must differ from 'candidate'")
@@ -270,9 +275,17 @@ def run_check_smp(cfg: dict, out: Path) -> dict:
     if test_controls is None:
         test_controls = model.control_domain.test_controls(model.k).tolist()
     elif not (isinstance(test_controls, list) and test_controls) or not all(
-        _is_vector(c, model.k) for c in test_controls
+        _is_vector(c, model.k) and model.control_domain.contains(c) for c in test_controls
     ):
-        raise ConfigError(f"config field 'test_controls' must be a non-empty list of {model.k}-number lists")
+        raise ConfigError(
+            f"config field 'test_controls' must be a non-empty list of {model.k}-number lists"
+            " inside the model's control domain"
+        )
+    # the local (variational) necessary condition presumes a convex control
+    # domain, so it is only checked by default on box domains
+    local = cfg.get("local", model.b_u is not None and model.control_domain.kind == "box")
+    if not isinstance(local, bool):
+        raise ConfigError(f"config field 'local' must be true or false, got {local!r:.40}")
     traj, _, degree = _solve_candidate(cfg, model, control_key="candidate")
     adj = solve_adjoints(linearize(model, traj), degree=degree)
     report = smp.check_global_smp(
@@ -286,10 +299,7 @@ def run_check_smp(cfg: dict, out: Path) -> dict:
         "n_violations": report.n_violations,
         "worst_gap": report.worst_gap,
     }
-    # the local (variational) necessary condition presumes a convex control
-    # domain, so it is only checked by default on box domains
-    local_default = model.b_u is not None and model.control_domain.kind == "box"
-    if cfg.get("local", local_default):
+    if local:
         _, local_report = smp.local_smp_gradient(
             model, traj, adj.p, adj.q, test_controls=test_controls, tolerance=tol
         )

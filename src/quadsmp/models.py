@@ -49,6 +49,13 @@ class ControlDomain:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float)).reshape(len(self.points), k)
         return pts[rng.integers(0, len(pts), size=size)]
 
+    def contains(self, u) -> bool:
+        """Whether the control u lies in the set; a scalar u stands for (u, ..., u)."""
+        u = np.asarray(u, dtype=float)
+        if self.kind == "box":
+            return bool(np.all((self.points[0] <= u) & (u <= self.points[1])))
+        return any(bool(np.all(np.asarray(pt, dtype=float) == u)) for pt in self.points)
+
     def test_controls(self, k: int) -> np.ndarray:
         """Finite probe set: the points themselves, or the box corners."""
         if self.kind == "finite":

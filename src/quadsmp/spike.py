@@ -1,12 +1,15 @@
 """Spike perturbations, variational solutions and expansion-order fits.
 
 A spike replaces the candidate control on a window [t0, t0 + eps) aligned to
-grid cells. The first/second-order variational states (X1, X2) are simulated
-from linearized dynamics with window sources; the backward components are
-evaluated through the adjoint processes, with the auxiliary pair solved as a
-weighted scalar linear equation. Order fits quantify how the error
-functionals scale across a dyadic ladder of window widths, on one common
-Brownian ensemble so pathwise differences are meaningful.
+grid cells k0 .. k1 - 1. Every variational source carries the window's
+indicator, so the hatted gaps are held on the window's n_eps cells and the
+pieces slice [k0, k1) of the step arrays. The first/second-order variational
+states (X1, X2) are 0 up to k0 and are simulated from there by linearized
+dynamics with window sources; the backward components are evaluated through
+the adjoint processes, with the auxiliary pair solved as a weighted scalar
+linear equation. Order fits quantify how the error functionals scale across
+a dyadic ladder of window widths, on one common Brownian ensemble so
+pathwise differences are meaningful.
 """
 
 from __future__ import annotations
@@ -65,13 +68,6 @@ class SpikePerturbation:
             raise ValueError(f"window [{self.t0}, {self.t0 + self.eps}] leaves the horizon")
         return k0, n_eps
 
-    def indicator(self, grid: TimeGrid) -> np.ndarray:
-        """Step indicator of the window, shape (n_steps,)."""
-        k0, n_eps = self.window(grid)
-        ind = np.zeros(grid.n_steps)
-        ind[k0 : k0 + n_eps] = 1.0
-        return ind
-
 
 def build_spiked_control(u_bar: np.ndarray, spike: SpikePerturbation, grid: TimeGrid) -> np.ndarray:
     """Candidate control with the replacement value on the spike window."""
@@ -83,41 +79,49 @@ def build_spiked_control(u_bar: np.ndarray, spike: SpikePerturbation, grid: Time
 
 @dataclass(frozen=True)
 class HattedCoefficients:
-    """Replacement-minus-candidate coefficient gaps along the candidate path.
+    """Replacement-minus-candidate coefficient gaps on the window's cells.
 
-    b_hat: (m, N, n); sigma_hat: (m, N, n, d); sigma_x_hat: (m, N, d, n, n);
-    delta: (m, N, d) with delta^i = (sigma_hat^i)' p;
-    f_hat_delta: (m, N) the generator gap with the z-slot shifted by delta.
+    Cell j is grid step k0 + j for j < n_eps; off the window every gap is 0.
+    b_hat: (m, n_eps, n); sigma_hat: (m, n_eps, n, d);
+    sigma_x_hat: (m, n_eps, d, n, n); delta: (m, n_eps, d) with
+    delta^i = (sigma_hat^i)' p; f_hat_delta: (m, n_eps) the generator gap
+    with the z-slot shifted by delta.
     """
 
+    k0: int
     b_hat: np.ndarray = field(repr=False)
     sigma_hat: np.ndarray = field(repr=False)
     sigma_x_hat: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
     f_hat_delta: np.ndarray = field(repr=False)
 
+    @property
+    def k1(self) -> int:
+        """One past the window's last step."""
+        return self.k0 + self.b_hat.shape[1]
 
-def hatted_coefficients(lin: Linearization, u_repl: np.ndarray, p: np.ndarray) -> HattedCoefficients:
+
+def hatted_coefficients(lin: Linearization, spike: SpikePerturbation, p: np.ndarray) -> HattedCoefficients:
+    """Evaluate the model at the spike's replacement on the window's cells."""
     model, traj = lin.model, lin.traj
     grid = traj.w.grid
-    times = grid.times
-    n_steps = grid.n_steps
+    k0, n_eps = spike.window(grid)
     m = traj.n_paths
-    u_repl = np.broadcast_to(np.asarray(u_repl, dtype=float), (m, n_steps, model.k))
-    b_hat = np.empty((m, n_steps, model.n))
-    sigma_hat = np.empty((m, n_steps, model.n, model.d))
-    sigma_x_hat = np.empty((m, n_steps, model.d, model.n, model.n))
-    delta = np.empty((m, n_steps, model.d))
-    f_hat_delta = np.empty((m, n_steps))
-    for k in range(n_steps):
-        t, xk, yk, zk, ur = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], u_repl[:, k]
-        b_hat[:, k] = model.b(t, xk, ur) - lin.b[:, k]
-        sh = model.sigma(t, xk, ur) - lin.sigma[:, k]
-        sigma_hat[:, k] = sh
-        sigma_x_hat[:, k] = model.sigma_x(t, xk, ur) - lin.sigma_x[:, k]
-        delta[:, k] = np.einsum("mid,mi->md", sh, p[:, k])
-        f_hat_delta[:, k] = model.f(t, xk, yk, zk + delta[:, k], ur) - lin.f[:, k]
+    ur = np.broadcast_to(np.asarray(spike.replacement, dtype=float), (m, model.k))
+    b_hat = np.empty((m, n_eps, model.n))
+    sigma_hat = np.empty((m, n_eps, model.n, model.d))
+    sigma_x_hat = np.empty((m, n_eps, model.d, model.n, model.n))
+    delta = np.empty((m, n_eps, model.d))
+    f_hat_delta = np.empty((m, n_eps))
+    for j, k in enumerate(range(k0, k0 + n_eps)):
+        t, xk, yk, zk = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k]
+        b_hat[:, j] = model.b(t, xk, ur) - lin.b[:, k]
+        sigma_hat[:, j] = model.sigma(t, xk, ur) - lin.sigma[:, k]
+        sigma_x_hat[:, j] = model.sigma_x(t, xk, ur) - lin.sigma_x[:, k]
+        delta[:, j] = np.einsum("mid,mi->md", sigma_hat[:, j], p[:, k])
+        f_hat_delta[:, j] = model.f(t, xk, yk, zk + delta[:, j], ur) - lin.f[:, k]
     return HattedCoefficients(
+        k0=k0,
         b_hat=b_hat,
         sigma_hat=sigma_hat,
         sigma_x_hat=sigma_x_hat,
@@ -126,95 +130,77 @@ def hatted_coefficients(lin: Linearization, u_repl: np.ndarray, p: np.ndarray) -
     )
 
 
-def solve_x1(lin: Linearization, spike: SpikePerturbation, hats: HattedCoefficients) -> np.ndarray:
+def solve_x1(lin: Linearization, hats: HattedCoefficients) -> np.ndarray:
     """First variational state: linearized dynamics with the window diffusion
-    impulse sigma_hat 1_E; starts at 0. Shape (m, N+1, n)."""
+    impulse sigma_hat 1_E; 0 up to the window. Shape (m, N+1, n)."""
     grid = lin.traj.w.grid
     dt = grid.dt
     dw = lin.traj.w.increments
-    ind = spike.indicator(grid)
     x1 = np.zeros((lin.traj.n_paths, grid.n_steps + 1, lin.model.n))
-    for k in range(grid.n_steps):
+    for k in range(hats.k0, grid.n_steps):
         xk = x1[:, k]
         incr = np.einsum("mij,mj->mi", lin.b_x[:, k], xk) * dt
         incr += np.einsum("mdij,mj,md->mi", lin.sigma_x[:, k], xk, dw[:, k])
-        if ind[k]:
-            incr += np.einsum("mid,md->mi", hats.sigma_hat[:, k], dw[:, k])
+        if k < hats.k1:
+            incr += np.einsum("mid,md->mi", hats.sigma_hat[:, k - hats.k0], dw[:, k])
         x1[:, k + 1] = xk + incr
     return x1
 
 
-def solve_x2(
-    lin: Linearization, spike: SpikePerturbation, x1: np.ndarray, hats: HattedCoefficients
-) -> np.ndarray:
+def solve_x2(lin: Linearization, x1: np.ndarray, hats: HattedCoefficients) -> np.ndarray:
     """Second variational state: window drift impulse b_hat 1_E, window
-    diffusion sigma_x_hat X1 1_E and the quadratic curvature sources."""
+    diffusion sigma_x_hat X1 1_E and the quadratic curvature sources; 0 up to
+    the window."""
     grid = lin.traj.w.grid
     dt = grid.dt
     dw = lin.traj.w.increments
-    ind = spike.indicator(grid)
     x2 = np.zeros((lin.traj.n_paths, grid.n_steps + 1, lin.model.n))
-    for k in range(grid.n_steps):
+    for k in range(hats.k0, grid.n_steps):
         xk = x2[:, k]
         x1k = x1[:, k]
         drift = np.einsum("mij,mj->mi", lin.b_x[:, k], xk)
         drift += 0.5 * np.einsum("mijk,mj,mk->mi", lin.b_xx[:, k], x1k, x1k)
-        if ind[k]:
-            drift += hats.b_hat[:, k]
         diff = np.einsum("mdij,mj->mid", lin.sigma_x[:, k], xk)
         diff += 0.5 * np.einsum("mjdab,ma,mb->mjd", lin.sigma_xx[:, k], x1k, x1k)
-        if ind[k]:
-            diff += np.einsum("mdij,mj->mid", hats.sigma_x_hat[:, k], x1k)
+        if k < hats.k1:
+            drift += hats.b_hat[:, k - hats.k0]
+            diff += np.einsum("mdij,mj->mid", hats.sigma_x_hat[:, k - hats.k0], x1k)
         x2[:, k + 1] = xk + drift * dt + np.einsum("mid,md->mi", diff, dw[:, k])
     return x2
 
 
 def compute_y1z1(
-    lin: Linearization,
-    spike: SpikePerturbation,
-    x1: np.ndarray,
-    adj: AdjointBundle,
-    hats: HattedCoefficients,
+    lin: Linearization, x1: np.ndarray, adj: AdjointBundle, hats: HattedCoefficients
 ) -> tuple[np.ndarray, np.ndarray]:
     """First backward variation via the adjoint relation.
 
     Y1 = p'X1 on nodes; Z1^i = p'sigma_hat^i 1_E + [p'sigma_x^i + q^i'] X1
     on steps.
     """
-    grid = lin.traj.w.grid
-    n_steps = grid.n_steps
-    ind = spike.indicator(grid)
+    n_steps = lin.traj.w.grid.n_steps
+    k0, k1 = hats.k0, hats.k1
     y1 = np.einsum("mti,mti->mt", adj.p, x1)
     p_steps = adj.p[:, :n_steps]
     row = np.einsum("mtl,mtdlj->mtdj", p_steps, lin.sigma_x) + np.swapaxes(adj.q, 2, 3)
     z1 = np.einsum("mtdj,mtj->mtd", row, x1[:, :n_steps])
-    z1 += ind[None, :, None] * np.einsum("mti,mtid->mtd", p_steps, hats.sigma_hat)
+    z1[:, k0:k1] += np.einsum("mti,mtid->mtd", p_steps[:, k0:k1], hats.sigma_hat)
     return y1, z1
 
 
-def _yhat_driver(
-    traj: ControlledTrajectory,
-    spike: SpikePerturbation,
-    adj: AdjointBundle,
-    hats: HattedCoefficients,
-) -> np.ndarray:
-    n_steps = traj.w.grid.n_steps
-    ind = spike.indicator(traj.w.grid)
-    p_steps = adj.p[:, :n_steps]
-    big_p_steps = adj.big_p[:, :n_steps]
-    drv = np.einsum("mti,mti->mt", p_steps, hats.b_hat)
-    drv += np.einsum("mtid,mtid->mt", adj.q, hats.sigma_hat)
+def _yhat_driver(adj: AdjointBundle, hats: HattedCoefficients) -> np.ndarray:
+    """Window Hamiltonian-gap driver on every step, 0 off the window. Shape (m, N)."""
+    k0, k1 = hats.k0, hats.k1
+    drv = np.einsum("mti,mti->mt", adj.p[:, k0:k1], hats.b_hat)
+    drv += np.einsum("mtid,mtid->mt", adj.q[:, k0:k1], hats.sigma_hat)
     drv += hats.f_hat_delta
-    drv += 0.5 * np.einsum("mtid,mtij,mtjd->mt", hats.sigma_hat, big_p_steps, hats.sigma_hat)
-    return drv * ind[None, :]
+    drv += 0.5 * np.einsum("mtid,mtij,mtjd->mt", hats.sigma_hat, adj.big_p[:, k0:k1], hats.sigma_hat)
+    out = np.zeros(adj.q.shape[:2])
+    out[:, k0:k1] = drv
+    return out
 
 
 def solve_yhat(
-    lin: Linearization,
-    spike: SpikePerturbation,
-    adj: AdjointBundle,
-    hats: HattedCoefficients,
-    degree: int = 2,
+    lin: Linearization, adj: AdjointBundle, hats: HattedCoefficients, degree: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Auxiliary pair: scalar linear equation with the window Hamiltonian-gap
     driver, generator slopes (f_y, f_z) and zero terminal value."""
@@ -222,7 +208,7 @@ def solve_yhat(
     data = LinearBsdeData(
         lam=lin.f_y,
         mu=lin.f_z,
-        phi=_yhat_driver(traj, spike, adj, hats),
+        phi=_yhat_driver(adj, hats),
         xi=np.zeros(traj.n_paths),
         state=traj.x,
     )
@@ -232,7 +218,6 @@ def solve_yhat(
 
 def compute_y2z2(
     lin: Linearization,
-    spike: SpikePerturbation,
     x1: np.ndarray,
     x2: np.ndarray,
     y_hat: np.ndarray,
@@ -245,9 +230,8 @@ def compute_y2z2(
     Y2 = Yhat + p'X2 + X1'P X1 / 2 on nodes; Z2 adds to Zhat the X2-transport
     row, the X1-quadratic bracket and the window coupling terms.
     """
-    grid = lin.traj.w.grid
-    n_steps = grid.n_steps
-    ind = spike.indicator(grid)
+    n_steps = lin.traj.w.grid.n_steps
+    k0, k1 = hats.k0, hats.k1
     y2 = y_hat + np.einsum("mti,mti->mt", adj.p, x2)
     y2 += 0.5 * np.einsum("mti,mtij,mtj->mt", x1, adj.big_p, x1)
 
@@ -265,55 +249,34 @@ def compute_y2z2(
     bracket += np.einsum("mtjiab,mtj->mtiab", lin.sigma_xx, p_steps)
     z2 += 0.5 * np.einsum("mta,mtdab,mtb->mtd", x1_s, bracket, x1_s)
 
-    window_row = np.einsum("mtad,mtab->mtdb", hats.sigma_hat, big_p)
-    window_row += np.einsum("mta,mtdab->mtdb", p_steps, hats.sigma_x_hat)
-    z2 += ind[None, :, None] * np.einsum("mtdb,mtb->mtd", window_row, x1_s)
+    window_row = np.einsum("mtad,mtab->mtdb", hats.sigma_hat, big_p[:, k0:k1])
+    window_row += np.einsum("mta,mtdab->mtdb", p_steps[:, k0:k1], hats.sigma_x_hat)
+    z2[:, k0:k1] += np.einsum("mtdb,mtb->mtd", window_row, x1_s[:, k0:k1])
     return y2, z_hat + z2
 
 
 @dataclass(frozen=True)
 class ExpansionResiduals:
-    """Residual ladder between the spiked and candidate systems.
+    """Gaps between the spiked and candidate systems that the order fits read.
 
-    Levels: 1 = raw gaps, 2 = after removing the first variation, 3 = after
-    removing the second; the telescoping differences are definitional.
+    xi1 = X^eps - X and xi2 = xi1 - X1 on nodes, (m, N+1, n);
+    eta1 = Y^eps - Y on nodes, (m, N+1); zeta1 = Z^eps - Z on steps, (m, N, d).
     """
 
     xi1: np.ndarray = field(repr=False)
     xi2: np.ndarray = field(repr=False)
-    xi3: np.ndarray = field(repr=False)
     eta1: np.ndarray = field(repr=False)
-    eta2: np.ndarray = field(repr=False)
-    eta3: np.ndarray = field(repr=False)
     zeta1: np.ndarray = field(repr=False)
-    zeta2: np.ndarray = field(repr=False)
-    zeta3: np.ndarray = field(repr=False)
-    value_remainder: float  # Y^eps_0 - Y_0 - Y1(0) - Y2(0), ensemble means
 
 
 def expansion_residuals(
-    base: ControlledTrajectory,
-    spiked: ControlledTrajectory,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    y1: np.ndarray,
-    y2: np.ndarray,
-    z1: np.ndarray,
-    z2: np.ndarray,
+    base: ControlledTrajectory, spiked: ControlledTrajectory, x1: np.ndarray
 ) -> ExpansionResiduals:
     if base.w is not spiked.w and base.w.seed != spiked.w.seed:
         raise ValueError("residuals need common random numbers across the two systems")
     xi1 = spiked.x - base.x
-    eta1 = spiked.y - base.y
-    zeta1 = spiked.z - base.z
-    xi2, eta2, zeta2 = xi1 - x1, eta1 - y1, zeta1 - z1
-    xi3, eta3, zeta3 = xi2 - x2, eta2 - y2, zeta2 - z2
-    remainder = float(eta1[:, 0].mean() - y1[:, 0].mean() - y2[:, 0].mean())
     return ExpansionResiduals(
-        xi1=xi1, xi2=xi2, xi3=xi3,
-        eta1=eta1, eta2=eta2, eta3=eta3,
-        zeta1=zeta1, zeta2=zeta2, zeta3=zeta3,
-        value_remainder=remainder,
+        xi1=xi1, xi2=xi1 - x1, eta1=spiked.y - base.y, zeta1=spiked.z - base.z
     )
 
 
@@ -323,7 +286,6 @@ def value_remainder_estimate(
     x1: np.ndarray,
     adj: AdjointBundle,
     hats: HattedCoefficients,
-    spike: SpikePerturbation,
     gamma_tilde: np.ndarray,
 ) -> tuple[float, float]:
     """Low-variance estimate of Y^eps_0 - Y_0 - Y1(0) - Y2(0).
@@ -338,7 +300,6 @@ def value_remainder_estimate(
     dt = grid.dt
     n_steps = grid.n_steps
     times = grid.times
-    ind = spike.indicator(grid)
 
     diff = model.phi(spiked.x[:, -1]) - model.phi(base.x[:, -1])
     for k in range(n_steps):
@@ -348,18 +309,19 @@ def value_remainder_estimate(
         ) * dt
 
     # first-variation rollout: terminal phi_x'X1 plus driver f_x'X1 minus the
-    # window coupling through (p, q); its weighted mean is Y1(0) = 0
+    # window coupling through (p, q); X1 is 0 up to the window, and the
+    # weighted mean of the rollout is Y1(0) = 0
     r1 = gamma_tilde[:, n_steps] * np.einsum(
         "mi,mi->m", model.phi_x(base.x[:, -1]), x1[:, n_steps]
     )
-    for k in range(n_steps):
+    for k in range(hats.k0, n_steps):
         drv = np.einsum("mi,mi->m", lin.f_x[:, k], x1[:, k])
-        if ind[k]:
-            drv -= np.einsum("md,md->m", lin.f_z[:, k], hats.delta[:, k])
-            drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k])
+        if k < hats.k1:
+            drv -= np.einsum("md,md->m", lin.f_z[:, k], hats.delta[:, k - hats.k0])
+            drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k - hats.k0])
         r1 += gamma_tilde[:, k] * drv * dt
 
-    r2 = np.sum(gamma_tilde[:, :n_steps] * _yhat_driver(base, spike, adj, hats), axis=1) * dt
+    r2 = np.sum(gamma_tilde[:, :n_steps] * _yhat_driver(adj, hats), axis=1) * dt
 
     samples = diff - r1 - r2
     m = samples.shape[0]
@@ -492,15 +454,15 @@ def run_spike_study(
         y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
         spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
 
-        hats = hatted_coefficients(lin, u_eps, adj.p)
-        x1 = solve_x1(lin, spike, hats)
-        x2 = solve_x2(lin, spike, x1, hats)
-        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(lin, spike, adj, hats, degree=degree)
-        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
+        hats = hatted_coefficients(lin, spike, adj.p)
+        x1 = solve_x1(lin, hats)
+        x2 = solve_x2(lin, x1, hats)
+        y1, _ = compute_y1z1(lin, x1, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, adj, hats, degree=degree)
+        y2, _ = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
         del y_hat, z_hat  # folded into Y2/Z2; freed before the functionals
-        res = expansion_residuals(lin.traj, spiked, x1, x2, y1, y2, z1, z2)
-        rem_cv, rem_se = value_remainder_estimate(lin, spiked, x1, adj, hats, spike, gamma_tilde)
+        res = expansion_residuals(lin.traj, spiked, x1)
+        rem_cv, rem_se = value_remainder_estimate(lin, spiked, x1, adj, hats, gamma_tilde)
         return {
             "state_gap_sup_sq": sup_square(res.xi1),
             "x1_sup_sq": sup_square(x1),

@@ -74,7 +74,7 @@ def random_linear_instance(seed, n_paths=8000, n_steps=100):
     return model, data, x, u, w
 
 
-def yhat0_direct_estimate(lin, spike, adj, hats):
+def yhat0_direct_estimate(lin, adj, hats):
     """Independent estimate of the auxiliary value at 0.
 
     Integrates the window driver against the weight solved as an SDE by
@@ -86,7 +86,7 @@ def yhat0_direct_estimate(lin, spike, adj, hats):
     m = traj.n_paths
     weight = np.ones(m)
     acc = np.zeros(m)
-    drv = _yhat_driver(traj, spike, adj, hats)
+    drv = _yhat_driver(adj, hats)
     for k in range(traj.w.grid.n_steps):
         acc += weight * drv[:, k] * dt
         growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])

@@ -105,6 +105,16 @@ class TestValidation:
             ("spike", {"slope_bands": {"x1_sup_sq": 5}, "t0": 0.0, "eps_steps": [1, 2, 3, 4]}, "slope_bands"),
             ("check-smp", {"test_controls": "abc"}, "test_controls"),
             ("check-smp", {"test_controls": [[0.5, 1.0]]}, "test_controls"),
+            ("check-smp", {"local": "no"}, "local"),
+            ("check-smp", {"local": [1]}, "local"),
+            ("solve-bsde", {"equation": "Linear"}, "equation"),
+            ("simulate", {"control": 1.5}, "control"),
+            ("solve-bsde", {"control": -2982}, "control"),
+            ("adjoint", {"model": "example", "control": 0.5}, "control"),
+            ("check-smp", {"candidate": 2.0}, "candidate"),
+            ("check-smp", {"test_controls": [[0.0], [3.0]]}, "test_controls"),
+            ("spike", {"replacement": 1.5, "eps_steps": [1, 2]}, "replacement"),
+            ("spike", {"candidate": -2.0, "eps_steps": [1, 2]}, "candidate"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, capsys, experiment, fields, bad_key):
@@ -119,7 +129,7 @@ class TestValidation:
 
     def test_numerical_breakdown_exits_1(self, tmp_path, capsys):
         cfg = _write_config(
-            tmp_path, {"n_paths": 10, "n_steps": 4, "horizon": 1.0, "seed": 1, "control": 1e308}
+            tmp_path, {"n_paths": 10, "n_steps": 4, "horizon": 1.0, "seed": 1, "x0": 1.7e308}
         )
         code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1

@@ -81,3 +81,16 @@ class TestControlDomain:
         u = dom.sample(np.random.default_rng(0), 100, 1)
         assert set(np.unique(u)) <= {0.0, 1.0}
         np.testing.assert_allclose(dom.test_controls(1), [[0.0], [1.0]])
+
+    def test_contains(self):
+        box = ControlDomain("box", (-1.0, 1.0))
+        assert box.contains(-1.0) and box.contains(1.0) and box.contains([0.3])
+        assert not box.contains(1.5) and not box.contains([-2.0])
+        corners = ControlDomain("box", ((0.0, -1.0), (1.0, 1.0)))
+        assert corners.contains([0.5, -1.0]) and not corners.contains([-0.5, 0.0])
+        points = ControlDomain("finite", ((0.0,), (1.0,)))
+        assert points.contains(0.0) and points.contains([1.0])
+        assert not points.contains(0.5)
+        for dom in (box, points):
+            assert all(dom.contains(u) for u in dom.test_controls(1))
+            assert all(dom.contains(u) for u in dom.sample(np.random.default_rng(0), 20, 1))

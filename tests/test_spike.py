@@ -5,7 +5,13 @@ import pytest
 from support import yhat0_direct_estimate
 
 from quadsmp.adjoint import linearize, solve_adjoints
-from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
+from quadsmp.bsde import (
+    ControlledTrajectory,
+    LinearBsdeData,
+    exponential_weight,
+    solve_bsde_lsmc,
+    solve_linear_bsde_weighted,
+)
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import benchmark_model
 from quadsmp.sde import simulate_forward_sde
@@ -21,6 +27,7 @@ from quadsmp.spike import (
     solve_x1,
     solve_x2,
     solve_yhat,
+    value_remainder_estimate,
 )
 
 
@@ -68,22 +75,45 @@ class TestSpikeWindow:
             build_spiked_control(u, SpikePerturbation(0.9375, 0.125, np.array([1.0])), grid)
 
 
+# spike windows on a 64-step unit grid: at the start, interior, ending at the horizon
+WINDOWS = [(0.0, 0.25), (0.25, 0.25), (0.75, 0.25)]
+
+
 class TestVariationalStates:
     def test_no_spike_gives_zero(self, base_pipeline):
         model, grid, traj, adj, lin = base_pipeline
         spike = SpikePerturbation(t0=0.25, eps=8 * grid.dt, replacement=np.array([0.0]))
-        hats = hatted_coefficients(lin, traj.u, adj.p)
-        x1 = solve_x1(lin, spike, hats)
-        x2 = solve_x2(lin, spike, x1, hats)
-        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(lin, spike, adj, hats)
-        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
-        res = expansion_residuals(traj, traj, x1, x2, y1, y2, z1, z2)
-        for arr in (x1, x2, y1, z1, y_hat, z_hat, y2, z2, res.xi3, res.eta3, res.zeta3):
+        hats = hatted_coefficients(lin, spike, adj.p)
+        x1 = solve_x1(lin, hats)
+        x2 = solve_x2(lin, x1, hats)
+        y1, z1 = compute_y1z1(lin, x1, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, adj, hats)
+        y2, z2 = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
+        res = expansion_residuals(traj, traj, x1)
+        for arr in (x1, x2, y1, z1, y_hat, z_hat, y2, z2, res.xi1, res.xi2, res.eta1, res.zeta1):
             assert np.all(arr == 0.0)
-        assert res.value_remainder == 0.0
+        gamma_tilde = exponential_weight(lin.f_y, lin.f_z, traj.w)
+        assert value_remainder_estimate(lin, traj, x1, adj, hats, gamma_tilde) == (0.0, 0.0)
 
-    def test_x1_additive_window_integral(self):
+    def test_hats_live_on_the_window(self, base_pipeline, spiked):
+        model, grid, traj, adj, lin = base_pipeline
+        spike, _, hats, _, _ = spiked
+        k0, n_eps = spike.window(grid)
+        assert (hats.k0, hats.k1) == (k0, k0 + n_eps)
+        assert hats.b_hat.shape[1] == hats.sigma_x_hat.shape[1] == hats.f_hat_delta.shape[1] == n_eps
+        u = np.broadcast_to(spike.replacement, (traj.n_paths, model.k))
+        for j in range(n_eps):
+            k = k0 + j
+            t, x, y, z = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k]
+            assert np.array_equal(hats.b_hat[:, j], model.b(t, x, u) - lin.b[:, k])
+            assert np.array_equal(hats.sigma_hat[:, j], model.sigma(t, x, u) - lin.sigma[:, k])
+            assert np.array_equal(hats.sigma_x_hat[:, j], model.sigma_x(t, x, u) - lin.sigma_x[:, k])
+            delta = np.einsum("mid,mi->md", hats.sigma_hat[:, j], adj.p[:, k])
+            assert np.array_equal(hats.delta[:, j], delta)
+            assert np.array_equal(hats.f_hat_delta[:, j], model.f(t, x, y, z + delta, u) - lin.f[:, k])
+
+    @pytest.mark.parametrize("t0,eps", WINDOWS, ids=["start", "interior", "end"])
+    def test_x1_additive_window_integral(self, t0, eps):
         # frozen dynamics: the first variation is the windowed diffusion gap
         model = benchmark_model()
         grid = TimeGrid(1.0, 64)
@@ -110,18 +140,17 @@ class TestVariationalStates:
             phi_xx=lambda xx: np.zeros_like(xx),
             alpha=1.0, gamma=0.1, l1=1.0, l2=1.0, l3=0.1,
         )
-        spike = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array([2.0]))
-        u_eps = build_spiked_control(u_bar, spike, grid)
-        p = np.ones((200, 65, 1))
+        spike = SpikePerturbation(t0=t0, eps=eps, replacement=np.array([2.0]))
         lin = linearize(flat, frozen)
-        hats = hatted_coefficients(lin, u_eps, p)
-        x1 = solve_x1(lin, spike, hats)
+        hats = hatted_coefficients(lin, spike, np.ones((200, 65, 1)))
+        x1 = solve_x1(lin, hats)
         k0, n_eps = spike.window(grid)
         paths = w.paths()[:, :, 0]
         window_w = paths[:, np.minimum(np.arange(65), k0 + n_eps)] - paths[:, np.minimum(np.arange(65), k0)]
         assert x1[:, :, 0] == pytest.approx(2.0 * window_w, abs=1e-12)
 
-    def test_x2_drift_window_integral(self):
+    @pytest.mark.parametrize("t0,eps", WINDOWS, ids=["start", "interior", "end"])
+    def test_x2_drift_window_integral(self, t0, eps):
         # zero curvature and sigma_x_hat: the second variation is b_hat * elapsed
         import quadsmp.models as models_mod
 
@@ -145,13 +174,12 @@ class TestVariationalStates:
         frozen = ControlledTrajectory(
             w=w, x=np.zeros((50, 65, 1)), y=np.zeros((50, 65)), z=np.zeros((50, 64, 1)), u=u_bar
         )
-        spike = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array([3.0]))
-        u_eps = build_spiked_control(u_bar, spike, grid)
+        spike = SpikePerturbation(t0=t0, eps=eps, replacement=np.array([3.0]))
         lin = linearize(flat, frozen)
-        hats = hatted_coefficients(lin, u_eps, np.ones((50, 65, 1)))
-        x1 = solve_x1(lin, spike, hats)
-        x2 = solve_x2(lin, spike, x1, hats)
-        elapsed = np.clip(grid.times, 0.25, 0.5) - 0.25
+        hats = hatted_coefficients(lin, spike, np.ones((50, 65, 1)))
+        x1 = solve_x1(lin, hats)
+        x2 = solve_x2(lin, x1, hats)
+        elapsed = np.clip(grid.times, t0, t0 + eps) - t0
         assert x2[:, :, 0] == pytest.approx(np.broadcast_to(3.0 * elapsed, (50, 65)), abs=1e-12)
 
 
@@ -160,9 +188,9 @@ def spiked(base_pipeline):
     model, grid, traj, adj, lin = base_pipeline
     spike = SpikePerturbation(t0=0.25, eps=16 * grid.dt, replacement=np.array([1.0]))
     u_eps = build_spiked_control(traj.u, spike, grid)
-    hats = hatted_coefficients(lin, u_eps, adj.p)
-    x1 = solve_x1(lin, spike, hats)
-    x2 = solve_x2(lin, spike, x1, hats)
+    hats = hatted_coefficients(lin, spike, adj.p)
+    x1 = solve_x1(lin, hats)
+    x2 = solve_x2(lin, x1, hats)
     return spike, u_eps, hats, x1, x2
 
 
@@ -170,21 +198,21 @@ class TestBackwardRelations:
     def test_y1_starts_at_zero(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, _ = spiked
-        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
+        y1, z1 = compute_y1z1(lin, x1, adj, hats)
         assert np.all(y1[:, 0] == 0.0)
 
     def test_y2_equals_yhat_at_zero(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, x2 = spiked
-        y_hat, z_hat = solve_yhat(lin, spike, adj, hats)
-        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, adj, hats)
+        y2, z2 = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
         assert y2[:, 0] == pytest.approx(y_hat[:, 0], abs=1e-12)
 
     def test_yhat0_against_direct_weight_sde(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, _, _ = spiked
-        y_hat, _ = solve_yhat(lin, spike, adj, hats)
-        direct, se = yhat0_direct_estimate(lin, spike, adj, hats)
+        y_hat, _ = solve_yhat(lin, adj, hats)
+        direct, se = yhat0_direct_estimate(lin, adj, hats)
         assert abs(float(y_hat[:, 0].mean()) - direct) <= 2.0 * se + 1e-4
 
     def test_first_variation_weighted_cross_check(self, base_pipeline, spiked):
@@ -193,7 +221,6 @@ class TestBackwardRelations:
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, _ = spiked
         m, n_steps = traj.n_paths, grid.n_steps
-        ind = spike.indicator(grid)
         lam = np.empty((m, n_steps))
         mu = np.empty((m, n_steps, 1))
         phi = np.empty((m, n_steps))
@@ -202,9 +229,9 @@ class TestBackwardRelations:
             lam[:, k] = model.f_y(*args)
             mu[:, k] = model.f_z(*args)
             phi[:, k] = np.einsum("mi,mi->m", model.f_x(*args), x1[:, k])
-            if ind[k]:
-                phi[:, k] -= np.einsum("md,md->m", model.f_z(*args), hats.delta[:, k])
-                phi[:, k] -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k])
+            if hats.k0 <= k < hats.k1:
+                phi[:, k] -= np.einsum("md,md->m", model.f_z(*args), hats.delta[:, k - hats.k0])
+                phi[:, k] -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k - hats.k0])
         xi = np.einsum("mi,mi->m", model.phi_x(traj.x[:, -1]), x1[:, -1])
         data = LinearBsdeData(lam=lam, mu=mu, phi=phi, xi=xi, state=traj.x)
         _, _, rep = solve_linear_bsde_weighted(data, traj.w)
@@ -216,14 +243,8 @@ class TestBackwardRelations:
         x_eps = simulate_forward_sde(model, 1.0, u_eps, traj.w)
         y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, traj.w)
         spiked_traj = ControlledTrajectory(w=traj.w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
-        y_hat, z_hat = solve_yhat(lin, spike, adj, hats)
-        y1, z1 = compute_y1z1(lin, spike, x1, adj, hats)
-        y2, z2 = compute_y2z2(lin, spike, x1, x2, y_hat, z_hat, adj, hats)
-        res = expansion_residuals(traj, spiked_traj, x1, x2, y1, y2, z1, z2)
+        res = expansion_residuals(traj, spiked_traj, x1)
         assert np.array_equal(res.xi2, res.xi1 - x1)
-        assert np.array_equal(res.xi3, res.xi2 - x2)
-        assert np.array_equal(res.eta2, res.eta1 - y1)
-        assert np.array_equal(res.zeta3, res.zeta2 - z2)
 
 
 class TestOrderFit:
