@@ -6,7 +6,8 @@ Linearization. The first-order pair (p, q) solves an n-dimensional linear
 backward equation whose coefficients are those derivatives; the second-order
 pair (P, Q) solves the matrix-valued analogue, vectorized on the symmetric
 subspace with sqrt(2)-scaled off-diagonal coordinates so Frobenius inner
-products are preserved.
+products are preserved. Its coefficients are Kronecker sums of the same
+derivatives, written in those coordinates through one constant embedding.
 """
 
 from __future__ import annotations
@@ -33,44 +34,28 @@ __all__ = [
 ]
 
 
-def _svec_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def _svec_basis(n: int) -> np.ndarray:
+    """U, (n*n, n(n+1)/2), orthonormal columns, U v = vec(unsvec(v)) with row-major vec.
+
+    Column r is 1 at (i, i), or 1/sqrt(2) at (i, j) and (j, i), for the r-th pair
+    i <= j in row-major order.
+    """
+    i, j = np.triu_indices(n)
+    r = np.arange(i.size)
+    basis = np.zeros((n, n, i.size))
+    basis[i, j, r] = basis[j, i, r] = np.where(i == j, 1.0, np.sqrt(0.5))
+    return basis.reshape(n * n, i.size)
 
 
 def svec(s: np.ndarray) -> np.ndarray:
     """Symmetric (..., n, n) -> (..., n(n+1)/2), isometric for Frobenius."""
     n = s.shape[-1]
-    cols = []
-    for i, j in _svec_pairs(n):
-        cols.append(s[..., i, j] * (1.0 if i == j else np.sqrt(2.0)))
-    return np.stack(cols, axis=-1)
+    return s.reshape(s.shape[:-2] + (n * n,)) @ _svec_basis(n)
 
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of svec; output is exactly symmetric."""
-    out = np.zeros(v.shape[:-1] + (n, n))
-    for r, (i, j) in enumerate(_svec_pairs(n)):
-        if i == j:
-            out[..., i, j] = v[..., r]
-        else:
-            out[..., i, j] = out[..., j, i] = v[..., r] / np.sqrt(2.0)
-    return out
-
-
-def _operator_on_svec(linmap, n: int, batch_shape: tuple) -> np.ndarray:
-    """Matrix of a symmetric-to-symmetric linear map in svec coordinates.
-
-    linmap takes a batched symmetric (..., n, n) and returns the same shape;
-    the result op satisfies op @ svec(S) = svec(linmap(S)).
-    """
-    s_dim = n * (n + 1) // 2
-    op = np.empty(batch_shape + (s_dim, s_dim))
-    basis = np.eye(s_dim)
-    for r in range(s_dim):
-        e = unsvec(basis[r], n)
-        image = linmap(np.broadcast_to(e, batch_shape + (n, n)))
-        op[..., :, r] = svec(image)
-    return op
+    return (v @ _svec_basis(n).T).reshape(v.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)
@@ -203,6 +188,36 @@ def assemble_second_order_source(lin: Linearization, p: np.ndarray, q: np.ndarra
     return phi1 + phi2 + phi3
 
 
+def _second_order_operators(
+    f_y: np.ndarray, f_z: np.ndarray, b_x: np.ndarray, sigma_x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Y- and Z-coefficients of the (P, Q) equation in svec coordinates.
+
+    f_y: (..., ); f_z: (..., d); b_x: (..., n, n); sigma_x: (..., d, n, n).
+    With M = (f_y/2) I + sum_i f_{z_i} (sigma_x^i)' + b_x', the generator's
+    P-term S -> M S + S M' + sum_i (sigma_x^i)' S sigma_x^i has the row-major
+    Kronecker matrix K_P = M (x) I + I (x) M + sum_i (sigma_x^i)' (x) (sigma_x^i)';
+    beyond f_{z_i} S, the Q^i-term S -> (sigma_x^i)' S + S sigma_x^i has
+    K_Q^i = (sigma_x^i)' (x) I + I (x) (sigma_x^i)'. In svec coordinates a map
+    with Kronecker matrix K is U'KU; the solver takes the transposes.
+    Returns a: (..., s, s) and c: (..., d, s, s) with s = n(n+1)/2.
+    """
+    n = b_x.shape[-1]
+    u = _svec_basis(n)
+    eye = np.eye(n)
+    sig_t = np.swapaxes(sigma_x, -1, -2)
+    big_m = 0.5 * f_y[..., None, None] * eye + np.einsum("...d,...dij->...ij", f_z, sig_t)
+    big_m = big_m + np.swapaxes(b_x, -1, -2)
+
+    def kron(x, y):
+        k = x[..., :, None, :, None] * y[..., None, :, None, :]
+        return k.reshape(k.shape[:-4] + (n * n, n * n))
+
+    k_p = kron(big_m, eye) + kron(eye, big_m) + kron(sig_t, sig_t).sum(axis=-3)
+    k_q = kron(sig_t, eye) + kron(eye, sig_t)
+    return tuple(np.swapaxes(u.T @ k @ u, -1, -2) for k in (k_p, k_q))
+
+
 def solve_second_order(
     lin: Linearization,
     p: np.ndarray,
@@ -214,52 +229,18 @@ def solve_second_order(
     Returns big_p: (m, N+1, n, n) and big_q: (m, N, n, n, d).
     """
     model, traj = lin.model, lin.traj
-    n, d = model.n, model.d
-    n_steps = traj.w.grid.n_steps
-    batch = (traj.n_paths, n_steps)
-    f_y, f_z, b_x, sigma_x = lin.f_y, lin.f_z, lin.b_x, lin.sigma_x
-
-    def map_for_p(s):
-        out = f_y[:, :, None, None] * s
-        sig_p = np.einsum("mtdji,mtjk->mtdik", sigma_x, s)  # (sigma_x^i)' S
-        out += np.einsum("mtd,mtdik->mtik", f_z, sig_p + np.swapaxes(sig_p, 3, 4))
-        bx_p = np.einsum("mtji,mtjk->mtik", b_x, s)  # b_x' S
-        out += bx_p + np.swapaxes(bx_p, 2, 3)
-        out += np.einsum("mtdji,mtjk,mtdkl->mtil", sigma_x, s, sigma_x)
-        return out
-
-    def map_for_q(i):
-        def g(s):
-            sig_q = np.einsum("mtji,mtjk->mtik", sigma_x[:, :, i], s)
-            return f_z[:, :, i, None, None] * s + sig_q + np.swapaxes(sig_q, 2, 3)
-
-        return g
-
-    a_transpose = _operator_on_svec(map_for_p, n, batch)
-    a = np.swapaxes(a_transpose, 2, 3)
-    s_dim = n * (n + 1) // 2
-    beta = f_z
-    c = np.empty(batch + (d, s_dim, s_dim))
-    for i in range(d):
-        gi = map_for_q(i)
-
-        def g_only(s, _g=gi, _fz=f_z[:, :, i]):
-            return _g(s) - _fz[:, :, None, None] * s
-
-        c[:, :, i] = np.swapaxes(_operator_on_svec(g_only, n, batch), 2, 3)
-
-    phi_src = assemble_second_order_source(lin, p, q)
+    a, c = _second_order_operators(lin.f_y, lin.f_z, lin.b_x, lin.sigma_x)
     data = MultiLinearBsdeData(
         a=a,
-        beta=beta,
+        beta=lin.f_z,
         c=c,
-        driver=svec(phi_src),
+        driver=svec(assemble_second_order_source(lin, p, q)),
         xi=svec(model.phi_xx(traj.x[:, -1])),
         state=traj.x,
     )
     pv, qv, _, _ = solve_multidim_linear_bsde(data, traj.w, degree=degree)
-    big_q = np.stack([unsvec(qv[:, :, :, i], n) for i in range(d)], axis=-1)
-    return unsvec(pv, n), big_q
+    big_q = np.moveaxis(unsvec(np.swapaxes(qv, 2, 3), model.n), 2, -1)
+    return unsvec(pv, model.n), big_q
 
 
 def solve_adjoints(lin: Linearization, degree: int = 2) -> AdjointBundle:

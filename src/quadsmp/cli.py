@@ -264,6 +264,7 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
         "y2_over_eps": ratios.tolist(),
         "y2_over_eps_spread": spread,
         "remainder_over_eps": list(rem),
+        "remainder_over_eps_se": list(result.remainder_over_eps_se),
         "candidate_value": result.y_bar_0,
     }
 

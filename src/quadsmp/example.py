@@ -281,39 +281,31 @@ def confirm_global_smp(
 
 
 def convex_hull_counterexample(
-    traj: ControlledTrajectory | None = None,
-    adj=None,
-    tolerance: float = 0.05,
+    traj: ControlledTrajectory, adj, tolerance: float = 0.05
 ) -> dict:
     """Local check on the convex hull [0, 1] at the zero candidate.
 
     Analytically the control gradient is [g'(0) p + q + 2 u](1 - u) = -1/2 at
     the zero candidate, violating the local condition, so the zero control is
     not optimal on the hull; at the unit candidate the (1 - u) factor is 0 and
-    the inequality holds trivially. When a solved trajectory/adjoint pair is
-    supplied the pipeline gradient is evaluated as well.
+    the inequality holds trivially. The pipeline gradient is evaluated along
+    the solved trajectory/adjoint pair.
     """
     analytic_at_zero = float(g_prime(0.0) * 1.0 + 0.0 + 0.0)
-    out = {
+    model = example_model(convex_hull=True)
+    grad, report = smp.local_smp_gradient(
+        model, traj, adj.p, adj.q, test_controls=[[1.0]], tolerance=tolerance
+    )
+    grad_mean = float(grad.mean())
+    return {
         "analytic_gradient_at_zero": analytic_at_zero,
         "analytic_violation": analytic_at_zero < 0.0,
         "at_one_left_side": 0.0,  # (1 - u) factor kills the product
+        "pipeline_gradient_mean": grad_mean,
+        "pipeline_report": report,
+        "pipeline_violation": bool(report["n_violations"] > 0),
+        "matches_analytic": abs(grad_mean - analytic_at_zero) <= tolerance,
     }
-    if traj is not None and adj is not None:
-        model = example_model(convex_hull=True)
-        grad, report = smp.local_smp_gradient(
-            model, traj, adj.p, adj.q, test_controls=[[1.0]], tolerance=tolerance
-        )
-        grad_mean = float(grad.mean())
-        out.update(
-            {
-                "pipeline_gradient_mean": grad_mean,
-                "pipeline_report": report,
-                "pipeline_violation": bool(report["n_violations"] > 0),
-                "matches_analytic": abs(grad_mean - analytic_at_zero) <= tolerance,
-            }
-        )
-    return out
 
 
 def integrand_positivity(n_grid: int = 4001, span: float = 20.0) -> dict:
@@ -363,6 +355,7 @@ def run_example_experiment(
     adj, adj_report = _adjoints_along(model, traj0)
     smp_result = confirm_global_smp(traj0, adj, tolerance=adjoint_tolerance)
     hull = convex_hull_counterexample(traj0, adj, tolerance=adjoint_tolerance)
+    residual = analytic_adjoint_residual()
 
     checks = {
         "structural_conditions": {"passed": conditions["passed"], **conditions},
@@ -391,8 +384,8 @@ def run_example_experiment(
             "sup_big_q": adj_report.sup_big_q,
         },
         "analytic_adjoint_residual": {
-            "passed": analytic_adjoint_residual() == 0.0,
-            "residual": analytic_adjoint_residual(),
+            "passed": residual == 0.0,
+            "residual": residual,
         },
         "global_smp": {
             "passed": smp_result["passed"],
@@ -402,12 +395,10 @@ def run_example_experiment(
         },
         "convex_hull_counterexample": {
             "passed": bool(
-                hull["analytic_violation"]
-                and hull.get("pipeline_violation", True)
-                and hull.get("matches_analytic", True)
+                hull["analytic_violation"] and hull["pipeline_violation"] and hull["matches_analytic"]
             ),
             "analytic_gradient_at_zero": hull["analytic_gradient_at_zero"],
-            "pipeline_gradient_mean": hull.get("pipeline_gradient_mean"),
+            "pipeline_gradient_mean": hull["pipeline_gradient_mean"],
         },
     }
     return ExampleVerdict(checks=checks)

@@ -21,7 +21,7 @@ axis m:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,7 +97,6 @@ class ModelSpec:
     f_u: Optional[Callable] = None
     control_domain: Optional[ControlDomain] = None
     name: str = "model"
-    extras: dict = field(default_factory=dict)
 
     def z_truncation_default(self, horizon: float) -> float:
         """Generous clip level for the Z regression in the quadratic solver.

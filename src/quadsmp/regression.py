@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = ["polynomial_design", "conditional_expectation", "RankDeficientRegression"]
 
+RIDGE = 1e-9  # ridge penalty, relative to the mean Gram diagonal, of the rank-deficient fallback
+
 
 class RankDeficientRegression(UserWarning):
     """Emitted when the design matrix is rank deficient and ridge is used."""
@@ -42,7 +44,6 @@ def conditional_expectation(
     features: np.ndarray,
     targets: np.ndarray,
     degree: int = 2,
-    ridge: float = 1e-9,
     winsor: float = 0.005,
     t_min: float = 2.0,
 ) -> np.ndarray:
@@ -68,8 +69,7 @@ def conditional_expectation(
     if x.ndim == 1:
         x = x[:, None]
     if winsor > 0.0 and x.shape[0] > 20:
-        lo = np.quantile(x, winsor, axis=0)
-        hi = np.quantile(x, 1.0 - winsor, axis=0)
+        lo, hi = np.quantile(x, [winsor, 1.0 - winsor], axis=0)
         x = np.clip(x, lo, hi)
     design = polynomial_design(x, degree)
 
@@ -103,7 +103,7 @@ def conditional_expectation(
             stacklevel=2,
         )
         gram = a.T @ a
-        lam = ridge * max(1.0, float(np.trace(gram)) / p)
+        lam = RIDGE * max(1.0, float(np.trace(gram)) / p)
         penalty = lam * np.eye(p)
         penalty[0, 0] = 0.0  # never shrink the intercept
         coef = np.linalg.solve(gram + penalty, a.T @ t)

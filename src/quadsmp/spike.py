@@ -391,14 +391,16 @@ class SpikeStudyResult:
     """Fitted orders and per-window value-level ratios of one spike study.
 
     fits maps each FIT_TARGETS functional to its OrderFitReport, whose errors
-    hold the functional's value per window; y2_at_zero and remainder_over_eps
-    hold one value per window and y_bar_0 is the candidate value.
+    hold the functional's value per window; y2_at_zero, remainder_over_eps and
+    its standard error remainder_over_eps_se hold one value per window and
+    y_bar_0 is the candidate value.
     """
 
     eps_values: tuple
     fits: dict  # name -> OrderFitReport
     y2_at_zero: tuple
     remainder_over_eps: tuple
+    remainder_over_eps_se: tuple
     y_bar_0: float
 
 
@@ -493,5 +495,6 @@ def run_spike_study(
         },
         y2_at_zero=tuple(res["y2_at_zero"] for res in window_results),
         remainder_over_eps=tuple(res["value_remainder"] / e for res, e in zip(window_results, eps_values)),
+        remainder_over_eps_se=tuple(res["value_remainder_se"] / e for res, e in zip(window_results, eps_values)),
         y_bar_0=base_report.y0,
     )

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 from support import driver_model
 
 from quadsmp.adjoint import (
+    _second_order_operators,
     assemble_first_order,
     assemble_second_order_source,
     linearize,
@@ -29,6 +30,8 @@ class TestSvec:
         s = rng.standard_normal((5, 3, 3))
         s = s + np.swapaxes(s, 1, 2)
         assert unsvec(svec(s), 3) == pytest.approx(s)
+        v = rng.standard_normal((5, 6))
+        assert svec(unsvec(v, 3)) == pytest.approx(v)
 
     def test_frobenius_isometry(self):
         rng = np.random.default_rng(1)
@@ -232,6 +235,40 @@ class TestSecondOrder:
         phi2 = np.einsum("mtidjk,mtid->mtjk", lin.sigma_xx, lin.f_z[:, :, None, :] * p_steps[:, :, :, None] + q)
         phi3 = np.einsum("mtia,mtab,mtjb->mtij", jac, f_hess, jac)
         assert np.array_equal(assemble_second_order_source(lin, p, q), phi1 + phi2 + phi3)
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 2)])
+    def test_operators_match_written_out_map(self, n, d):
+        # P's generator term f_y S + sum_i f_{z_i} (sigma_x^i'S + S sigma_x^i)
+        # + b_x'S + S b_x + sum_i sigma_x^i'S sigma_x^i, and Q^i's beyond f_{z_i} S
+        rng = np.random.default_rng(10 * n + d)
+        batch = (4, 3)
+        f_y = rng.standard_normal(batch)
+        f_z = rng.standard_normal(batch + (d,))
+        b_x = rng.standard_normal(batch + (n, n))
+        sigma_x = rng.standard_normal(batch + (d, n, n))
+        s = rng.standard_normal(batch + (n, n))
+        s = s + np.swapaxes(s, -1, -2)
+        a, c = _second_order_operators(f_y, f_z, b_x, sigma_x)
+
+        def applied(op):
+            return unsvec(np.einsum("...rc,...c->...r", np.swapaxes(op, -1, -2), svec(s)), n)
+
+        def assert_close(got, want):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        sig_t = np.swapaxes(sigma_x, -1, -2)
+        s_i = s[..., None, :, :]
+        q_terms = sig_t @ s_i + s_i @ sigma_x
+        p_term = (
+            f_y[..., None, None] * s
+            + np.einsum("...d,...dij->...ij", f_z, q_terms)
+            + np.swapaxes(b_x, -1, -2) @ s
+            + s @ b_x
+            + (sig_t @ s_i @ sigma_x).sum(axis=-3)
+        )
+        assert_close(applied(a), p_term)
+        for i in range(d):
+            assert_close(applied(c[..., i, :, :]), q_terms[..., i, :, :])
 
     def test_symmetry_exact(self):
         model = constant_slope_model()

@@ -302,4 +302,5 @@ class TestSpikeStudy:
             assert serial.fits[name].errors == threaded.fits[name].errors
         assert serial.y2_at_zero == threaded.y2_at_zero
         assert serial.remainder_over_eps == threaded.remainder_over_eps
+        assert serial.remainder_over_eps_se == threaded.remainder_over_eps_se
         assert serial.y_bar_0 == threaded.y_bar_0
