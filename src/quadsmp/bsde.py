@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import BrownianEnsemble
 from .regression import conditional_expectation
-from .sde import MatrixFlowPair, simulate_matrix_flow
+from .sde import MatrixFlowPair, _diffusion_matrices, simulate_matrix_flow
 
 __all__ = [
     "BsdeSolverError",
@@ -266,8 +266,9 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
             psi_scaled = conditional_expectation(
                 _node_features(flat_flow[:, k], state, k), tgt, degree
             ).reshape(m, n, d)
-        d_k = beta[:, k, :, None, None] * eye + c[:, k]  # (m, d, n, n)
-        z[:, k] = psi_scaled - np.einsum("mdji,mj->mid", d_k, y[:, k])
+        # (D^i)' Y for every i: (m, d, n)
+        d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], eye))[:, :, 0]
+        z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
     return y, z, bracket[:, 0]
 
 
@@ -310,8 +311,9 @@ def solve_multidim_linear_bsde(
     """n-dimensional linear equation: the representation on the matrix flow
     pair of the data coefficients.
 
-    Lambda is the pathwise inverse of the simulated flow, so the scheme's
-    flow/inverse product error does not contaminate the representation.
+    The representation reads the exact pathwise inverse of the simulated
+    flow, so the scheme's flow/inverse product error does not contaminate it
+    and the pair's inverse flow is never stepped unless a caller reads it.
     Returns y: (m, N+1, n), z: (m, N, n, d), the report and the flow pair.
     """
     pair = simulate_matrix_flow(data.a, data.beta, data.c, w)

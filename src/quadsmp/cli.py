@@ -265,6 +265,7 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
         "y2_over_eps_spread": spread,
         "remainder_over_eps": list(rem),
         "remainder_over_eps_se": list(result.remainder_over_eps_se),
+        "remainder_over_eps_diff_z": list(result.remainder_over_eps_diff_z),
         "candidate_value": result.y_bar_0,
     }
 

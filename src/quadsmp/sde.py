@@ -3,12 +3,15 @@
 The matrix flow X solves dX = A X dt + sum_i D^i X dW^i from the identity,
 with D^i = beta^i I + C^i; the companion flow Lambda solves
 dLambda = Lambda (-A + sum_i (D^i)^2) dt - sum_i Lambda D^i dW^i and is the
-pathwise inverse of X, which the pair exposes for the inverse-identity check.
+pathwise inverse of X. Simulating the flow steps X alone; the pair steps
+Lambda from the coefficients it keeps on the first read of its ``inverse``,
+which only the inverse-identity check does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,24 +65,44 @@ def simulate_forward_sde(model, x0, u: np.ndarray, w: BrownianEnsemble) -> np.nd
 
 @dataclass(frozen=True)
 class MatrixFlowPair:
-    """Fundamental solution X and its inverse flow Lambda on the grid.
+    """Fundamental solution X on the grid, with its inverse flow Lambda on demand.
 
-    flow and inverse: (n_paths, n_steps+1, n, n) with Lambda_t X_t = I up to
-    a discretization error that vanishes with dt.
+    flow: (n_paths, n_steps+1, n, n); a, beta and c: the coefficients it was
+    stepped with, broadcast to full shape. ``inverse`` (the flow's shape) is
+    stepped from them on first read and then kept; Lambda_t X_t = I up to a
+    discretization error that vanishes with dt.
     """
 
     w: BrownianEnsemble
     flow: np.ndarray = field(repr=False)
-    inverse: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    beta: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.flow.shape[-1]
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Euler-Maruyama for dLambda = Lambda (-A + sum_i (D^i)^2) dt - sum_i Lambda D^i dW^i."""
+        dw, dt = self.w.increments, self.w.grid.dt
+        eye = np.eye(self.dim)
+        lam = np.empty_like(self.flow)
+        lam[:, 0] = eye
+        for k in range(dw.shape[1]):
+            dk = _diffusion_matrices(self.beta[:, k], self.c[:, k], eye)
+            step = (np.matmul(dk, dk).sum(axis=1) - self.a[:, k]) * dt
+            step -= _noise_term(dw[:, k], dk)
+            step += eye
+            np.matmul(lam[:, k], step, out=lam[:, k + 1])
+            _abort_if_nonfinite(lam[:, k + 1], k + 1, "inverse flow")
+        return lam
+
     def inverse_identity_error(self) -> float:
         """max over paths/nodes of the Frobenius norm of Lambda_t X_t - I."""
-        prod = np.einsum("mtij,mtjk->mtik", self.inverse, self.flow)
-        prod = prod - np.eye(self.dim)
+        prod = np.matmul(self.inverse, self.flow)
+        prod -= np.eye(self.dim)
         return float(np.sqrt(np.sum(prod**2, axis=(2, 3))).max())
 
 
@@ -90,12 +113,25 @@ def _coef_arrays(a, beta, c, n_paths: int, n_steps: int, n: int, d: int):
     return a, beta, c
 
 
+def _diffusion_matrices(beta_k: np.ndarray, c_k: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """D^i = beta^i I + C^i at one step: (m, d, n, n)."""
+    return beta_k[:, :, None, None] * eye + c_k
+
+
+def _noise_term(dw_k: np.ndarray, d_k: np.ndarray) -> np.ndarray:
+    """sum_i dW^i D^i at one step: (m, n, n)."""
+    m, d, n, _ = d_k.shape
+    return np.matmul(dw_k[:, None, :], d_k.reshape(m, d, n * n)).reshape(m, n, n)
+
+
 def simulate_matrix_flow(a, beta, c, w: BrownianEnsemble) -> MatrixFlowPair:
-    """Euler-Maruyama for the matrix flow and its inverse flow.
+    """Euler-Maruyama for the matrix flow, one batched product per step:
+    X_{k+1} = (I + A_k dt + sum_i dW^i_k D^i_k) X_k.
 
     a: drift matrix process, broadcastable to (n_paths, n_steps, n, n);
     beta: scalar diffusion loadings, broadcastable to (n_paths, n_steps, d);
     c: matrix diffusion parts, broadcastable to (n_paths, n_steps, d, n, n).
+    The inverse flow is stepped only when the pair's ``inverse`` is read.
     """
     dw = w.increments
     n_paths, n_steps, d = dw.shape
@@ -104,20 +140,11 @@ def simulate_matrix_flow(a, beta, c, w: BrownianEnsemble) -> MatrixFlowPair:
 
     eye = np.eye(n)
     x = np.empty((n_paths, n_steps + 1, n, n))
-    lam = np.empty_like(x)
     x[:, 0] = eye
-    lam[:, 0] = eye
     for k in range(n_steps):
-        dk = beta[:, k, :, None, None] * eye + c[:, k]  # (m, d, n, n)
-        xk, lk = x[:, k], lam[:, k]
-        dx = np.einsum("mij,mjk->mik", a[:, k], xk) * w.grid.dt
-        dx += np.einsum("md,mdij,mjk->mik", dw[:, k], dk, xk)
-        x[:, k + 1] = xk + dx
-        d_sq = np.einsum("mdij,mdjk->mik", dk, dk)
-        dl = np.einsum("mij,mjk->mik", lk, d_sq - a[:, k]) * w.grid.dt
-        dl -= np.einsum("md,mij,mdjk->mik", dw[:, k], lk, dk)
-        lam[:, k + 1] = lk + dl
+        step = _noise_term(dw[:, k], _diffusion_matrices(beta[:, k], c[:, k], eye))
+        step += a[:, k] * w.grid.dt
+        step += eye
+        np.matmul(step, x[:, k], out=x[:, k + 1])
         _abort_if_nonfinite(x[:, k + 1], k + 1, "matrix flow")
-        _abort_if_nonfinite(lam[:, k + 1], k + 1, "inverse flow")
-    return MatrixFlowPair(w=w, flow=x, inverse=lam)
-
+    return MatrixFlowPair(w=w, flow=x, a=a, beta=beta, c=c)

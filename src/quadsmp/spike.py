@@ -403,6 +403,14 @@ class SpikeStudyResult:
     remainder_over_eps_se: tuple
     y_bar_0: float
 
+    @property
+    def remainder_over_eps_diff_z(self) -> tuple:
+        """z-score of each successive difference of remainder_over_eps,
+        (r[i+1] - r[i]) / hypot(se[i], se[i+1]): one value per window pair."""
+        r = np.asarray(self.remainder_over_eps)
+        se = np.asarray(self.remainder_over_eps_se)
+        return tuple((np.diff(r) / np.hypot(se[:-1], se[1:])).tolist())
+
 
 # functionals fitted on the dyadic ladder, with their target slopes
 FIT_TARGETS = {

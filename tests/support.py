@@ -1,5 +1,6 @@
 """Shared builders for solver tests: linear-generator models and instances,
-and an independent estimate of the spike auxiliary value."""
+an independent estimate of the spike auxiliary value, and the two-einsum
+Euler step of the matrix flow pair as an oracle for the flow kernel."""
 
 import numpy as np
 
@@ -92,3 +93,31 @@ def yhat0_direct_estimate(lin, adj, hats):
         growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])
         weight = weight * (1.0 + growth)
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(m))
+
+
+def euler_flow_pair_reference(a, beta, c, w):
+    """The matrix flow X and its inverse flow Lambda, stepped together with the
+    unregrouped Euler-Maruyama increments (two einsums per flow and step).
+
+    Coefficients are full-shape: a (m, N, n, n), beta (m, N, d), c (m, N, d, n, n).
+    Returns (x, lam), each (m, N+1, n, n).
+    """
+    dw, dt = w.increments, w.grid.dt
+    m, n_steps, _ = dw.shape
+    n = a.shape[-1]
+    eye = np.eye(n)
+    x = np.empty((m, n_steps + 1, n, n))
+    lam = np.empty_like(x)
+    x[:, 0] = eye
+    lam[:, 0] = eye
+    for k in range(n_steps):
+        dk = beta[:, k, :, None, None] * eye + c[:, k]
+        xk, lk = x[:, k], lam[:, k]
+        dx = np.einsum("mij,mjk->mik", a[:, k], xk) * dt
+        dx += np.einsum("md,mdij,mjk->mik", dw[:, k], dk, xk)
+        x[:, k + 1] = xk + dx
+        d_sq = np.einsum("mdij,mdjk->mik", dk, dk)
+        dl = np.einsum("mij,mjk->mik", lk, d_sq - a[:, k]) * dt
+        dl -= np.einsum("md,mij,mdjk->mik", dw[:, k], lk, dk)
+        lam[:, k + 1] = lk + dl
+    return x, lam

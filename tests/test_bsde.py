@@ -222,9 +222,11 @@ class TestMultidimSolver:
             a=np.zeros((m, n, 2, 2)), beta=np.zeros((m, n, 2)), c=np.zeros((m, n, 2, 2, 2)),
             driver=np.zeros((m, n, 2)), xi=np.broadcast_to([2.0, -1.0], (m, 2)),
         )
-        y, z, rep, _ = solve_multidim_linear_bsde(data, w)
+        y, z, rep, pair = solve_multidim_linear_bsde(data, w)
         assert np.all(y == np.array([2.0, -1.0]))
         assert np.all(z == 0.0)
+        # the representation inverts X itself; the inverse flow stays unstepped
+        assert "inverse" not in pair.__dict__
 
     def test_matrix_ode_oracle(self):
         a = np.array([[0.3, 0.1], [-0.2, 0.25]])

@@ -1,6 +1,7 @@
 """CLI harness: validation, artifacts, determinism."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -257,3 +258,7 @@ class TestDeterminism:
         cli.main(["spike", "--config", cfg, "--jobs", "3", "--out", str(out_b)])
         for name in sorted(p.name for p in out_a.iterdir()):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        report = json.loads((out_a / "report.json").read_text())
+        rem, se = report["remainder_over_eps"], report["remainder_over_eps_se"]
+        expected = [(rem[i + 1] - rem[i]) / math.hypot(se[i], se[i + 1]) for i in range(len(rem) - 1)]
+        assert report["remainder_over_eps_diff_z"] == pytest.approx(expected, rel=1e-15)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from support import euler_flow_pair_reference
 
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import scalar_model
@@ -100,3 +101,37 @@ class TestMatrixFlow:
         fit = fit_convergence_order(dts, errors)
         assert 0.7 <= fit.slope <= 1.3
 
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_matches_two_einsum_reference(self, n, d):
+        m, n_steps = 300, 40
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), d, seed=31)
+        rng = np.random.default_rng(n * 10 + d)
+        a = 0.5 * rng.standard_normal((m, n_steps, n, n))
+        beta = 0.3 * rng.standard_normal((m, n_steps, d))
+        c = 0.3 * rng.standard_normal((m, n_steps, d, n, n))
+        x_ref, lam_ref = euler_flow_pair_reference(a, beta, c, w)
+        pair = simulate_matrix_flow(a, beta, c, w)
+        # relative to the largest entry: the regrouped step moves only round-off
+        assert np.abs(pair.flow - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        assert np.abs(pair.inverse - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+
+    def test_inverse_is_stepped_once_on_first_read(self):
+        w = generate_brownian(16, TimeGrid(1.0, 8), 2, seed=7)
+        pair = simulate_matrix_flow(A2, BETA2, C2, w)
+        assert "inverse" not in pair.__dict__
+        first = pair.inverse
+        assert pair.inverse is first
+
+    def test_nonfinite_flow_names_step(self):
+        w = generate_brownian(4, TimeGrid(1.0, 32), 1, seed=8)
+        with pytest.raises(SimulationError, match=r"matrix flow became non-finite at path \d+, step \d+"):
+            simulate_matrix_flow(np.array([[1e200]]), np.zeros(1), np.zeros((1, 1, 1)), w)
+
+    def test_nonfinite_inverse_flow_raises_on_first_read(self):
+        # one step: X = 1 + beta dW stays finite, Lambda's beta^2 dt overflows
+        w = generate_brownian(4, TimeGrid(1.0, 1), 1, seed=9)
+        pair = simulate_matrix_flow(np.zeros((1, 1)), np.array([1e160]), np.zeros((1, 1, 1)), w)
+        assert np.isfinite(pair.flow).all()
+        with pytest.raises(SimulationError, match=r"inverse flow became non-finite at path \d+, step 1"):
+            pair.inverse

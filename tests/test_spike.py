@@ -303,4 +303,5 @@ class TestSpikeStudy:
         assert serial.y2_at_zero == threaded.y2_at_zero
         assert serial.remainder_over_eps == threaded.remainder_over_eps
         assert serial.remainder_over_eps_se == threaded.remainder_over_eps_se
+        assert serial.remainder_over_eps_diff_z == threaded.remainder_over_eps_diff_z
         assert serial.y_bar_0 == threaded.y_bar_0
