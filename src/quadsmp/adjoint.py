@@ -12,12 +12,12 @@ derivatives, written in those coordinates through one constant embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bsde import ControlledTrajectory, MultiLinearBsdeData, solve_multidim_linear_bsde
-from .models import ModelSpec
+from .models import COEFFICIENTS, ModelSpec, coefficient_shape, evaluate
 
 __all__ = [
     "Linearization",
@@ -62,10 +62,10 @@ def unsvec(v: np.ndarray, n: int) -> np.ndarray:
 class Linearization:
     """Coefficients and their derivatives along one candidate trajectory, per step.
 
-    b: (m, N, n); sigma: (m, N, n, d); f: (m, N); b_x: (m, N, n, n);
-    sigma_x: (m, N, d, n, n); b_xx: (m, N, n, n, n); sigma_xx: (m, N, n, d, n, n);
-    f_x: (m, N, n); f_y: (m, N); f_z: (m, N, d). Built once by ``linearize``
-    and shared read-only by the adjoint equations and every spike window.
+    Each array field is the model callable of that name at every step, shaped
+    (m, N) followed by its value axes in ``models.COEFFICIENTS``. Built once by
+    ``linearize`` and shared read-only by the adjoint equations and every spike
+    window.
     """
 
     model: ModelSpec
@@ -85,27 +85,16 @@ class Linearization:
 def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
     """Evaluate the model coefficients and derivatives along the candidate (x, y, z, u)."""
     grid = traj.w.grid
-    n, d = model.n, model.d
-    shapes = {
-        "b": (n,),
-        "sigma": (n, d),
-        "f": (),
-        "b_x": (n, n),
-        "sigma_x": (d, n, n),
-        "b_xx": (n, n, n),
-        "sigma_xx": (n, d, n, n),
-        "f_x": (n,),
-        "f_y": (),
-        "f_z": (d,),
+    steps = {
+        f.name: np.empty((traj.n_paths, grid.n_steps) + coefficient_shape(model, f.name))
+        for f in fields(Linearization)
+        if f.name in COEFFICIENTS
     }
-    steps = {name: np.empty((traj.n_paths, grid.n_steps) + s) for name, s in shapes.items()}
     times = grid.times
     for k in range(grid.n_steps):
-        t, xk, uk = times[k], traj.x[:, k], traj.u[:, k]
-        for name in ("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx"):
-            steps[name][:, k] = getattr(model, name)(t, xk, uk)
-        for name in ("f", "f_x", "f_y", "f_z"):
-            steps[name][:, k] = getattr(model, name)(t, xk, traj.y[:, k], traj.z[:, k], uk)
+        point = {"t": times[k], "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
+        for name, arr in steps.items():
+            arr[:, k] = evaluate(model, name, point)
     for arr in steps.values():  # shared across spike windows and threads
         arr.flags.writeable = False
     return Linearization(model=model, traj=traj, **steps)

@@ -91,7 +91,7 @@ def _model_from(cfg: dict):
     if factory is None:
         raise ConfigError(f"config field 'model': unknown model '{name}' (choose from {sorted(_models())})")
     model = factory()
-    validate_derivatives(model, seed=0, n_probes=32)
+    validate_derivatives(model, n_probes=32)
     return model
 
 
@@ -409,6 +409,9 @@ def main(argv=None) -> int:
             cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(cfg, dict):
+            print(f"config error: {args.config} must hold a JSON object, got {cfg!r:.40}", file=sys.stderr)
             return 2
     if args.seed is not None:
         cfg["seed"] = args.seed

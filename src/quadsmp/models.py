@@ -3,32 +3,26 @@
 A ModelSpec carries the drift b, diffusion sigma, generator f and terminal
 map phi together with their first and second derivatives and the structural
 constants of the admissible class. All callables are vectorized over a batch
-axis m:
-
-    b(t, x, u)            -> (m, n)          x: (m, n), u: (m, k)
-    sigma(t, x, u)        -> (m, n, d)       column i is the loading on W^i
-    f(t, x, y, z, u)      -> (m,)            y: (m,), z: (m, d)
-    phi(x)                -> (m,)
-    b_x                   -> (m, n, n)       [i, j] = d b^i / d x_j
-    sigma_x               -> (m, d, n, n)    [i] = Jacobian of column i
-    f_x, f_y, f_z         -> (m, n), (m,), (m, d)
-    phi_x, phi_xx         -> (m, n), (m, n, n)
-    b_xx                  -> (m, n, n, n)    [i] = Hessian of b^i
-    sigma_xx              -> (m, n, d, n, n) [i, j] = Hessian of sigma^{ij}
-    f_hess                -> (m, n+1+d, n+1+d)  Hessian in (x, y, z)
-    b_u, sigma_u, f_u     -> (m, n, k), (m, d, n, k), (m, k)
+axis m, with arguments t (a float), x: (m, n), y: (m,), z: (m, d) and
+u: (m, k). ``COEFFICIENTS`` states each callable's arguments and the axes of
+its value after the batch axis; ``scalar_model``, ``validate_derivatives``
+and ``adjoint.linearize`` read both from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
     "ControlDomain",
     "ModelSpec",
+    "Coefficient",
+    "COEFFICIENTS",
+    "coefficient_shape",
+    "evaluate",
     "scalar_model",
     "benchmark_model",
     "validate_derivatives",
@@ -109,95 +103,89 @@ class ModelSpec:
         return 2.0 * (1.0 + self.l3 + self.gamma * y_bound) * max(1.0, y_bound)
 
 
+class Coefficient(NamedTuple):
+    """A ModelSpec callable's arguments, in call order, and the axes of its
+    value after the batch axis: n, d, k, or h = n + 1 + d for (x, y, z)."""
+
+    args: tuple
+    axes: str
+
+
+_X = ("x",)
+_TXU = ("t", "x", "u")
+_TXYZU = ("t", "x", "y", "z", "u")
+
+COEFFICIENTS = {
+    "b": Coefficient(_TXU, "n"),
+    "sigma": Coefficient(_TXU, "nd"),  # column i is the loading on W^i
+    "f": Coefficient(_TXYZU, ""),
+    "phi": Coefficient(_X, ""),
+    "b_x": Coefficient(_TXU, "nn"),  # [i, j] = d b^i / d x_j
+    "sigma_x": Coefficient(_TXU, "dnn"),  # [i] = Jacobian of column i
+    "f_x": Coefficient(_TXYZU, "n"),
+    "f_y": Coefficient(_TXYZU, ""),
+    "f_z": Coefficient(_TXYZU, "d"),
+    "phi_x": Coefficient(_X, "n"),
+    "b_xx": Coefficient(_TXU, "nnn"),  # [i] = Hessian of b^i
+    "sigma_xx": Coefficient(_TXU, "ndnn"),  # [i, j] = Hessian of sigma^{ij}
+    "f_hess": Coefficient(_TXYZU, "hh"),  # Hessian in (x, y, z)
+    "phi_xx": Coefficient(_X, "nn"),
+    "b_u": Coefficient(_TXU, "nk"),
+    "sigma_u": Coefficient(_TXU, "dnk"),  # [i] = control Jacobian of column i
+    "f_u": Coefficient(_TXYZU, "k"),
+}
+
+
+def coefficient_shape(model: ModelSpec, name: str) -> tuple:
+    """Shape of the named callable's value after the batch axis, for this model."""
+    size = {"n": model.n, "d": model.d, "k": model.k, "h": model.n + 1 + model.d}
+    return tuple(size[axis] for axis in COEFFICIENTS[name].axes)
+
+
+def evaluate(model: ModelSpec, name: str, point: dict) -> np.ndarray:
+    """The named callable at point, a dict that holds its arguments by name."""
+    return getattr(model, name)(*(point[arg] for arg in COEFFICIENTS[name].args))
+
+
 def _as_batch(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     return a if a.ndim > 0 else a[None]
 
 
-def scalar_model(
-    *,
-    b,
-    b_x,
-    sigma,
-    sigma_x,
-    f,
-    f_x,
-    f_y,
-    f_z,
-    phi,
-    phi_x,
-    phi_xx,
-    b_xx=None,
-    sigma_xx=None,
-    f_xx=None,
-    f_xy=None,
-    f_xz=None,
-    f_yy=None,
-    f_yz=None,
-    f_zz=None,
-    b_u=None,
-    sigma_u=None,
-    f_u=None,
-    **kwargs,
-) -> ModelSpec:
+# per argument family: (scalar callable g, value index e) -> callable on (m, 1) arrays
+_SCALAR_WRAPPERS = {
+    _X: lambda g, e: lambda x: _as_batch(g(x[:, 0]))[e],
+    _TXU: lambda g, e: lambda t, x, u: _as_batch(g(t, x[:, 0], u[:, 0]))[e],
+    _TXYZU: lambda g, e: lambda t, x, y, z, u: _as_batch(g(t, x[:, 0], y, z[:, 0], u[:, 0]))[e],
+}
+
+# entries of the scalar generator's second derivatives in its (x, y, z) Hessian
+_SCALAR_HESSIAN = {"f_xx": (0, 0), "f_xy": (0, 1), "f_xz": (0, 2), "f_yy": (1, 1), "f_yz": (1, 2), "f_zz": (2, 2)}
+
+
+def scalar_model(**fields) -> ModelSpec:
     """Build a one-dimensional (n = d = k = 1) ModelSpec from scalar callables.
 
-    Every callable takes and returns flat float arrays; omitted second
-    derivatives default to zero.
+    Every callable of the table but f_hess takes and returns flat float
+    arrays; f_hess is assembled from f_xx, f_xy, f_xz, f_yy, f_yz and f_zz.
+    Omitted second derivatives default to zero; the other fields pass through.
     """
-    zero = lambda *args: np.zeros_like(_as_batch(args[1]))
-    zero5 = lambda t, x, y, z, u: np.zeros_like(_as_batch(x))
+    pieces = [(ij, fields.pop(name, None)) for name, ij in _SCALAR_HESSIAN.items()]
 
-    b_xx = b_xx or zero
-    sigma_xx = sigma_xx or zero
-    f_xx = f_xx or zero5
-    f_xy = f_xy or zero5
-    f_xz = f_xz or zero5
-    f_yy = f_yy or zero5
-    f_yz = f_yz or zero5
-    f_zz = f_zz or zero5
-
-    def shaped_f_hess(t, x, y, z, u):
-        xs, ys, zs, us = x[:, 0], y, z[:, 0], u[:, 0]
-        h = np.zeros((xs.shape[0], 3, 3))
-        h[:, 0, 0] = f_xx(t, xs, ys, zs, us)
-        h[:, 0, 1] = h[:, 1, 0] = f_xy(t, xs, ys, zs, us)
-        h[:, 0, 2] = h[:, 2, 0] = f_xz(t, xs, ys, zs, us)
-        h[:, 1, 1] = f_yy(t, xs, ys, zs, us)
-        h[:, 1, 2] = h[:, 2, 1] = f_yz(t, xs, ys, zs, us)
-        h[:, 2, 2] = f_zz(t, xs, ys, zs, us)
+    def f_hess(t, x, y, z, u):
+        h = np.zeros((x.shape[0], 3, 3))
+        for (i, j), g in pieces:
+            if g is not None:
+                h[:, i, j] = h[:, j, i] = g(t, x[:, 0], y, z[:, 0], u[:, 0])
         return h
 
-    def wrap2(g):  # (t, x, u) scalar -> shaped
-        return lambda t, x, u, _g=g: _as_batch(_g(t, x[:, 0], u[:, 0]))
-
-    return ModelSpec(
-        n=1,
-        d=1,
-        k=1,
-        b=lambda t, x, u: wrap2(b)(t, x, u)[:, None],
-        sigma=lambda t, x, u: wrap2(sigma)(t, x, u)[:, None, None],
-        f=lambda t, x, y, z, u: _as_batch(f(t, x[:, 0], y, z[:, 0], u[:, 0])),
-        phi=lambda x: _as_batch(phi(x[:, 0])),
-        b_x=lambda t, x, u: wrap2(b_x)(t, x, u)[:, None, None],
-        sigma_x=lambda t, x, u: wrap2(sigma_x)(t, x, u)[:, None, None, None],
-        f_x=lambda t, x, y, z, u: _as_batch(f_x(t, x[:, 0], y, z[:, 0], u[:, 0]))[:, None],
-        f_y=lambda t, x, y, z, u: _as_batch(f_y(t, x[:, 0], y, z[:, 0], u[:, 0])),
-        f_z=lambda t, x, y, z, u: _as_batch(f_z(t, x[:, 0], y, z[:, 0], u[:, 0]))[:, None],
-        phi_x=lambda x: _as_batch(phi_x(x[:, 0]))[:, None],
-        b_xx=lambda t, x, u: wrap2(b_xx)(t, x, u)[:, None, None, None],
-        sigma_xx=lambda t, x, u: wrap2(sigma_xx)(t, x, u)[:, None, None, None, None],
-        f_hess=shaped_f_hess,
-        phi_xx=lambda x: _as_batch(phi_xx(x[:, 0]))[:, None, None],
-        b_u=None if b_u is None else (lambda t, x, u: wrap2(b_u)(t, x, u)[:, None, None]),
-        sigma_u=None
-        if sigma_u is None
-        else (lambda t, x, u: wrap2(sigma_u)(t, x, u)[:, None, None, None]),
-        f_u=None
-        if f_u is None
-        else (lambda t, x, y, z, u: _as_batch(f_u(t, x[:, 0], y, z[:, 0], u[:, 0]))[:, None]),
-        **kwargs,
-    )
+    zero = lambda t, x, u: np.zeros_like(x)
+    fields["b_xx"] = fields.get("b_xx") or zero
+    fields["sigma_xx"] = fields.get("sigma_xx") or zero
+    for name, (args, axes) in COEFFICIENTS.items():
+        if fields.get(name) is not None:
+            fields[name] = _SCALAR_WRAPPERS[args](fields[name], (slice(None),) + (None,) * len(axes))
+    return ModelSpec(n=1, d=1, k=1, f_hess=f_hess, **fields)
 
 
 def benchmark_model() -> ModelSpec:
@@ -235,136 +223,78 @@ def benchmark_model() -> ModelSpec:
     )
 
 
-def validate_derivatives(
-    model: ModelSpec,
-    seed: int = 0,
-    n_probes: int = 64,
-    step: float = 1e-5,
-    rel_tol: float = 1e-4,
-) -> None:
+# (supplied derivative, callables it differentiates, variables), in check order;
+# f_hess differentiates the joined gradient (f_x, f_y, f_z) in (x, y, z)
+_DERIVATIVE_CHECKS = (
+    ("b_x", "b", "x"),
+    ("sigma_x", "sigma", "x"),
+    ("f_x", "f", "x"),
+    ("f_y", "f", "y"),
+    ("f_z", "f", "z"),
+    ("phi_x", "phi", "x"),
+    ("b_xx", "b_x", "x"),
+    ("sigma_xx", "sigma_x", "x"),
+    ("phi_xx", "phi_x", "x"),
+    ("f_hess", "f_x f_y f_z", "xyz"),
+    ("b_u", "b", "u"),
+    ("sigma_u", "sigma", "u"),
+    ("f_u", "f", "u"),
+)
+
+
+def validate_derivatives(model: ModelSpec, n_probes: int = 64) -> None:
     """Check supplied derivatives against central differences at random probes.
 
     Also spot-checks |f(t, x, 0, 0, u)| <= alpha and |f_z| <= l3 + gamma |z|.
-    Raises ValueError on the first disagreement.
+    Raises ValueError on the first disagreement; b_u, sigma_u and f_u are
+    checked when the model declares them.
     """
-    rng = np.random.default_rng(seed)
-    m, n, d, k = n_probes, model.n, model.d, model.k
-    t = 0.37
-    x = rng.standard_normal((m, n))
-    y = rng.standard_normal(m)
-    z = rng.standard_normal((m, d))
-    if model.control_domain is not None:
-        u = model.control_domain.sample(rng, m, k)
-    else:
-        u = rng.standard_normal((m, k))
-    h = step
+    rng = np.random.default_rng(0)
+    m, d, k = n_probes, model.d, model.k
+    point = {
+        "t": 0.37,
+        "x": rng.standard_normal((m, model.n)),
+        "y": rng.standard_normal(m),
+        "z": rng.standard_normal((m, d)),
+    }
+    domain = model.control_domain
+    point["u"] = domain.sample(rng, m, k) if domain is not None else rng.standard_normal((m, k))
+    h, rel_tol = 1e-5, 1e-4
 
-    def compare(tag, supplied, fd):
+    def joined(names, at):
+        values = [evaluate(model, name, at) for name in names]
+        return values[0] if len(values) == 1 else np.concatenate([v.reshape(m, -1) for v in values], axis=1)
+
+    def shifted(var, j, delta):
+        moved = point[var].copy()
+        moved.reshape(m, -1)[:, j] += delta
+        return {**point, var: moved}
+
+    def central(names, variables):
+        """Central differences in every coordinate of the variables, on a new last axis."""
+        cols = [
+            (joined(names, shifted(var, j, h)) - joined(names, shifted(var, j, -h))) / (2 * h)
+            for var in variables
+            for j in range(point[var].reshape(m, -1).shape[1])
+        ]
+        return np.stack(cols, axis=-1)
+
+    for name, names, variables in _DERIVATIVE_CHECKS:
+        if getattr(model, name) is None:
+            continue
+        fd = central(names.split(), variables)
+        if name.startswith("sigma"):  # the sigma family leads with the column index
+            fd = np.swapaxes(fd, 1, 2)
+        fd = fd.reshape((m,) + coefficient_shape(model, name))
+        supplied = evaluate(model, name, point)
         err = np.abs(supplied - fd)
         tol = rel_tol * (1.0 + np.abs(supplied))
         if np.any(err > tol):
             worst = float((err - tol).max())
-            raise ValueError(f"derivative check failed for {tag} (excess {worst:.3e})")
-
-    def shift(a, j, delta):
-        out = a.copy()
-        out[:, j] += delta
-        return out
-
-    # first order in x
-    fd_bx = np.stack(
-        [(model.b(t, shift(x, j, h), u) - model.b(t, shift(x, j, -h), u)) / (2 * h) for j in range(n)],
-        axis=2,
-    )
-    compare("b_x", model.b_x(t, x, u), fd_bx)
-    fd_sx = np.stack(
-        [
-            (model.sigma(t, shift(x, j, h), u) - model.sigma(t, shift(x, j, -h), u)) / (2 * h)
-            for j in range(n)
-        ],
-        axis=3,
-    )  # (m, n, d, n) -> reorder to (m, d, n, n)
-    compare("sigma_x", model.sigma_x(t, x, u), np.transpose(fd_sx, (0, 2, 1, 3)))
-    fd_fx = np.stack(
-        [(model.f(t, shift(x, j, h), y, z, u) - model.f(t, shift(x, j, -h), y, z, u)) / (2 * h) for j in range(n)],
-        axis=1,
-    )
-    compare("f_x", model.f_x(t, x, y, z, u), fd_fx)
-    compare(
-        "f_y",
-        model.f_y(t, x, y, z, u),
-        (model.f(t, x, y + h, z, u) - model.f(t, x, y - h, z, u)) / (2 * h),
-    )
-    fd_fz = np.stack(
-        [(model.f(t, x, y, shift(z, j, h), u) - model.f(t, x, y, shift(z, j, -h), u)) / (2 * h) for j in range(d)],
-        axis=1,
-    )
-    compare("f_z", model.f_z(t, x, y, z, u), fd_fz)
-    fd_phix = np.stack(
-        [(model.phi(shift(x, j, h)) - model.phi(shift(x, j, -h))) / (2 * h) for j in range(n)],
-        axis=1,
-    )
-    compare("phi_x", model.phi_x(x), fd_phix)
-
-    # second order: differentiate the supplied first derivatives
-    fd_bxx = np.stack(
-        [(model.b_x(t, shift(x, j, h), u) - model.b_x(t, shift(x, j, -h), u)) / (2 * h) for j in range(n)],
-        axis=3,
-    )
-    compare("b_xx", model.b_xx(t, x, u), fd_bxx)
-    fd_sxx = np.stack(
-        [
-            (model.sigma_x(t, shift(x, j, h), u) - model.sigma_x(t, shift(x, j, -h), u)) / (2 * h)
-            for j in range(n)
-        ],
-        axis=4,
-    )  # (m, d, n, n, n); sigma_xx is (m, n, d, n, n)
-    compare("sigma_xx", model.sigma_xx(t, x, u), np.transpose(fd_sxx, (0, 2, 1, 3, 4)))
-    fd_phixx = np.stack(
-        [(model.phi_x(shift(x, j, h)) - model.phi_x(shift(x, j, -h))) / (2 * h) for j in range(n)],
-        axis=2,
-    )
-    compare("phi_xx", model.phi_xx(x), fd_phixx)
-
-    def grad_xyz(tt, xx, yy, zz, uu):
-        return np.concatenate(
-            [
-                model.f_x(tt, xx, yy, zz, uu),
-                model.f_y(tt, xx, yy, zz, uu)[:, None],
-                model.f_z(tt, xx, yy, zz, uu),
-            ],
-            axis=1,
-        )
-
-    cols = []
-    for j in range(n):
-        cols.append((grad_xyz(t, shift(x, j, h), y, z, u) - grad_xyz(t, shift(x, j, -h), y, z, u)) / (2 * h))
-    cols.append((grad_xyz(t, x, y + h, z, u) - grad_xyz(t, x, y - h, z, u)) / (2 * h))
-    for j in range(d):
-        cols.append((grad_xyz(t, x, y, shift(z, j, h), u) - grad_xyz(t, x, y, shift(z, j, -h), u)) / (2 * h))
-    compare("f_hess", model.f_hess(t, x, y, z, u), np.stack(cols, axis=2))
-
-    # control derivatives, when the model declares them
-    if model.b_u is not None:
-        fd_bu = np.stack(
-            [(model.b(t, x, shift(u, j, h)) - model.b(t, x, shift(u, j, -h))) / (2 * h) for j in range(k)],
-            axis=2,
-        )
-        compare("b_u", model.b_u(t, x, u), fd_bu)
-    if model.sigma_u is not None:
-        fd_su = np.stack(
-            [(model.sigma(t, x, shift(u, j, h)) - model.sigma(t, x, shift(u, j, -h))) / (2 * h) for j in range(k)],
-            axis=3,
-        )
-        compare("sigma_u", model.sigma_u(t, x, u), np.transpose(fd_su, (0, 2, 1, 3)))
-    if model.f_u is not None:
-        fd_fu = np.stack(
-            [(model.f(t, x, y, z, shift(u, j, h)) - model.f(t, x, y, z, shift(u, j, -h))) / (2 * h) for j in range(k)],
-            axis=1,
-        )
-        compare("f_u", model.f_u(t, x, y, z, u), fd_fu)
+            raise ValueError(f"derivative check failed for {name} (excess {worst:.3e})")
 
     # structural bounds, spot-checked on the probe cloud
+    t, x, y, z, u = (point[arg] for arg in _TXYZU)
     f0 = model.f(t, x, np.zeros(m), np.zeros((m, d)), u)
     if np.any(np.abs(f0) > model.alpha + 1e-9):
         raise ValueError(f"|f(t,x,0,0,u)| exceeds alpha={model.alpha}")

@@ -40,16 +40,16 @@ def hamiltonian(
     p: np.ndarray,
     q: np.ndarray,
     big_p: np.ndarray,
-    x_ref: np.ndarray,
     u_ref: np.ndarray,
 ) -> np.ndarray:
     """Batched Hamiltonian with the diffusion-difference shift in the z slot.
 
+    The shift is built from sigma(t, x, u) - sigma(t, x, u_ref).
     x, p: (m, n); y: (m,); z: (m, d); u, u_ref: (m, k); q: (m, n, d);
-    big_p: (m, n, n); x_ref: (m, n). Returns (m,).
+    big_p: (m, n, n). Returns (m,).
     """
     sigma = model.sigma(t, x, u)
-    sigma_diff = sigma - model.sigma(t, x_ref, u_ref)
+    sigma_diff = sigma - model.sigma(t, x, u_ref)
     delta = np.einsum("mid,mi->md", sigma_diff, p)
     value = np.einsum("mi,mi->m", p, model.b(t, x, u))
     value += np.einsum("mid,mid->m", q, sigma)
@@ -96,8 +96,8 @@ def hamiltonian_difference_identity(
     + sum_i (sigma_hat^i)' P sigma_hat^i / 2, an algebraic identity; the
     returned value should be at round-off level.
     """
-    lhs = hamiltonian(model, t, x_ref, y, z, u, p, q, big_p, x_ref, u_ref)
-    lhs -= hamiltonian(model, t, x_ref, y, z, u_ref, p, q, big_p, x_ref, u_ref)
+    lhs = hamiltonian(model, t, x_ref, y, z, u, p, q, big_p, u_ref)
+    lhs -= hamiltonian(model, t, x_ref, y, z, u_ref, p, q, big_p, u_ref)
     sigma_hat = model.sigma(t, x_ref, u) - model.sigma(t, x_ref, u_ref)
     delta = np.einsum("mid,mi->md", sigma_hat, p)
     rhs = np.einsum("mi,mi->m", p, model.b(t, x_ref, u) - model.b(t, x_ref, u_ref))
@@ -166,10 +166,10 @@ def check_global_smp(
         t = grid.times[k]
         xk, yk, zk, uk = traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
         pk, qk, bpk = p[:, k], q[:, k], big_p[:, k]
-        h_ref = hamiltonian(model, t, xk, yk, zk, uk, pk, qk, bpk, xk, uk)
+        h_ref = hamiltonian(model, t, xk, yk, zk, uk, pk, qk, bpk, uk)
         for c in controls:
             u_test = np.broadcast_to(c, uk.shape)
-            gap = hamiltonian(model, t, xk, yk, zk, u_test, pk, qk, bpk, xk, uk) - h_ref
+            gap = hamiltonian(model, t, xk, yk, zk, u_test, pk, qk, bpk, uk) - h_ref
             worst = min(worst, float(gap.min()))
             bad = np.nonzero(gap < -tolerance)[0]
             n_viol += bad.size

@@ -1,12 +1,13 @@
 """Shared builders for solver tests: linear-generator models and instances,
-an independent estimate of the spike auxiliary value, and the two-einsum
-Euler step of the matrix flow pair as an oracle for the flow kernel."""
+an n = d = k = 2 model with every derivative layout visible, an independent
+estimate of the spike auxiliary value, and the two-einsum Euler step of the
+matrix flow pair as an oracle for the flow kernel."""
 
 import numpy as np
 
 from quadsmp.bsde import LinearBsdeData
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
-from quadsmp.models import scalar_model
+from quadsmp.models import ControlDomain, ModelSpec, scalar_model
 from quadsmp.sde import simulate_forward_sde
 from quadsmp.spike import _yhat_driver
 
@@ -73,6 +74,113 @@ def random_linear_instance(seed, n_paths=8000, n_steps=100):
         phi[:, k] = phi_fn(grid.times[k], x[:, k, 0])
     data = LinearBsdeData(lam=lam, mu=mu, phi=phi, xi=terminal_fn(x[:, -1, 0]), state=x)
     return model, data, x, u, w
+
+
+def planar_model():
+    """An n = d = k = 2 model whose derivatives fill every axis of their layout.
+
+    b = A x + B[x, x]/2 + C u; sigma^{ic} = S_ic + G_c,i x + T_ic[x, x]/2
+    + V_c,i sin(u), so sigma_x is not diagonal, sigma_xx differs between
+    sigma^{01} and sigma^{10}, and sigma_u depends on u; f couples x, y and z
+    (f_hess has x-y, x-z, y-z and z-z entries); phi = tanh(x0 - x1/2)
+    + x0 x1/10. Coefficients are fixed by a seeded draw; controls lie in
+    [-1, 1]^2.
+    """
+    rng = np.random.default_rng(11)
+    a, c = rng.uniform(-0.5, 0.5, (2, 2, 2))
+    half = rng.uniform(-0.2, 0.2, (2, 2, 2))
+    bxx = half + half.transpose(0, 2, 1)  # [i] = Hessian of b^i
+    s0 = rng.uniform(-0.5, 0.5, (2, 2))
+    g = rng.uniform(-0.5, 0.5, (2, 2, 2))  # [c, i, j] = d sigma^{ic} / d x_j at x = 0
+    half = rng.uniform(-0.2, 0.2, (2, 2, 2, 2))
+    sxx = half + half.transpose(0, 1, 3, 2)  # [i, c] = Hessian of sigma^{ic}
+    v = rng.uniform(-0.5, 0.5, (2, 2, 2))  # [c, i, l] = loading of sin(u_l) in sigma^{ic}
+    tilt = np.array([1.0, -0.5])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def batch(arr, x):
+        return np.broadcast_to(arr, (x.shape[0],) + arr.shape)
+
+    def f_hess(t, x, y, z, u):
+        s = np.sin(x @ tilt)
+        sz = np.sin(z[:, 0] + x[:, 0])
+        th, sech2 = np.tanh(y), 1.0 - np.tanh(y) ** 2
+        h = np.zeros((x.shape[0], 5, 5))  # (x0, x1, y, z0, z1)
+        entries = {
+            (0, 0): -0.2 * s - 0.1 * sz,
+            (0, 1): 0.1 * s,
+            (1, 1): -0.05 * s - 0.3 * th * np.cos(x[:, 1]),
+            (1, 2): -0.3 * sech2 * np.sin(x[:, 1]),
+            (2, 2): -2.0 * th * sech2 * (0.3 * np.cos(x[:, 1]) + 0.1 * np.sin(z[:, 1])),
+            (0, 3): -0.1 * sz,
+            (2, 4): 0.1 * sech2 * np.cos(z[:, 1]),
+            (3, 3): -0.1 * sz,
+            (3, 4): np.full(x.shape[0], 0.25),
+            (4, 4): -0.1 * th * np.sin(z[:, 1]),
+        }
+        for (i, j), val in entries.items():
+            h[:, i, j] = h[:, j, i] = val
+        return h
+
+    def phi_xx(x):
+        th = np.tanh(x @ tilt)
+        return (-2.0 * th * (1.0 - th**2))[:, None, None] * np.outer(tilt, tilt) + 0.1 * swap
+
+    return ModelSpec(
+        n=2,
+        d=2,
+        k=2,
+        b=lambda t, x, u: x @ a.T + 0.5 * np.einsum("ijk,mj,mk->mi", bxx, x, x) + u @ c.T,
+        sigma=lambda t, x, u: (
+            s0
+            + np.einsum("cij,mj->mic", g, x)
+            + 0.5 * np.einsum("icjk,mj,mk->mic", sxx, x, x)
+            + np.einsum("cil,ml->mic", v, np.sin(u))
+        ),
+        f=lambda t, x, y, z, u: (
+            0.2 * np.sin(x @ tilt)
+            + 0.3 * np.tanh(y) * np.cos(x[:, 1])
+            + 0.1 * np.sin(z[:, 0] + x[:, 0])
+            + 0.1 * np.tanh(y) * np.sin(z[:, 1])
+            + 0.25 * z[:, 0] * z[:, 1]
+            + 0.1 * u[:, 1] * z[:, 0]
+            + 0.5 * u[:, 0] ** 2
+            + 0.2 * u[:, 0] * u[:, 1]
+        ),
+        phi=lambda x: np.tanh(x @ tilt) + 0.1 * x[:, 0] * x[:, 1],
+        b_x=lambda t, x, u: a + np.einsum("ijk,mk->mij", bxx, x),
+        sigma_x=lambda t, x, u: g + np.einsum("icjk,mk->mcij", sxx, x),
+        f_x=lambda t, x, y, z, u: np.stack(
+            [
+                0.2 * np.cos(x @ tilt) + 0.1 * np.cos(z[:, 0] + x[:, 0]),
+                -0.1 * np.cos(x @ tilt) - 0.3 * np.tanh(y) * np.sin(x[:, 1]),
+            ],
+            axis=1,
+        ),
+        f_y=lambda t, x, y, z, u: (1.0 - np.tanh(y) ** 2) * (0.3 * np.cos(x[:, 1]) + 0.1 * np.sin(z[:, 1])),
+        f_z=lambda t, x, y, z, u: np.stack(
+            [
+                0.1 * np.cos(z[:, 0] + x[:, 0]) + 0.25 * z[:, 1] + 0.1 * u[:, 1],
+                0.1 * np.tanh(y) * np.cos(z[:, 1]) + 0.25 * z[:, 0],
+            ],
+            axis=1,
+        ),
+        phi_x=lambda x: (1.0 - np.tanh(x @ tilt) ** 2)[:, None] * tilt + 0.1 * x[:, ::-1],
+        b_xx=lambda t, x, u: batch(bxx, x),
+        sigma_xx=lambda t, x, u: batch(sxx, x),
+        f_hess=f_hess,
+        phi_xx=phi_xx,
+        b_u=lambda t, x, u: batch(c, x),
+        sigma_u=lambda t, x, u: v * np.cos(u)[:, None, None, :],
+        f_u=lambda t, x, y, z, u: np.stack([u[:, 0] + 0.2 * u[:, 1], 0.2 * u[:, 0] + 0.1 * z[:, 0]], axis=1),
+        alpha=1.0,
+        gamma=0.25,
+        l1=1.0,
+        l2=1.0,
+        l3=0.3,
+        control_domain=ControlDomain("box", (-1.0, 1.0)),
+        name="planar",
+    )
 
 
 def yhat0_direct_estimate(lin, adj, hats):

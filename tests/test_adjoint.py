@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from support import driver_model
+from support import driver_model, planar_model
 
 from quadsmp.adjoint import (
     _second_order_operators,
@@ -99,23 +99,40 @@ def quadratic_terminal_model():
     )
 
 
+def _assert_equals_per_step_evaluation(model, traj):
+    lin = linearize(model, traj)
+    assert lin.model is model and lin.traj is traj
+    times = traj.w.grid.times
+    for k in range(traj.w.grid.n_steps):
+        t, xk, yk, zk, uk = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
+        for name in ("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx"):
+            assert np.array_equal(getattr(lin, name)[:, k], getattr(model, name)(t, xk, uk)), name
+        for name in ("f", "f_x", "f_y", "f_z"):
+            expected = getattr(model, name)(t, xk, yk, zk, uk)
+            assert np.array_equal(getattr(lin, name)[:, k], expected), name
+    for name in ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
+        assert not getattr(lin, name).flags.writeable, name
+
+
 class TestLinearization:
     @pytest.mark.parametrize("factory,x0", [(benchmark_model, 1.0), (example_model, 0.0)])
     def test_arrays_equal_per_step_evaluation(self, factory, x0):
         model = factory()
-        traj = _trajectory(model, x0, n_paths=300, n_steps=16, seed=8)
-        lin = linearize(model, traj)
-        assert lin.model is model and lin.traj is traj
-        times = traj.w.grid.times
-        for k in range(traj.w.grid.n_steps):
-            t, xk, yk, zk, uk = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
-            for name in ("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx"):
-                assert np.array_equal(getattr(lin, name)[:, k], getattr(model, name)(t, xk, uk)), name
-            for name in ("f", "f_x", "f_y", "f_z"):
-                expected = getattr(model, name)(t, xk, yk, zk, uk)
-                assert np.array_equal(getattr(lin, name)[:, k], expected), name
-        for name in ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
-            assert not getattr(lin, name).flags.writeable, name
+        _assert_equals_per_step_evaluation(model, _trajectory(model, x0, n_paths=300, n_steps=16, seed=8))
+
+    def test_planar_arrays_equal_per_step_evaluation(self):
+        # n = d = k = 2 with every layout axis filled, along a random candidate
+        model = planar_model()
+        rng = np.random.default_rng(4)
+        m, n_steps = 50, 6
+        traj = ControlledTrajectory(
+            w=generate_brownian(m, TimeGrid(1.0, n_steps), model.d, 4),
+            x=rng.standard_normal((m, n_steps + 1, 2)),
+            y=rng.standard_normal((m, n_steps + 1)),
+            z=rng.standard_normal((m, n_steps, 2)),
+            u=rng.uniform(-1.0, 1.0, (m, n_steps, 2)),
+        )
+        _assert_equals_per_step_evaluation(model, traj)
 
 
 class TestFirstOrder:

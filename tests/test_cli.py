@@ -24,6 +24,15 @@ class TestValidation:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [None, [1], "x", 3])
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "1"]])
+    def test_config_not_an_object_rejected(self, tmp_path, capsys, payload, seed_flag):
+        cfg = _write_config(tmp_path, payload)
+        code = cli.main(["example", "--config", cfg, *seed_flag, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and cfg in err
+
     def test_unknown_model_field_error(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,

@@ -1,18 +1,73 @@
-"""Model bundles: derivative agreement and structural constants."""
+"""Model bundles: derivative agreement, value layouts and structural constants."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from support import planar_model
 
 from quadsmp.example import example_model
-from quadsmp.models import ControlDomain, benchmark_model, scalar_model, validate_derivatives
+from quadsmp.models import (
+    COEFFICIENTS,
+    ControlDomain,
+    benchmark_model,
+    coefficient_shape,
+    evaluate,
+    scalar_model,
+    validate_derivatives,
+)
+
+DERIVATIVES = (
+    "b_x", "sigma_x", "f_x", "f_y", "f_z", "phi_x", "b_xx", "sigma_xx", "phi_xx", "f_hess", "b_u", "sigma_u", "f_u",
+)
 
 
 def test_benchmark_derivatives_agree():
-    validate_derivatives(benchmark_model(), seed=0)
+    validate_derivatives(benchmark_model())
 
 
 def test_example_derivatives_agree():
-    validate_derivatives(example_model(), seed=0)
+    validate_derivatives(example_model())
+
+
+def test_planar_derivatives_agree():
+    validate_derivatives(planar_model())
+
+
+@pytest.mark.parametrize("name", DERIVATIVES)
+def test_perturbed_derivative_named(name):
+    model = planar_model()
+    supplied = getattr(model, name)
+    broken = dataclasses.replace(model, **{name: lambda *args: supplied(*args) + 0.01})
+    with pytest.raises(ValueError, match=rf"for {name} \("):
+        validate_derivatives(broken)
+
+
+@pytest.mark.parametrize("name", ["sigma_x", "sigma_xx", "sigma_u"])
+def test_transposed_sigma_layout_named(name):
+    # the sigma family leads with the column index; a row-first layout has the same shape at n = d
+    model = planar_model()
+    supplied = getattr(model, name)
+    broken = dataclasses.replace(model, **{name: lambda *args: np.swapaxes(supplied(*args), 1, 2)})
+    with pytest.raises(ValueError, match=rf"for {name} \("):
+        validate_derivatives(broken)
+
+
+@pytest.mark.parametrize("maker", [benchmark_model, example_model, planar_model])
+def test_callables_return_the_table_layout(maker):
+    model = maker()
+    rng = np.random.default_rng(5)
+    m = 7
+    point = {
+        "t": 0.3,
+        "x": rng.standard_normal((m, model.n)),
+        "y": rng.standard_normal(m),
+        "z": rng.standard_normal((m, model.d)),
+        "u": model.control_domain.sample(rng, m, model.k),
+    }
+    assert set(COEFFICIENTS) == {f.name for f in dataclasses.fields(model) if callable(getattr(model, f.name))}
+    for name in COEFFICIENTS:
+        assert evaluate(model, name, point).shape == (m,) + coefficient_shape(model, name), name
 
 
 def test_broken_derivative_detected():

@@ -38,7 +38,7 @@ class TestHamiltonian:
         pts = _random_point_batch(model, 64, seed=0)
         h = smp.hamiltonian(
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u_ref"],
-            pts["p"], pts["q"], pts["big_p"], pts["x"], pts["u_ref"],
+            pts["p"], pts["q"], pts["big_p"], pts["u_ref"],
         )
         plain = smp.auxiliary_hamiltonian(
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u_ref"], pts["p"], pts["q"]
@@ -55,11 +55,11 @@ class TestHamiltonian:
             )
             h_u = smp.hamiltonian(
                 model, 0.5, point["x"], point["y"], point["z"], np.full((1, 1), u),
-                point["p"], point["q"], point["big_p"], point["x"], np.zeros((1, 1)),
+                point["p"], point["q"], point["big_p"], np.zeros((1, 1)),
             )
             h_0 = smp.hamiltonian(
                 model, 0.5, point["x"], point["y"], point["z"], np.zeros((1, 1)),
-                point["p"], point["q"], point["big_p"], point["x"], np.zeros((1, 1)),
+                point["p"], point["q"], point["big_p"], np.zeros((1, 1)),
             )
             gap = h_u - h_0
             assert gap.shape == (1,)
@@ -84,7 +84,7 @@ class TestHamiltonian:
         pts = _random_point_batch(model, 64, seed=1)
         h = smp.hamiltonian(
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u"],
-            pts["p"], pts["q"], pts["big_p"], 2.0 + pts["x"], pts["u_ref"],
+            pts["p"], pts["q"], pts["big_p"], pts["u_ref"],
         )
         aux = smp.auxiliary_hamiltonian(
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u"], pts["p"], pts["q"]
