@@ -7,7 +7,9 @@ solvers, adjoint equations, spike-variation order studies, maximum-principle
 checks, the solvable arctan example, and a seeded CLI harness.
 """
 
-from . import adjoint, bmo, bsde, cli, example, grids, models, regression, sde, smp, spike
+import importlib
+
+from . import adjoint, bmo, bsde, example, grids, models, regression, sde, smp, spike
 
 __all__ = [
     "adjoint",
@@ -24,3 +26,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # PEP 562: cli loads on first use, so `python -m quadsmp.cli` runs it fresh
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import BrownianEnsemble
-from .regression import conditional_expectation
+from .regression import RegressionBasis, conditional_expectation
 from .sde import MatrixFlowPair, _diffusion_matrices, simulate_matrix_flow
 
 __all__ = [
@@ -116,14 +116,6 @@ class SolverReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _node_features(base: np.ndarray, state: Optional[np.ndarray], k: int) -> np.ndarray:
-    cols = [base]
-    if state is not None:
-        extra = state[:, k]
-        cols.append(extra if extra.ndim == 2 else extra[:, None])
-    return np.column_stack(cols)
-
-
 def solve_bsde_lsmc(
     model,
     x: np.ndarray,
@@ -154,10 +146,11 @@ def solve_bsde_lsmc(
     clip_hits = 0
     for k in range(n_steps - 1, -1, -1):
         feats = x[:, k]
+        basis = RegressionBasis(feats, degree)
         y_next = y[:, k + 1]
-        e_next = conditional_expectation(feats, y_next, degree, t_min=0.0)
+        e_next = conditional_expectation(basis, y_next, degree, t_min=0.0)
         z_fit = conditional_expectation(
-            feats, (y_next - e_next)[:, None] * w.increments[:, k] / dt, degree, t_min=0.0
+            basis, (y_next - e_next)[:, None] * w.increments[:, k] / dt, degree, t_min=0.0
         )
         z_norm = np.sqrt(np.sum(z_fit**2, axis=1))
         over = z_norm > z_truncation
@@ -246,26 +239,27 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     np.einsum("mtji,mtj->mti", inv[:, :n_steps], bracket[:, :n_steps], out=y[:, :n_steps])
     y[:, n_steps] = xi
     flat_flow = flow.reshape(m, n_steps + 1, n * n)
-    for k in range(n_steps):
-        target = y[:, k]
-        if not np.all(target == target[0]):
-            y[:, k] = conditional_expectation(_node_features(flat_flow[:, k], state, k), target, degree)
-
     prefix = np.zeros((m, n_steps + 1, n))
     np.cumsum(weighted_f, axis=1, out=prefix[:, 1:])
-    g_mart = np.einsum("mtji,mtj->mti", flow, y) + prefix
-    incrs = np.einsum("mtji,mtj->mti", inv[:, :n_steps], np.diff(g_mart, axis=1))
-    del g_mart  # only its increments are regressed
     z = np.empty((m, n_steps, n, d))
     eye = np.eye(n)
-    for k in range(n_steps):
-        tgt = (incrs[:, k, :, None] * w.increments[:, k][:, None, :] / dt).reshape(m, n * d)
+    # one backward pass: node k's basis serves its Y fit and then its Z fit,
+    # which regresses the martingale increment of X'Y + int X'f ds on (k, k+1]
+    g_next = np.einsum("mji,mj->mi", flow[:, n_steps], y[:, n_steps]) + prefix[:, n_steps]
+    for k in range(n_steps - 1, -1, -1):
+        feats = flat_flow[:, k] if state is None else np.column_stack([flat_flow[:, k], state[:, k]])
+        basis = RegressionBasis(feats, degree)
+        target = y[:, k]
+        if not np.all(target == target[0]):
+            y[:, k] = conditional_expectation(basis, target, degree)
+        g_k = np.einsum("mji,mj->mi", flow[:, k], y[:, k]) + prefix[:, k]
+        incr = np.einsum("mji,mj->mi", inv[:, k], g_next - g_k)
+        g_next = g_k
+        tgt = (incr[:, :, None] * w.increments[:, k][:, None, :] / dt).reshape(m, n * d)
         if np.all(tgt == 0.0):
             psi_scaled = np.zeros((m, n, d))
         else:
-            psi_scaled = conditional_expectation(
-                _node_features(flat_flow[:, k], state, k), tgt, degree
-            ).reshape(m, n, d)
+            psi_scaled = conditional_expectation(basis, tgt, degree).reshape(m, n, d)
         # (D^i)' Y for every i: (m, d, n)
         d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], eye))[:, :, 0]
         z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
@@ -303,6 +297,19 @@ def solve_linear_bsde_weighted(
     return y[:, :, 0], z[:, :, 0], report
 
 
+def _flow_inverse(flow: np.ndarray) -> np.ndarray:
+    """Pathwise inverse of a (..., n, n) flow; at n <= 2 it is 1/X or the adjugate
+    over the determinant, which skip LAPACK's per-matrix overhead."""
+    n = flow.shape[-1]
+    if n > 2:
+        return np.linalg.inv(flow)
+    det = flow[..., 0, 0] if n == 1 else flow[..., 0, 0] * flow[..., 1, 1] - flow[..., 0, 1] * flow[..., 1, 0]
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise BsdeSolverError("simulated flow has a zero or non-finite determinant; cannot invert")
+    adj = np.ones_like(flow) if n == 1 else (flow[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]).swapaxes(-1, -2)
+    return adj / det[..., None, None]
+
+
 def solve_multidim_linear_bsde(
     data: MultiLinearBsdeData,
     w: BrownianEnsemble,
@@ -317,7 +324,7 @@ def solve_multidim_linear_bsde(
     Returns y: (m, N+1, n), z: (m, N, n, d), the report and the flow pair.
     """
     pair = simulate_matrix_flow(data.a, data.beta, data.c, w)
-    inv = np.linalg.inv(pair.flow)
+    inv = _flow_inverse(pair.flow)
     if not np.isfinite(inv).all():
         raise BsdeSolverError("simulated flow is numerically singular; cannot invert")
     y, z, target0 = _represent(pair.flow, inv, data.driver, data.xi, data.beta, data.c, data.state, w, degree)

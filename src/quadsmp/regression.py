@@ -2,17 +2,20 @@
 
 The single regression primitive shared by the backward solvers and the BMO
 estimators: fit a polynomial in the supplied state features and return the
-fitted values, which play the role of E[target | F_t] on the ensemble.
+fitted values, which play the role of E[target | F_t] on the ensemble. A
+RegressionBasis holds one node's design and factorization, so every target
+regressed on the same features reuses them.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["polynomial_design", "conditional_expectation", "RankDeficientRegression"]
+__all__ = ["polynomial_design", "RegressionBasis", "conditional_expectation", "RankDeficientRegression"]
 
 RIDGE = 1e-9  # ridge penalty, relative to the mean Gram diagonal, of the rank-deficient fallback
 
@@ -26,9 +29,7 @@ def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
 
     features: (m, p). Returns (m, n_terms) including the intercept column.
     """
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = np.asarray(features, dtype=float).reshape(len(features), -1)
     m, p = x.shape
     cols = [np.ones(m)]
     for deg in range(1, degree + 1):
@@ -40,8 +41,55 @@ def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+class RegressionBasis:
+    """One node's design and factorizations: each is built on the first fit
+    that reads it and reused by every later fit on the same (m, p) features."""
+
+    def __init__(self, features: np.ndarray, degree: int = 2, winsor: float = 0.005):
+        self.features = np.asarray(features, dtype=float).reshape(len(features), -1)
+        self.degree = degree
+        self.winsor = winsor
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """(m, p) standardized design; column 0 is the intercept."""
+        x = self.features
+        if self.winsor > 0.0 and x.shape[0] > 20:
+            # np.quantile's linear rule between order statistics, without its overhead
+            rank = (x.shape[0] - 1) * np.array([self.winsor, 1.0 - self.winsor])
+            below = np.floor(rank).astype(int)
+            a, b = np.sort(x, axis=0)[np.stack([below, below + 1])]
+            g = (rank - below)[:, None]
+            x = np.clip(x, *np.where(g < 0.5, a + (b - a) * g, b - (b - a) * (1 - g)))
+        design = polynomial_design(x, self.degree)
+        # center/scale the non-intercept columns by their std; drop (near-)constant
+        # columns so degenerate designs collapse cleanly to the unconditional mean
+        mean = design.mean(axis=0)
+        mean[0] = 0.0
+        design -= mean
+        scale = np.sqrt(np.mean(design * design, axis=0))  # 1 on the intercept
+        keep = scale > 1e-10 * (1.0 + np.abs(mean))
+        return design[:, keep] / scale[keep]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, s, vt) cut at lstsq's rank: s at or below eps max(m, p) s[0] is zero."""
+        u, s, vt = np.linalg.svd(self.design, full_matrices=False)
+        rank = int(np.count_nonzero(s > np.finfo(float).eps * max(self.design.shape) * s[0]))
+        return u[:, :rank], s[:rank], vt[:rank]
+
+    @cached_property
+    def gram_inv_diag(self) -> np.ndarray | None:
+        """Diagonal of the Gram inverse, None where the Gram matrix is singular:
+        it squares the design's condition number, so it can be at full rank."""
+        try:
+            return np.diag(np.linalg.inv(self.design.T @ self.design))
+        except np.linalg.LinAlgError:
+            return None
+
+
 def conditional_expectation(
-    features: np.ndarray,
+    features: np.ndarray | RegressionBasis,
     targets: np.ndarray,
     degree: int = 2,
     winsor: float = 0.005,
@@ -49,7 +97,8 @@ def conditional_expectation(
 ) -> np.ndarray:
     """Fitted values of a polynomial regression of targets on features.
 
-    features: (m, p) state observed at the conditioning time; constant columns
+    features: (m, p) state observed at the conditioning time, or its
+    RegressionBasis built with the same degree and winsor; constant columns
     are dropped after centering, so fully degenerate features collapse the
     estimate to the unconditional mean. targets: (m,) or (m, q).
 
@@ -61,41 +110,20 @@ def conditional_expectation(
     surfaces collapse to the mean instead of acquiring spurious derivatives.
     On a rank deficient design the solve falls back to ridge with a warning.
     """
-    t = np.asarray(targets, dtype=float)
-    squeeze = t.ndim == 1
-    if squeeze:
-        t = t[:, None]
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if winsor > 0.0 and x.shape[0] > 20:
-        lo, hi = np.quantile(x, [winsor, 1.0 - winsor], axis=0)
-        x = np.clip(x, lo, hi)
-    design = polynomial_design(x, degree)
-
-    # center/scale the non-intercept columns; drop (near-)constant columns so
-    # degenerate designs collapse cleanly to the unconditional mean
-    mean = design.mean(axis=0)
-    mean[0] = 0.0
-    scale = design.std(axis=0)
-    scale[0] = 1.0
-    keep = scale > 1e-10 * (1.0 + np.abs(mean))
-    keep[0] = True
-    scale[~keep] = 1.0
-    a = (design - mean) / scale
-    a = a[:, keep]
+    basis = features if isinstance(features, RegressionBasis) else RegressionBasis(features, degree, winsor)
+    if (basis.degree, basis.winsor) != (degree, winsor):
+        raise ValueError(f"basis has degree {basis.degree}, winsor {basis.winsor}; fit asked {degree}, {winsor}")
+    targets = np.asarray(targets, dtype=float)
+    t = targets.reshape(len(targets), -1)
+    a = basis.design
     m, p = a.shape
+    u, s, vt = basis.svd
+    rank = s.size
 
-    coef, _, rank, _ = np.linalg.lstsq(a, t, rcond=None)
     pretest = t_min > 0.0 and p > 1 and m > p + 2
     deficiency = f"{rank} < {p} columns" if rank < p else None
-    if deficiency is None and pretest:
-        # lstsq ranks the singular values of a; the Gram matrix squares its
-        # condition number and can be singular at full rank
-        try:
-            gram_inv_diag = np.diag(np.linalg.inv(a.T @ a))
-        except np.linalg.LinAlgError:
-            deficiency = f"singular Gram matrix at rank {rank}"
+    if deficiency is None and pretest and basis.gram_inv_diag is None:
+        deficiency = f"singular Gram matrix at rank {rank}"
     if deficiency is not None:
         warnings.warn(
             f"rank-deficient regression design ({deficiency}); falling back to ridge",
@@ -103,31 +131,24 @@ def conditional_expectation(
             stacklevel=2,
         )
         gram = a.T @ a
-        lam = RIDGE * max(1.0, float(np.trace(gram)) / p)
-        penalty = lam * np.eye(p)
+        penalty = RIDGE * max(1.0, float(np.trace(gram)) / p) * np.eye(p)
         penalty[0, 0] = 0.0  # never shrink the intercept
         coef = np.linalg.solve(gram + penalty, a.T @ t)
-        fitted = a @ coef
-        return fitted[:, 0] if squeeze else fitted
+        pretest = False
+    else:
+        coef = vt.T @ ((u.T @ t) / s[:, None])
+    fitted = a @ coef
 
     if pretest:
-        resid = t - a @ coef
-        dof = m - p
-        sigma2 = np.sum(resid**2, axis=0) / dof  # per target column
-        fitted = np.empty_like(t)
+        sigma2 = np.sum((t - fitted) ** 2, axis=0) / (m - p)  # per target column, on m - p dof
         for col in range(t.shape[1]):
-            se = np.sqrt(np.maximum(sigma2[col] * gram_inv_diag, 1e-300))
+            se = np.sqrt(np.maximum(sigma2[col] * basis.gram_inv_diag, 1e-300))
             significant = np.abs(coef[:, col]) >= t_min * se
             significant[0] = True
-            if significant.all():
-                fitted[:, col] = a @ coef[:, col]
-            elif not significant[1:].any():
+            if not significant[1:].any():
                 fitted[:, col] = t[:, col].mean()
-            else:
+            elif not significant.all():
                 sub = a[:, significant]
                 sub_coef, *_ = np.linalg.lstsq(sub, t[:, col], rcond=None)
                 fitted[:, col] = sub @ sub_coef
-        return fitted[:, 0] if squeeze else fitted
-
-    fitted = a @ coef
-    return fitted[:, 0] if squeeze else fitted
+    return fitted.reshape(targets.shape)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .adjoint import AdjointBundle, Linearization, linearize, solve_adjoints
 from .bsde import (
@@ -376,7 +375,8 @@ def fit_convergence_order(eps_values, errors) -> OrderFitReport:
     dof = x.size - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = np.sqrt(np.sum(resid**2) / dof / sxx) if dof > 0 else 0.0
-    half = float(stats.t.ppf(0.975, dof) * se) if dof > 0 else 0.0
+    from scipy.special import stdtrit  # the t quantile; scipy.stats would dominate the package's import
+    half = float(stdtrit(dof, 0.975) * se) if dof > 0 else 0.0
     return OrderFitReport(
         eps_values=tuple(eps_values),
         errors=tuple(errors),

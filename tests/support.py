@@ -1,14 +1,19 @@
 """Shared builders for solver tests: linear-generator models and instances,
 an n = d = k = 2 model with every derivative layout visible, an independent
-estimate of the spike auxiliary value, and the two-einsum Euler step of the
-matrix flow pair as an oracle for the flow kernel."""
+estimate of the spike auxiliary value, the two-einsum Euler step of the
+matrix flow pair as an oracle for the flow kernel, and, as oracles for the
+shared regression basis, the one-call regression kernel and the two-pass
+linear representation."""
+
+import warnings
 
 import numpy as np
 
 from quadsmp.bsde import LinearBsdeData
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import ControlDomain, ModelSpec, scalar_model
-from quadsmp.sde import simulate_forward_sde
+from quadsmp.regression import RIDGE, RankDeficientRegression, conditional_expectation, polynomial_design
+from quadsmp.sde import _diffusion_matrices, simulate_forward_sde
 from quadsmp.spike import _yhat_driver
 
 
@@ -229,3 +234,115 @@ def euler_flow_pair_reference(a, beta, c, w):
         dl -= np.einsum("md,mij,mdjk->mik", dw[:, k], lk, dk)
         lam[:, k + 1] = lk + dl
     return x, lam
+
+
+def conditional_expectation_reference(features, targets, degree=2, winsor=0.005, t_min=2.0):
+    """The regression kernel as it stood before the shared basis: every call
+    winsorizes, designs, standardizes and solves by lstsq on its own.
+
+    Returns (fitted, kept): kept holds, per target column, the boolean mask of
+    the terms the t-pretest kept, or None when no pretest ran (t_min = 0, an
+    intercept-only design, too few rows, or the ridge fallback)."""
+    t = np.asarray(targets, dtype=float)
+    squeeze = t.ndim == 1
+    if squeeze:
+        t = t[:, None]
+    x = np.asarray(features, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if winsor > 0.0 and x.shape[0] > 20:
+        lo, hi = np.quantile(x, [winsor, 1.0 - winsor], axis=0)
+        x = np.clip(x, lo, hi)
+    design = polynomial_design(x, degree)
+
+    mean = design.mean(axis=0)
+    mean[0] = 0.0
+    scale = design.std(axis=0)
+    scale[0] = 1.0
+    keep = scale > 1e-10 * (1.0 + np.abs(mean))
+    keep[0] = True
+    scale[~keep] = 1.0
+    a = (design - mean) / scale
+    a = a[:, keep]
+    m, p = a.shape
+
+    coef, _, rank, _ = np.linalg.lstsq(a, t, rcond=None)
+    pretest = t_min > 0.0 and p > 1 and m > p + 2
+    deficiency = f"{rank} < {p} columns" if rank < p else None
+    if deficiency is None and pretest:
+        try:
+            gram_inv_diag = np.diag(np.linalg.inv(a.T @ a))
+        except np.linalg.LinAlgError:
+            deficiency = f"singular Gram matrix at rank {rank}"
+    kept = [None] * t.shape[1]
+    if deficiency is not None:
+        warnings.warn(
+            f"rank-deficient regression design ({deficiency}); falling back to ridge",
+            RankDeficientRegression,
+            stacklevel=2,
+        )
+        gram = a.T @ a
+        lam = RIDGE * max(1.0, float(np.trace(gram)) / p)
+        penalty = lam * np.eye(p)
+        penalty[0, 0] = 0.0
+        coef = np.linalg.solve(gram + penalty, a.T @ t)
+        fitted = a @ coef
+        return (fitted[:, 0] if squeeze else fitted), kept
+
+    if pretest:
+        resid = t - a @ coef
+        dof = m - p
+        sigma2 = np.sum(resid**2, axis=0) / dof
+        fitted = np.empty_like(t)
+        for col in range(t.shape[1]):
+            se = np.sqrt(np.maximum(sigma2[col] * gram_inv_diag, 1e-300))
+            significant = np.abs(coef[:, col]) >= t_min * se
+            significant[0] = True
+            kept[col] = significant
+            if significant.all():
+                fitted[:, col] = a @ coef[:, col]
+            elif not significant[1:].any():
+                fitted[:, col] = t[:, col].mean()
+            else:
+                sub = a[:, significant]
+                sub_coef, *_ = np.linalg.lstsq(sub, t[:, col], rcond=None)
+                fitted[:, col] = sub @ sub_coef
+        return (fitted[:, 0] if squeeze else fitted), kept
+
+    fitted = a @ coef
+    return (fitted[:, 0] if squeeze else fitted), kept
+
+
+def represent_two_pass_reference(flow, inv, driver, xi, beta, c, state, w, degree=2):
+    """The linear representation as it stood before its fused backward pass:
+    every Y regression first, then the martingale increments of the whole
+    path, then every Z regression, each fit on features built anew.
+    Full-shape arguments as in bsde._represent; returns (y, z)."""
+    dt, n_steps, m = w.grid.dt, w.grid.n_steps, w.n_paths
+    n, d = flow.shape[-1], w.increments.shape[2]
+
+    def features(k):
+        return np.column_stack([flow[:, k].reshape(m, n * n), state[:, k]])
+
+    weighted_f = np.einsum("mtij,mti->mtj", flow[:, :n_steps], driver) * dt
+    bracket = np.zeros((m, n_steps + 1, n))
+    bracket[:, :n_steps] = np.cumsum(weighted_f[:, ::-1], axis=1)[:, ::-1]
+    bracket += np.einsum("mij,mi->mj", flow[:, n_steps], xi)[:, None]
+    y = np.empty((m, n_steps + 1, n))
+    np.einsum("mtji,mtj->mti", inv[:, :n_steps], bracket[:, :n_steps], out=y[:, :n_steps])
+    y[:, n_steps] = xi
+    for k in range(n_steps):
+        target = y[:, k]
+        if not np.all(target == target[0]):
+            y[:, k] = conditional_expectation(features(k), target, degree)
+    prefix = np.zeros((m, n_steps + 1, n))
+    np.cumsum(weighted_f, axis=1, out=prefix[:, 1:])
+    g_mart = np.einsum("mtji,mtj->mti", flow, y) + prefix
+    incrs = np.einsum("mtji,mtj->mti", inv[:, :n_steps], np.diff(g_mart, axis=1))
+    z = np.empty((m, n_steps, n, d))
+    for k in range(n_steps):
+        tgt = (incrs[:, k, :, None] * w.increments[:, k][:, None, :] / dt).reshape(m, n * d)
+        psi_scaled = conditional_expectation(features(k), tgt, degree).reshape(m, n, d)
+        d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], np.eye(n)))[:, :, 0]
+        z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
+    return y, z

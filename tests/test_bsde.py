@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from support import driver_model, random_linear_instance
+from support import driver_model, random_linear_instance, represent_two_pass_reference
 
 from quadsmp import bmo
 from quadsmp.bsde import (
@@ -14,6 +14,7 @@ from quadsmp.bsde import (
     exponential_weight,
     solve_bsde_lsmc,
     solve_linear_bsde_weighted,
+    _flow_inverse,
     solve_multidim_linear_bsde,
 )
 from quadsmp.example import example_model
@@ -263,6 +264,30 @@ class TestMultidimSolver:
         combined = float(np.hypot(rep_s.y0_std_error, rep_m.y0_std_error))
         assert abs(rep_s.y0 - float(y_m[:, 0, 0].mean())) <= 2.0 * combined + 1e-4
 
+    def test_fused_pass_matches_two_pass_reference(self):
+        # n = d = 2 with non-symmetric, path- and step-dependent coefficients,
+        # so a transposed flow or inverse, or a misplaced increment, shows
+        m, n_steps = 3000, 16
+        rng = np.random.default_rng(17)
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), 2, seed=17)
+        state = np.zeros((m, n_steps + 1, 1))
+        state[:, 1:, 0] = np.cumsum(w.increments[:, :, 0], axis=1)
+        s = state[:, :n_steps, :, None]
+        data = MultiLinearBsdeData(
+            a=rng.uniform(-0.5, 0.5, (n_steps, 2, 2)) + 0.2 * np.tanh(s) * np.array([[0.0, 1.0], [-1.0, 0.5]]),
+            beta=np.broadcast_to(rng.uniform(-0.2, 0.2, (n_steps, 2)), (m, n_steps, 2)),
+            c=np.broadcast_to(rng.uniform(-0.3, 0.3, (n_steps, 2, 2, 2)), (m, n_steps, 2, 2, 2)),
+            driver=np.concatenate([np.sin(state[:, :n_steps]), np.cos(2.0 * state[:, :n_steps])], axis=2),
+            xi=np.column_stack([np.tanh(state[:, -1, 0]), state[:, -1, 0] ** 2]),
+            state=state,
+        )
+        y, z, _, pair = solve_multidim_linear_bsde(data, w)
+        y_ref, z_ref = represent_two_pass_reference(
+            pair.flow, np.linalg.inv(pair.flow), data.driver, data.xi, pair.beta, pair.c, state, w
+        )
+        assert np.abs(y - y_ref).max() <= 1e-10 * np.abs(y_ref).max()
+        assert np.abs(z - z_ref).max() <= 1e-10 * np.abs(z_ref).max()
+
     def test_terminal_consistency(self):
         _, data, _, _, w = random_linear_instance(seed=3, n_paths=500, n_steps=20)
         multi = MultiLinearBsdeData(
@@ -271,6 +296,36 @@ class TestMultidimSolver:
         )
         y, _, _, _ = solve_multidim_linear_bsde(multi, w)
         assert np.array_equal(y[:, -1, 0], data.xi)
+
+
+class TestFlowInverse:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_lapack(self, n):
+        rng = np.random.default_rng(n)
+        flow = np.eye(n) + 0.4 * rng.standard_normal((300, 17, n, n))
+        inv = _flow_inverse(flow)
+        assert np.abs(inv - np.linalg.inv(flow)).max() <= 1e-12 * np.abs(inv).max()
+        assert np.abs(inv @ flow - np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_or_nonfinite_determinant_raises(self, n, bad):
+        flow = np.broadcast_to(np.eye(n), (5, 3, n, n)).copy()
+        flow[2, 1] = bad
+        with pytest.raises(BsdeSolverError, match="determinant"):
+            _flow_inverse(flow)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_singular_flow_aborts_the_solver(self, n):
+        # A = -I/dt makes the first Euler step I + A dt = 0: the flow is singular
+        m, n_steps = 50, 8
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), 1, seed=3)
+        data = MultiLinearBsdeData(
+            a=np.broadcast_to(-np.eye(n) / w.grid.dt, (m, n_steps, n, n)), beta=np.zeros((m, n_steps, 1)),
+            c=np.zeros((m, n_steps, 1, n, n)), driver=np.zeros((m, n_steps, n)), xi=np.ones((m, n)),
+        )
+        with pytest.raises(BsdeSolverError, match="determinant"):
+            solve_multidim_linear_bsde(data, w)
 
 
 class TestSolverAgreement:

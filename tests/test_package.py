@@ -2,10 +2,16 @@
 the code it named."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import quadsmp
+
+SRC = str(Path(quadsmp.__file__).resolve().parents[1])
 
 MODULES = ["quadsmp", *(f"quadsmp.{name}" for name in quadsmp.__all__)]
 
@@ -15,3 +21,22 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", [])
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a CLI start-up to import; nothing at import time needs it
+    run = _python("-c", "import sys, quadsmp.cli; print('scipy.stats' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_cli_module_runs_without_runtime_warning():
+    # the package loads cli lazily, so runpy does not find it already imported
+    run = _python("-W", "error::RuntimeWarning", "-m", "quadsmp.cli", "--help")
+    assert run.returncode == 0, run.stderr
+    assert "usage" in run.stdout

@@ -1,10 +1,15 @@
 """Cross-path conditional expectation estimator."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from support import conditional_expectation_reference
 
 from quadsmp.regression import (
     RankDeficientRegression,
+    RegressionBasis,
     conditional_expectation,
     polynomial_design,
 )
@@ -98,3 +103,111 @@ def test_singular_gram_at_full_rank_falls_back_to_ridge():
         fitted = conditional_expectation(x, y, degree=1)
     assert np.isfinite(fitted).all()
     assert np.corrcoef(fitted, base)[0, 1] > 0.99
+
+
+# -- the shared basis against the one-call kernel it replaced -----------------
+
+EQUIVALENCE_CASES = list(itertools.product((1, 2), (1, 2, 3, 4), (1, 2, 3, 4), (0.0, 2.0)))
+
+
+def _random_problem(degree, n_features, n_targets, seed):
+    """Gaussian features and targets on their monomials plus unit noise. Target
+    column j uses every term (j % 3 == 0), a random half of them (1) or none
+    (2), so the t-pretest keeps all, some and no slope terms."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((500, n_features))
+    design = polynomial_design(x, degree)
+    cols = []
+    for j in range(n_targets):
+        coef = rng.uniform(0.5, 1.5, design.shape[1]) * rng.choice((-1.0, 1.0), design.shape[1])
+        if j % 3 == 1:
+            coef[1:] *= rng.random(design.shape[1] - 1) < 0.5
+        elif j % 3 == 2:
+            coef[1:] = 0.0
+        cols.append(design @ coef + rng.standard_normal(500))
+    return x, np.column_stack(cols)
+
+
+def _fit_both(x, y, **kwargs):
+    with warnings.catch_warnings(record=True) as new_warnings:
+        warnings.simplefilter("always", RankDeficientRegression)
+        fitted = conditional_expectation(x, y, **kwargs)
+    with warnings.catch_warnings(record=True) as ref_warnings:
+        warnings.simplefilter("always", RankDeficientRegression)
+        reference, kept = conditional_expectation_reference(x, y, **kwargs)
+    return fitted, reference, kept, len(new_warnings), len(ref_warnings)
+
+
+@pytest.mark.parametrize("degree,n_features,n_targets,t_min", EQUIVALENCE_CASES)
+def test_basis_kernel_matches_reference(degree, n_features, n_targets, t_min):
+    # a pretest decision that flipped would move the fit by about t_min
+    # standard errors of the term, far above 1e-10 of the fitted values; so
+    # agreement at 1e-10 means the same terms were kept and dropped
+    seed = EQUIVALENCE_CASES.index((degree, n_features, n_targets, t_min))
+    x, y = _random_problem(degree, n_features, n_targets, seed)
+    fitted, reference, _, n_new, n_ref = _fit_both(x, y, degree=degree, t_min=t_min)
+    assert n_new == n_ref == 0
+    assert np.abs(fitted - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+def test_equivalence_cases_reach_every_pretest_outcome():
+    outcomes = set()
+    for case, (degree, n_features, n_targets, t_min) in enumerate(EQUIVALENCE_CASES):
+        x, y = _random_problem(degree, n_features, n_targets, case)
+        _, kept = conditional_expectation_reference(x, y, degree=degree, t_min=t_min)
+        for mask in kept:
+            if mask is None:
+                outcomes.add("no pretest")
+            else:
+                outcomes.add("all" if mask.all() else "none" if not mask[1:].any() else "some")
+    assert outcomes == {"no pretest", "all", "some", "none"}
+
+
+@pytest.mark.parametrize(
+    "make_x,degree,match",
+    [
+        # exactly collinear features: lstsq's rank falls short
+        (lambda base, rng: np.column_stack([base, 2.0 * base]), 1, "columns"),
+        (lambda base, rng: np.column_stack([base, 2.0 * base]), 2, "columns"),
+        # full rank to lstsq, singular Gram matrix
+        (lambda base, rng: np.column_stack([base, base + 1e-9 * rng.standard_normal(base.size)]), 1, "singular Gram"),
+    ],
+)
+def test_rank_deficient_design_matches_reference(make_x, degree, match):
+    rng = np.random.default_rng(8)  # the draw of test_singular_gram_at_full_rank_falls_back_to_ridge
+    base = rng.standard_normal(50)
+    x = make_x(base, rng)
+    y = np.column_stack([base + rng.standard_normal(50), base**2, rng.standard_normal(50)])
+    fitted, reference, _, n_new, n_ref = _fit_both(x, y, degree=degree)
+    assert n_new == n_ref == 1
+    assert np.abs(fitted - reference).max() <= 1e-10 * np.abs(reference).max()
+    with pytest.warns(RankDeficientRegression, match=match):
+        conditional_expectation(x, y, degree=degree)
+
+
+def test_shared_basis_equals_independent_calls():
+    rng = np.random.default_rng(10)
+    x = np.column_stack([rng.standard_normal(800), np.exp(rng.standard_normal(800))])
+    y1 = x[:, 0] - 0.5 * x[:, 1] ** 2 + rng.standard_normal(800)
+    y2 = rng.standard_normal((800, 3))
+    basis = RegressionBasis(x, degree=2)
+    assert np.array_equal(conditional_expectation(basis, y1), conditional_expectation(x, y1))
+    assert np.array_equal(conditional_expectation(basis, y2, t_min=0.0), conditional_expectation(x, y2, t_min=0.0))
+
+
+def test_shared_deficient_basis_warns_once_per_fit():
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal(300)
+    basis = RegressionBasis(np.column_stack([base, 2.0 * base]), degree=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankDeficientRegression)
+        for _ in range(2):
+            conditional_expectation(basis, base + rng.standard_normal(300), degree=1)
+    assert len(caught) == 2
+
+
+@pytest.mark.parametrize("kwargs", [{"degree": 1}, {"winsor": 0.0}])
+def test_basis_rejects_other_degree_or_winsor(kwargs):
+    x = np.random.default_rng(12).standard_normal((100, 1))
+    with pytest.raises(ValueError, match="basis has degree 2"):
+        conditional_expectation(RegressionBasis(x), x[:, 0], **kwargs)
