@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smp
-from .adjoint import linearize, solve_adjoints
+from .adjoint import AdjointBundle, Linearization, linearize, solve_adjoints
 from .bsde import ControlledTrajectory, solve_bsde_lsmc
 from .grids import TimeGrid, constant_control, generate_brownian
 from .models import ControlDomain, ModelSpec, scalar_model
@@ -29,9 +29,7 @@ __all__ = [
     "g_prime",
     "example_model",
     "validate_example_conditions",
-    "evaluate_cost",
     "girsanov_cost_estimate",
-    "example_adjoints",
     "sup_time_rms",
     "analytic_adjoint_residual",
     "confirm_global_smp",
@@ -40,6 +38,9 @@ __all__ = [
     "ExampleVerdict",
     "run_example_experiment",
 ]
+
+# tolerance of the adjoint-constant, global and convex-hull checks
+TOLERANCE = 0.05
 
 
 def g_running(z):
@@ -59,13 +60,8 @@ def g_second(z):
     return 2.0 * np.sign(z)
 
 
-def example_model(convex_hull: bool = False) -> ModelSpec:
-    """ModelSpec of the solvable problem; convex_hull swaps {0,1} for [0,1]."""
-    domain = (
-        ControlDomain("box", (0.0, 1.0))
-        if convex_hull
-        else ControlDomain("finite", ((0.0,), (1.0,)))
-    )
+def example_model() -> ModelSpec:
+    """ModelSpec of the solvable problem, on the control set {0, 1}."""
     return scalar_model(
         b=lambda t, x, u: np.zeros_like(x),
         b_x=lambda t, x, u: np.zeros_like(x),
@@ -90,21 +86,21 @@ def example_model(convex_hull: bool = False) -> ModelSpec:
         l4=2.0,
         phi_bound=np.pi / 2,
         f_y_bound=0.0,
-        control_domain=domain,
+        control_domain=ControlDomain("finite", ((0.0,), (1.0,))),
         name="arctan-example",
     )
 
 
-def validate_example_conditions(n_grid: int = 20001, span: float = 50.0) -> dict:
+def validate_example_conditions() -> dict:
     """Dense-grid verification of the structural conditions on phi and g.
 
     phi(0) = 0, 0 <= phi' <= 1, |phi''| < 1 on the real line (sampled on a
     wide grid); g(0) = 0, g(1) > 0, g'(0) < 0 and |g| <= 1/2 on [0, 1].
     """
-    x = np.linspace(-span, span, n_grid)
+    x = np.linspace(-50.0, 50.0, 20001)
     phi_x = 1.0 / (1.0 + x**2)
     phi_xx = -2.0 * x / (1.0 + x**2) ** 2
-    z = np.linspace(0.0, 1.0, n_grid)
+    z = np.linspace(0.0, 1.0, 20001)
     margins = {
         "phi_at_zero": abs(float(np.arctan(0.0))),
         "phi_prime_lower": float(phi_x.min()),
@@ -136,22 +132,7 @@ def _solve_for_control(model: ModelSpec, control_value: float, n_paths: int, gri
     return ControlledTrajectory(w=w, x=x, y=y, z=z, u=u), report
 
 
-def evaluate_cost(
-    control_value: float,
-    n_paths: int,
-    grid: TimeGrid,
-    seed: int,
-    model: ModelSpec | None = None,
-) -> tuple[float, float]:
-    """Cost of a constant control through the full simulation/solver pipeline."""
-    model = model or example_model()
-    _, report = _solve_for_control(model, control_value, n_paths, grid, seed)
-    return report.y0, report.y0_std_error
-
-
-def girsanov_cost_estimate(
-    traj: ControlledTrajectory, n_quad: int = 16
-) -> tuple[float, float]:
+def girsanov_cost_estimate(traj: ControlledTrajectory) -> tuple[float, float]:
     """Reweighted estimate of the unit-control cost.
 
     Uses the change-of-measure identity for this model: the cost equals the
@@ -159,7 +140,7 @@ def girsanov_cost_estimate(
     stochastic exponential of the averaged slope alpha integrated against W,
     of int_0^T [g(phi'(X_s) u_s) + (1 + phi''(X_s)/2) u_s^2] ds. alpha is the
     g' average along the chord from phi'(X)u to Z, by fixed Gauss-Legendre
-    quadrature in the chord parameter.
+    quadrature (16 nodes) in the chord parameter.
     """
     grid = traj.w.grid
     dt = grid.dt
@@ -170,7 +151,7 @@ def girsanov_cost_estimate(
     phi_prime = 1.0 / (1.0 + x_steps**2)
     phi_second = -2.0 * x_steps / (1.0 + x_steps**2) ** 2
     anchor = phi_prime * u_steps
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     theta = 0.5 * (nodes + 1.0)
     wq = 0.5 * weights
     alpha = np.zeros_like(z_steps)
@@ -198,6 +179,16 @@ class ExampleAdjointReport:
     sup_big_p: float
     sup_big_q: float
 
+    @classmethod
+    def of(cls, adj: AdjointBundle) -> "ExampleAdjointReport":
+        """Deviations of an adjoint bundle from (1, 0) and (0, 0)."""
+        return cls(
+            sup_p_minus_one=float(np.abs(adj.p - 1.0).max()),
+            sup_q=sup_time_rms(adj.q),
+            sup_big_p=float(np.abs(adj.big_p).max()),
+            sup_big_q=sup_time_rms(adj.big_q),
+        )
+
     def within(self, tol: float) -> bool:
         return (
             self.sup_p_minus_one <= tol
@@ -212,28 +203,6 @@ def sup_time_rms(steps: np.ndarray) -> float:
     sq = steps**2
     per_cell = sq.reshape(sq.shape[0], sq.shape[1], -1).sum(axis=2)
     return float(np.sqrt(per_cell.mean(axis=0)).max())
-
-
-def example_adjoints(
-    n_paths: int, grid: TimeGrid, seed: int
-) -> tuple[ControlledTrajectory, object, ExampleAdjointReport]:
-    """Adjoint bundle along the zero-control candidate, with deviations from
-    the known constants (1, 0) and (0, 0)."""
-    model = example_model()
-    traj, _ = _solve_for_control(model, 0.0, n_paths, grid, seed)
-    adj, report = _adjoints_along(model, traj)
-    return traj, adj, report
-
-
-def _adjoints_along(model: ModelSpec, traj: ControlledTrajectory):
-    adj = solve_adjoints(linearize(model, traj))
-    report = ExampleAdjointReport(
-        sup_p_minus_one=float(np.abs(adj.p - 1.0).max()),
-        sup_q=sup_time_rms(adj.q),
-        sup_big_p=float(np.abs(adj.big_p).max()),
-        sup_big_q=sup_time_rms(adj.big_q),
-    )
-    return adj, report
 
 
 def analytic_adjoint_residual() -> float:
@@ -255,44 +224,29 @@ def analytic_adjoint_residual() -> float:
     return terminal_gap + drift_residual
 
 
-def confirm_global_smp(
-    traj: ControlledTrajectory, adj, tolerance: float = 0.05
-) -> dict:
+def confirm_global_smp(lin: Linearization, adj: AdjointBundle, tolerance: float = TOLERANCE) -> dict:
     """Hamiltonian gap at the candidate: analytically g(u) + u^2 for test
     controls in {0, 1}, and the simulated-pipeline violation report."""
-    model = example_model()
     analytic = {
         "gap_at_zero": float(g_running(0.0) + 0.0),
         "gap_at_one": float(g_running(1.0) + 1.0),
     }
-    report = smp.check_global_smp(
-        model,
-        traj,
-        adj.p,
-        adj.q,
-        adj.big_p,
-        test_controls=[[0.0], [1.0]],
-        tolerance=tolerance,
-    )
+    report = smp.check_global_smp(lin, adj, test_controls=[[0.0], [1.0]], tolerance=tolerance)
     return {"analytic": analytic, "pipeline": report, "passed": report.empty}
 
 
-def convex_hull_counterexample(
-    traj: ControlledTrajectory, adj, tolerance: float = 0.05
-) -> dict:
+def convex_hull_counterexample(lin: Linearization, adj: AdjointBundle, tolerance: float = TOLERANCE) -> dict:
     """Local check on the convex hull [0, 1] at the zero candidate.
 
     Analytically the control gradient is [g'(0) p + q + 2 u](1 - u) = -1/2 at
     the zero candidate, violating the local condition, so the zero control is
     not optimal on the hull; at the unit candidate the (1 - u) factor is 0 and
     the inequality holds trivially. The pipeline gradient is evaluated along
-    the solved trajectory/adjoint pair.
+    the solved trajectory/adjoint pair; it never reads the control set, so
+    the model on {0, 1} serves.
     """
     analytic_at_zero = float(g_prime(0.0) * 1.0 + 0.0 + 0.0)
-    model = example_model(convex_hull=True)
-    grad, report = smp.local_smp_gradient(
-        model, traj, adj.p, adj.q, test_controls=[[1.0]], tolerance=tolerance
-    )
+    grad, report = smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=[[1.0]], tolerance=tolerance)
     grad_mean = float(grad.mean())
     return {
         "analytic_gradient_at_zero": analytic_at_zero,
@@ -305,9 +259,9 @@ def convex_hull_counterexample(
     }
 
 
-def integrand_positivity(n_grid: int = 4001, span: float = 20.0) -> dict:
+def integrand_positivity() -> dict:
     """g(phi'(x) u) + [1 + phi''(x)/2] u^2 >= 0 with equality iff u = 0."""
-    x = np.linspace(-span, span, n_grid)
+    x = np.linspace(-20.0, 20.0, 4001)
     phi_prime = 1.0 / (1.0 + x**2)
     phi_second = -2.0 * x / (1.0 + x**2) ** 2
     at_zero = np.zeros_like(x)
@@ -329,7 +283,6 @@ def run_example_experiment(
     n_steps: int = 200,
     horizon: float = 1.0,
     seed: int = 1,
-    adjoint_tolerance: float = 0.05,
 ) -> ExampleVerdict:
     """All checks of the solvable problem on one seeded configuration."""
     grid = TimeGrid(horizon, n_steps)
@@ -345,9 +298,11 @@ def run_example_experiment(
     j1, se1 = report1.y0, report1.y0_std_error
     jg, seg = girsanov_cost_estimate(traj1)
 
-    adj, adj_report = _adjoints_along(model, traj0)
-    smp_result = confirm_global_smp(traj0, adj, tolerance=adjoint_tolerance)
-    hull = convex_hull_counterexample(traj0, adj, tolerance=adjoint_tolerance)
+    lin = linearize(model, traj0)
+    adj = solve_adjoints(lin)
+    adj_report = ExampleAdjointReport.of(adj)
+    smp_result = confirm_global_smp(lin, adj)
+    hull = convex_hull_counterexample(lin, adj)
     residual = analytic_adjoint_residual()
 
     checks = {
@@ -370,7 +325,7 @@ def run_example_experiment(
             "combined_std_error": float(np.hypot(se1, seg)),
         },
         "adjoint_constants": {
-            "passed": adj_report.within(adjoint_tolerance),
+            "passed": adj_report.within(TOLERANCE),
             "sup_p_minus_one": adj_report.sup_p_minus_one,
             "sup_q": adj_report.sup_q,
             "sup_big_p": adj_report.sup_big_p,

@@ -5,7 +5,9 @@ against the reference pair and a quadratic second-adjoint term; pointwise
 minimization of it over the control set along the candidate trajectory is the
 necessary condition checked here, together with its local (convex-domain)
 version and the sampled sufficient condition built on the auxiliary
-Hamiltonian without those extra terms.
+Hamiltonian without those extra terms. ``hamiltonian_gap`` writes
+H(u) - H(u_ref) once; the global check and the spike's auxiliary driver read
+it, with the reference's coefficients taken from the linearization.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adjoint import AdjointBundle, Linearization
 from .bsde import ControlledTrajectory
 from .grids import constant_control
 from .models import ModelSpec
@@ -22,12 +25,16 @@ from .sde import simulate_forward_sde
 __all__ = [
     "hamiltonian",
     "auxiliary_hamiltonian",
+    "hamiltonian_gap",
     "hamiltonian_difference_identity",
     "SmpViolationReport",
     "check_global_smp",
     "local_smp_gradient",
     "check_sufficient_conditions",
 ]
+
+# violating cells listed in an SmpViolationReport
+MAX_ENTRIES = 1000
 
 
 def hamiltonian(
@@ -78,6 +85,36 @@ def auxiliary_hamiltonian(
     return value
 
 
+def hamiltonian_gap(
+    model: ModelSpec,
+    t: float,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    u: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    big_p: np.ndarray,
+    ref: tuple,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """H(u) - H(u_ref) from the reference's coefficients ref = (b, sigma, f).
+
+    The gap is p'b_hat + sum_i (q^i)' sigma_hat^i + [f(t, x, y, z + Delta, u)
+    - f_ref] + sum_i (sigma_hat^i)' P sigma_hat^i / 2, with the hats taken
+    against ref and Delta^i = (sigma_hat^i)' p. Shapes as in ``hamiltonian``;
+    ref: (m, n), (m, n, d), (m,). Returns (gap, b_hat, sigma_hat, Delta).
+    """
+    b_ref, sigma_ref, f_ref = ref
+    b_hat = model.b(t, x, u) - b_ref
+    sigma_hat = model.sigma(t, x, u) - sigma_ref
+    delta = np.einsum("mid,mi->md", sigma_hat, p)
+    gap = np.einsum("mi,mi->m", p, b_hat)
+    gap += np.einsum("mid,mid->m", q, sigma_hat)
+    gap += model.f(t, x, y, z + delta, u) - f_ref
+    gap += 0.5 * np.einsum("mid,mij,mjd->m", sigma_hat, big_p, sigma_hat)
+    return gap, b_hat, sigma_hat, delta
+
+
 def hamiltonian_difference_identity(
     model: ModelSpec,
     t: float,
@@ -90,20 +127,15 @@ def hamiltonian_difference_identity(
     q: np.ndarray,
     big_p: np.ndarray,
 ) -> float:
-    """Max absolute gap between H(u) - H(u_ref) and its closed difference form.
+    """Max absolute gap between H(u) - H(u_ref) and ``hamiltonian_gap``.
 
-    The closed form is p'b_hat + sum_i (q^i)' sigma_hat^i + f_hat(t, Delta)
-    + sum_i (sigma_hat^i)' P sigma_hat^i / 2, an algebraic identity; the
-    returned value should be at round-off level.
+    The two are equal algebraically; the returned value should be at
+    round-off level.
     """
     lhs = hamiltonian(model, t, x_ref, y, z, u, p, q, big_p, u_ref)
     lhs -= hamiltonian(model, t, x_ref, y, z, u_ref, p, q, big_p, u_ref)
-    sigma_hat = model.sigma(t, x_ref, u) - model.sigma(t, x_ref, u_ref)
-    delta = np.einsum("mid,mi->md", sigma_hat, p)
-    rhs = np.einsum("mi,mi->m", p, model.b(t, x_ref, u) - model.b(t, x_ref, u_ref))
-    rhs += np.einsum("mid,mid->m", q, sigma_hat)
-    rhs += model.f(t, x_ref, y, z + delta, u) - model.f(t, x_ref, y, z, u_ref)
-    rhs += 0.5 * np.einsum("mid,mij,mjd->m", sigma_hat, big_p, sigma_hat)
+    ref = (model.b(t, x_ref, u_ref), model.sigma(t, x_ref, u_ref), model.f(t, x_ref, y, z, u_ref))
+    rhs, *_ = hamiltonian_gap(model, t, x_ref, y, z, u, p, q, big_p, ref)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -111,7 +143,7 @@ def hamiltonian_difference_identity(
 class SmpViolationReport:
     """Cells where a test control improves the Hamiltonian beyond tolerance.
 
-    entries is a sample capped at max_entries; n_violations is the full count,
+    entries is a sample capped at MAX_ENTRIES; n_violations is the full count,
     so the report is empty (n_violations == 0) iff no cell violates.
     """
 
@@ -141,21 +173,15 @@ class SmpViolationReport:
 
 
 def check_global_smp(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
-    p: np.ndarray,
-    q: np.ndarray,
-    big_p: np.ndarray,
-    test_controls,
-    tolerance: float,
-    max_entries: int = 1000,
+    lin: Linearization, adj: AdjointBundle, test_controls, tolerance: float
 ) -> SmpViolationReport:
     """Hamiltonian gap H(u) - H(u_bar) over every (path, step, test control).
 
-    A cell violates when its gap is below -tolerance; the check passes
-    (``empty``) only when no cell violates. The first max_entries violating
-    cells are listed.
+    The candidate's coefficients are read from lin. A cell violates when its
+    gap is below -tolerance; the check passes (``empty``) only when no cell
+    violates. The first MAX_ENTRIES violating cells are listed.
     """
+    model, traj = lin.model, lin.traj
     grid = traj.w.grid
     m, n_steps = traj.n_paths, grid.n_steps
     controls = np.atleast_2d(np.asarray(test_controls, dtype=float))
@@ -163,17 +189,17 @@ def check_global_smp(
     n_viol = 0
     worst = np.inf
     for k in range(n_steps):
-        t = grid.times[k]
-        xk, yk, zk, uk = traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
-        pk, qk, bpk = p[:, k], q[:, k], big_p[:, k]
-        h_ref = hamiltonian(model, t, xk, yk, zk, uk, pk, qk, bpk, uk)
+        xk, yk, zk = traj.x[:, k], traj.y[:, k], traj.z[:, k]
+        ref = (lin.b[:, k], lin.sigma[:, k], lin.f[:, k])
         for c in controls:
-            u_test = np.broadcast_to(c, uk.shape)
-            gap = hamiltonian(model, t, xk, yk, zk, u_test, pk, qk, bpk, uk) - h_ref
+            u_test = np.broadcast_to(c, (m, model.k))
+            gap, *_ = hamiltonian_gap(
+                model, grid.times[k], xk, yk, zk, u_test, adj.p[:, k], adj.q[:, k], adj.big_p[:, k], ref
+            )
             worst = min(worst, float(gap.min()))
             bad = np.nonzero(gap < -tolerance)[0]
             n_viol += bad.size
-            for idx in bad[: max(0, max_entries - len(entries))]:
+            for idx in bad[: max(0, MAX_ENTRIES - len(entries))]:
                 entries.append((int(idx), k, c.tolist(), float(gap[idx])))
     n_cells = m * n_steps * controls.shape[0]
     return SmpViolationReport(
@@ -187,8 +213,7 @@ def check_global_smp(
 
 
 def local_smp_gradient(
-    model: ModelSpec,
-    traj: ControlledTrajectory,
+    lin: Linearization,
     p: np.ndarray,
     q: np.ndarray,
     test_controls=None,
@@ -197,9 +222,11 @@ def local_smp_gradient(
     """Control-gradient row of the Hamiltonian along the candidate.
 
     Per (path, step): sum_i f_{z_i} p'sigma_u^i + f_u' + p'b_u
-    + sum_i (q^i)' sigma_u^i, shape (m, N, k). When test_controls are given,
-    also checks the variational inequality <row, u - u_bar> >= -tolerance.
+    + sum_i (q^i)' sigma_u^i, shape (m, N, k), with f_z read from lin. When
+    test_controls are given, also checks the variational inequality
+    <row, u - u_bar> >= -tolerance.
     """
+    model, traj = lin.model, lin.traj
     if model.b_u is None or model.sigma_u is None or model.f_u is None:
         raise ValueError("model lacks control derivatives (b_u, sigma_u, f_u)")
     grid = traj.w.grid
@@ -209,9 +236,8 @@ def local_smp_gradient(
         t = grid.times[k]
         xk, yk, zk, uk = traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
         pk, qk = p[:, k], q[:, k]
-        f_z = model.f_z(t, xk, yk, zk, uk)
         sigma_u = model.sigma_u(t, xk, uk)
-        grad[:, k] = np.einsum("md,ml,mdlk->mk", f_z, pk, sigma_u)
+        grad[:, k] = np.einsum("md,ml,mdlk->mk", lin.f_z[:, k], pk, sigma_u)
         grad[:, k] += model.f_u(t, xk, yk, zk, uk)
         grad[:, k] += np.einsum("ml,mlk->mk", pk, model.b_u(t, xk, uk))
         grad[:, k] += np.einsum("mld,mdlk->mk", qk, sigma_u)

@@ -29,6 +29,7 @@ from .bsde import (
 from .grids import TimeGrid, constant_control, generate_brownian
 from .models import ModelSpec
 from .sde import simulate_forward_sde
+from .smp import hamiltonian_gap
 
 __all__ = [
     "SpikePerturbation",
@@ -83,8 +84,8 @@ class HattedCoefficients:
     Cell j is grid step k0 + j for j < n_eps; off the window every gap is 0.
     b_hat: (m, n_eps, n); sigma_hat: (m, n_eps, n, d);
     sigma_x_hat: (m, n_eps, d, n, n); delta: (m, n_eps, d) with
-    delta^i = (sigma_hat^i)' p; f_hat_delta: (m, n_eps) the generator gap
-    with the z-slot shifted by delta.
+    delta^i = (sigma_hat^i)' p; gap: (m, n_eps) the Hamiltonian gap
+    ``smp.hamiltonian_gap``, which drives the auxiliary pair.
     """
 
     k0: int
@@ -92,7 +93,7 @@ class HattedCoefficients:
     sigma_hat: np.ndarray = field(repr=False)
     sigma_x_hat: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
-    f_hat_delta: np.ndarray = field(repr=False)
+    gap: np.ndarray = field(repr=False)
 
     @property
     def k1(self) -> int:
@@ -100,7 +101,7 @@ class HattedCoefficients:
         return self.k0 + self.b_hat.shape[1]
 
 
-def hatted_coefficients(lin: Linearization, spike: SpikePerturbation, p: np.ndarray) -> HattedCoefficients:
+def hatted_coefficients(lin: Linearization, spike: SpikePerturbation, adj: AdjointBundle) -> HattedCoefficients:
     """Evaluate the model at the spike's replacement on the window's cells."""
     model, traj = lin.model, lin.traj
     grid = traj.w.grid
@@ -111,21 +112,16 @@ def hatted_coefficients(lin: Linearization, spike: SpikePerturbation, p: np.ndar
     sigma_hat = np.empty((m, n_eps, model.n, model.d))
     sigma_x_hat = np.empty((m, n_eps, model.d, model.n, model.n))
     delta = np.empty((m, n_eps, model.d))
-    f_hat_delta = np.empty((m, n_eps))
+    gap = np.empty((m, n_eps))
     for j, k in enumerate(range(k0, k0 + n_eps)):
-        t, xk, yk, zk = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k]
-        b_hat[:, j] = model.b(t, xk, ur) - lin.b[:, k]
-        sigma_hat[:, j] = model.sigma(t, xk, ur) - lin.sigma[:, k]
+        t, xk = grid.times[k], traj.x[:, k]
+        gap[:, j], b_hat[:, j], sigma_hat[:, j], delta[:, j] = hamiltonian_gap(
+            model, t, xk, traj.y[:, k], traj.z[:, k], ur, adj.p[:, k], adj.q[:, k], adj.big_p[:, k],
+            (lin.b[:, k], lin.sigma[:, k], lin.f[:, k]),
+        )
         sigma_x_hat[:, j] = model.sigma_x(t, xk, ur) - lin.sigma_x[:, k]
-        delta[:, j] = np.einsum("mid,mi->md", sigma_hat[:, j], p[:, k])
-        f_hat_delta[:, j] = model.f(t, xk, yk, zk + delta[:, j], ur) - lin.f[:, k]
     return HattedCoefficients(
-        k0=k0,
-        b_hat=b_hat,
-        sigma_hat=sigma_hat,
-        sigma_x_hat=sigma_x_hat,
-        delta=delta,
-        f_hat_delta=f_hat_delta,
+        k0=k0, b_hat=b_hat, sigma_hat=sigma_hat, sigma_x_hat=sigma_x_hat, delta=delta, gap=gap
     )
 
 
@@ -186,28 +182,21 @@ def compute_y1z1(
     return y1, z1
 
 
-def _yhat_driver(adj: AdjointBundle, hats: HattedCoefficients) -> np.ndarray:
-    """Window Hamiltonian-gap driver on every step, 0 off the window. Shape (m, N)."""
-    k0, k1 = hats.k0, hats.k1
-    drv = np.einsum("mti,mti->mt", adj.p[:, k0:k1], hats.b_hat)
-    drv += np.einsum("mtid,mtid->mt", adj.q[:, k0:k1], hats.sigma_hat)
-    drv += hats.f_hat_delta
-    drv += 0.5 * np.einsum("mtid,mtij,mtjd->mt", hats.sigma_hat, adj.big_p[:, k0:k1], hats.sigma_hat)
-    out = np.zeros(adj.q.shape[:2])
-    out[:, k0:k1] = drv
+def _yhat_driver(hats: HattedCoefficients, n_steps: int) -> np.ndarray:
+    """The window's Hamiltonian gap on every step, 0 off the window. Shape (m, N)."""
+    out = np.zeros((hats.gap.shape[0], n_steps))
+    out[:, hats.k0 : hats.k1] = hats.gap
     return out
 
 
-def solve_yhat(
-    lin: Linearization, adj: AdjointBundle, hats: HattedCoefficients, degree: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_yhat(lin: Linearization, hats: HattedCoefficients, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Auxiliary pair: scalar linear equation with the window Hamiltonian-gap
     driver, generator slopes (f_y, f_z) and zero terminal value."""
     traj = lin.traj
     data = LinearBsdeData(
         lam=lin.f_y,
         mu=lin.f_z,
-        phi=_yhat_driver(adj, hats),
+        phi=_yhat_driver(hats, traj.w.grid.n_steps),
         xi=np.zeros(traj.n_paths),
         state=traj.x,
     )
@@ -320,7 +309,7 @@ def value_remainder_estimate(
             drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k - hats.k0])
         r1 += gamma_tilde[:, k] * drv * dt
 
-    r2 = np.sum(gamma_tilde[:, :n_steps] * _yhat_driver(adj, hats), axis=1) * dt
+    r2 = np.sum(gamma_tilde[:, :n_steps] * _yhat_driver(hats, n_steps), axis=1) * dt
 
     samples = diff - r1 - r2
     m = samples.shape[0]
@@ -464,11 +453,11 @@ def run_spike_study(
         y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
         spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
 
-        hats = hatted_coefficients(lin, spike, adj.p)
+        hats = hatted_coefficients(lin, spike, adj)
         x1 = solve_x1(lin, hats)
         x2 = solve_x2(lin, x1, hats)
         y1, _ = compute_y1z1(lin, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(lin, adj, hats, degree=degree)
+        y_hat, z_hat = solve_yhat(lin, hats, degree=degree)
         y2, _ = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
         del y_hat, z_hat  # folded into Y2/Z2; freed before the functionals
         res = expansion_residuals(lin.traj, spiked, x1)

@@ -188,7 +188,7 @@ def planar_model():
     )
 
 
-def yhat0_direct_estimate(lin, adj, hats):
+def yhat0_direct_estimate(lin, hats):
     """Independent estimate of the auxiliary value at 0.
 
     Integrates the window driver against the weight solved as an SDE by
@@ -200,7 +200,7 @@ def yhat0_direct_estimate(lin, adj, hats):
     m = traj.n_paths
     weight = np.ones(m)
     acc = np.zeros(m)
-    drv = _yhat_driver(adj, hats)
+    drv = _yhat_driver(hats, traj.w.grid.n_steps)
     for k in range(traj.w.grid.n_steps):
         acc += weight * drv[:, k] * dt
         growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])

@@ -221,6 +221,21 @@ class TestArtifacts:
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["closed_form_within_1pct"] is True
 
+    def test_adjoint_constants_catch_p_below_one(self, tmp_path):
+        # on this seed p sags to 0.926 while sup |p| stays within 0.05 of 1,
+        # so the check must read sup |p - 1|, as the example verdict does
+        out = tmp_path / "run"
+        cfg = _write_config(
+            tmp_path,
+            {"model": "example", "n_paths": 10_000, "n_steps": 100, "horizon": 1.0, "control": 0.0, "seed": 6},
+        )
+        code = cli.main(["adjoint", "--config", cfg, "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert abs(report["sup_abs_p"] - 1.0) <= 0.05
+        assert report["sup_p_minus_one"] > 0.05
+        assert report["checks"]["adjoint_constants"] is False
+        assert code == 1
+
     def test_seed_flag_overrides(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg = _write_config(

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from quadsmp.adjoint import linearize, solve_adjoints
 from quadsmp.example import (
+    ExampleAdjointReport,
     analytic_adjoint_residual,
     convex_hull_counterexample,
     confirm_global_smp,
-    evaluate_cost,
-    example_adjoints,
     example_model,
     g_prime,
     g_running,
@@ -60,8 +60,8 @@ class TestStructuralConditions:
 
 class TestCosts:
     def test_zero_control_cost_is_exact_zero(self):
-        j0, se0 = evaluate_cost(0.0, 1500, TimeGrid(1.0, 40), seed=5)
-        assert abs(j0) <= 1e-10
+        _, rep = _solve_for_control(example_model(), 0.0, 1500, TimeGrid(1.0, 40), seed=5)
+        assert abs(rep.y0) <= 1e-10
 
     def test_unit_control_cost_positive(self):
         model = example_model()
@@ -75,27 +75,34 @@ class TestCosts:
         assert abs(rep.y0 - jg) <= 3.0 * float(np.hypot(rep.y0_std_error, seg))
 
 
+@pytest.fixture(scope="module")
+def zero_candidate():
+    """Linearization and adjoints along the zero control, 4000 paths x 64 steps."""
+    model = example_model()
+    traj, _ = _solve_for_control(model, 0.0, 4000, TimeGrid(1.0, 64), seed=1)
+    lin = linearize(model, traj)
+    return lin, solve_adjoints(lin)
+
+
 class TestAdjoints:
     def test_analytic_residual_is_zero(self):
         assert analytic_adjoint_residual() == 0.0
 
-    def test_recovered_constants_loose(self):
-        traj, adj, report = example_adjoints(4000, TimeGrid(1.0, 64), seed=1)
+    def test_recovered_constants_loose(self, zero_candidate):
+        report = ExampleAdjointReport.of(zero_candidate[1])
         assert report.sup_p_minus_one <= 0.1
         assert report.sup_q <= 0.1
         assert report.sup_big_p <= 0.05
         assert report.sup_big_q <= 0.05
 
-    def test_smp_confirmation(self):
-        traj, adj, _ = example_adjoints(4000, TimeGrid(1.0, 64), seed=1)
-        result = confirm_global_smp(traj, adj, tolerance=0.05)
+    def test_smp_confirmation(self, zero_candidate):
+        result = confirm_global_smp(*zero_candidate, tolerance=0.05)
         assert result["analytic"]["gap_at_zero"] == 0.0
         assert result["analytic"]["gap_at_one"] == 1.5
         assert result["passed"]
 
-    def test_convex_hull_counterexample(self):
-        traj, adj, _ = example_adjoints(4000, TimeGrid(1.0, 64), seed=1)
-        result = convex_hull_counterexample(traj, adj, tolerance=0.05)
+    def test_convex_hull_counterexample(self, zero_candidate):
+        result = convex_hull_counterexample(*zero_candidate, tolerance=0.05)
         assert result["analytic_gradient_at_zero"] == -0.5
         assert result["analytic_violation"]
         assert result["at_one_left_side"] == 0.0

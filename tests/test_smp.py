@@ -1,7 +1,11 @@
 """Hamiltonian evaluation, difference identity, necessary and sufficient checks."""
 
+from collections import Counter
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from support import planar_model
 
 from quadsmp import smp
 from quadsmp.adjoint import linearize, solve_adjoints
@@ -10,6 +14,7 @@ from quadsmp.example import example_model, g_running
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import ControlDomain, benchmark_model, scalar_model
 from quadsmp.sde import simulate_forward_sde
+from quadsmp.spike import SpikePerturbation, hatted_coefficients
 
 
 def _random_point_batch(model, size, seed, box=1.0):
@@ -131,25 +136,20 @@ def example_candidate():
     u = constant_control(0.0, 3000, 64)
     x = simulate_forward_sde(model, 0.0, u, w)
     y, z, _ = solve_bsde_lsmc(model, x, u, w)
-    traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-    adj = solve_adjoints(linearize(model, traj))
-    return model, traj, adj
+    lin = linearize(model, ControlledTrajectory(w=w, x=x, y=y, z=z, u=u))
+    return lin, solve_adjoints(lin)
 
 
 class TestGlobalSmp:
     def test_candidate_control_alone_is_empty(self, example_candidate):
-        model, traj, adj = example_candidate
-        report = smp.check_global_smp(
-            model, traj, adj.p, adj.q, adj.big_p, [[0.0]], tolerance=0.0
-        )
+        lin, adj = example_candidate
+        report = smp.check_global_smp(lin, adj, [[0.0]], tolerance=0.0)
         assert report.empty
         assert report.n_violations == 0
 
     def test_optimal_candidate_clean(self, example_candidate):
-        model, traj, adj = example_candidate
-        report = smp.check_global_smp(
-            model, traj, adj.p, adj.q, adj.big_p, [[0.0], [1.0]], tolerance=0.05
-        )
+        lin, adj = example_candidate
+        report = smp.check_global_smp(lin, adj, [[0.0], [1.0]], tolerance=0.05)
         assert report.empty
 
     def test_nonoptimal_candidate_flagged(self):
@@ -159,11 +159,8 @@ class TestGlobalSmp:
         u = constant_control(1.0, 3000, 64)
         x = simulate_forward_sde(model, 0.0, u, w)
         y, z, _ = solve_bsde_lsmc(model, x, u, w)
-        traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-        adj = solve_adjoints(linearize(model, traj))
-        report = smp.check_global_smp(
-            model, traj, adj.p, adj.q, adj.big_p, [[0.0], [1.0]], tolerance=0.05
-        )
+        lin = linearize(model, ControlledTrajectory(w=w, x=x, y=y, z=z, u=u))
+        report = smp.check_global_smp(lin, solve_adjoints(lin), [[0.0], [1.0]], tolerance=0.05)
         assert not report.empty
         assert report.worst_gap < -0.5
         assert len(report.entries) <= 1000
@@ -181,7 +178,7 @@ class TestLocalSmp:
         rng = np.random.default_rng(0)
         p = rng.standard_normal((200, 9, 1))
         q = rng.standard_normal((200, 8, 1, 1))
-        grad, _ = smp.local_smp_gradient(model, traj, p, q)
+        grad, _ = smp.local_smp_gradient(linearize(model, traj), p, q)
 
         # directional derivative of the auxiliary Hamiltonian plus the
         # linearized z-shift term, by central differences in the control
@@ -232,19 +229,97 @@ class TestLocalSmp:
         y, z, _ = solve_bsde_lsmc(model, x, u, w)
         traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
         grad, report = smp.local_smp_gradient(
-            model, traj, np.ones((100, 17, 1)), np.zeros((100, 16, 1, 1)),
+            linearize(model, traj), np.ones((100, 17, 1)), np.zeros((100, 16, 1, 1)),
             test_controls=[[-1.0], [1.0]], tolerance=1e-10,
         )
         assert report["passed"]
         assert report["worst_pairing"] == 0.0
 
     def test_missing_control_derivatives_rejected(self, example_candidate):
-        model, traj, adj = example_candidate
-        from dataclasses import replace
-
-        broken = replace(model, b_u=None)
+        lin, adj = example_candidate
+        broken = replace(lin, model=replace(lin.model, b_u=None))
         with pytest.raises(ValueError, match="control derivatives"):
-            smp.local_smp_gradient(broken, traj, adj.p, adj.q)
+            smp.local_smp_gradient(broken, adj.p, adj.q)
+
+
+@pytest.fixture(scope="module")
+def planar_candidate():
+    """A solved n = d = k = 2 candidate (120 paths, 4 steps) with its adjoints."""
+    model = planar_model()
+    grid = TimeGrid(1.0, 4)
+    w = generate_brownian(120, grid, model.d, seed=3)
+    u = constant_control([0.2, -0.4], 120, 4)
+    x = simulate_forward_sde(model, [0.3, -0.2], u, w)
+    y, z, _ = solve_bsde_lsmc(model, x, u, w)
+    lin = linearize(model, ControlledTrajectory(w=w, x=x, y=y, z=z, u=u))
+    return lin, solve_adjoints(lin)
+
+
+def _defined_gap(lin, adj, k, u):
+    """smp.hamiltonian(u) - smp.hamiltonian(u_bar) at step k."""
+    traj = lin.traj
+    at = (lin.model, traj.w.grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k])
+    rest = (adj.p[:, k], adj.q[:, k], adj.big_p[:, k], traj.u[:, k])
+    return smp.hamiltonian(*at, u, *rest) - smp.hamiltonian(*at, traj.u[:, k], *rest)
+
+
+def _counting(model):
+    """Copy of model whose callables count their calls by field name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    callables = {f.name: getattr(model, f.name) for f in fields(model) if callable(getattr(model, f.name))}
+    return replace(model, **{name: counted(name, fn) for name, fn in callables.items()}), calls
+
+
+PLANAR_CONTROLS = [[1.0, -1.0], [-0.5, 0.7]]
+
+
+@pytest.mark.filterwarnings("ignore::quadsmp.regression.RankDeficientRegression")
+class TestGapAtPlanarCandidate:
+    """The shared gap kernel against the Hamiltonian's definition at n = d = k = 2,
+    where the q-sigma pairing, Delta and the P term have every axis filled."""
+
+    def test_global_check_gaps_equal_definition(self, planar_candidate):
+        lin, adj = planar_candidate
+        # a tolerance of -inf lists every cell: 120 x 4 x 2 = 960 < MAX_ENTRIES
+        report = smp.check_global_smp(lin, adj, PLANAR_CONTROLS, tolerance=-np.inf)
+        assert report.n_violations == len(report.entries) == 960
+        gaps = np.empty((2, 4, 120))
+        for path, k, c, gap in report.entries:
+            gaps[PLANAR_CONTROLS.index(c), k, path] = gap
+        for j, c in enumerate(PLANAR_CONTROLS):
+            for k in range(4):
+                expected = _defined_gap(lin, adj, k, np.broadcast_to(c, (120, 2)))
+                scale = np.abs(expected).max()
+                np.testing.assert_allclose(gaps[j, k], expected, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_spike_gap_equals_definition(self, planar_candidate):
+        lin, adj = planar_candidate
+        replacement = np.array([-0.6, 0.9])
+        hats = hatted_coefficients(lin, SpikePerturbation(t0=0.25, eps=0.5, replacement=replacement), adj)
+        assert (hats.k0, hats.k1) == (1, 3)
+        for j, k in enumerate(range(hats.k0, hats.k1)):
+            expected = _defined_gap(lin, adj, k, np.broadcast_to(replacement, (120, 2)))
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(hats.gap[:, j], expected, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_checks_evaluate_only_the_test_controls(self, planar_candidate):
+        # the candidate's b, sigma, f and f_z come from the linearization
+        lin, adj = planar_candidate
+        model, calls = _counting(lin.model)
+        lin = replace(lin, model=model)
+        smp.check_global_smp(lin, adj, PLANAR_CONTROLS, tolerance=0.0)
+        assert calls == {"b": 4 * 2, "sigma": 4 * 2, "f": 4 * 2}
+        calls.clear()
+        smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=PLANAR_CONTROLS)
+        assert calls == {"b_u": 4, "sigma_u": 4, "f_u": 4}
 
 
 def _lq_model(quadratic_f=True, concave_terminal=False):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from support import yhat0_direct_estimate
 
-from quadsmp.adjoint import linearize, solve_adjoints
+from quadsmp.adjoint import AdjointBundle, linearize, solve_adjoints
 from quadsmp.bsde import (
     ControlledTrajectory,
     LinearBsdeData,
@@ -75,6 +75,16 @@ class TestSpikeWindow:
             build_spiked_control(u, SpikePerturbation(0.9375, 0.125, np.array([1.0])), grid)
 
 
+def _unit_adjoints(m, n_steps):
+    """p = 1 and q = P = Q = 0 for a scalar model."""
+    return AdjointBundle(
+        p=np.ones((m, n_steps + 1, 1)),
+        q=np.zeros((m, n_steps, 1, 1)),
+        big_p=np.zeros((m, n_steps + 1, 1, 1)),
+        big_q=np.zeros((m, n_steps, 1, 1, 1)),
+    )
+
+
 # spike windows on a 64-step unit grid: at the start, interior, ending at the horizon
 WINDOWS = [(0.0, 0.25), (0.25, 0.25), (0.75, 0.25)]
 
@@ -83,11 +93,11 @@ class TestVariationalStates:
     def test_no_spike_gives_zero(self, base_pipeline):
         model, grid, traj, adj, lin = base_pipeline
         spike = SpikePerturbation(t0=0.25, eps=8 * grid.dt, replacement=np.array([0.0]))
-        hats = hatted_coefficients(lin, spike, adj.p)
+        hats = hatted_coefficients(lin, spike, adj)
         x1 = solve_x1(lin, hats)
         x2 = solve_x2(lin, x1, hats)
         y1, z1 = compute_y1z1(lin, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(lin, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, hats)
         y2, z2 = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
         res = expansion_residuals(traj, traj, x1)
         for arr in (x1, x2, y1, z1, y_hat, z_hat, y2, z2, res.xi1, res.xi2, res.eta1, res.zeta1):
@@ -100,8 +110,9 @@ class TestVariationalStates:
         spike, _, hats, _, _ = spiked
         k0, n_eps = spike.window(grid)
         assert (hats.k0, hats.k1) == (k0, k0 + n_eps)
-        assert hats.b_hat.shape[1] == hats.sigma_x_hat.shape[1] == hats.f_hat_delta.shape[1] == n_eps
+        assert hats.b_hat.shape[1] == hats.sigma_x_hat.shape[1] == hats.gap.shape[1] == n_eps
         u = np.broadcast_to(spike.replacement, (traj.n_paths, model.k))
+        f_hat_delta = np.empty((traj.n_paths, n_eps))
         for j in range(n_eps):
             k = k0 + j
             t, x, y, z = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k]
@@ -110,7 +121,14 @@ class TestVariationalStates:
             assert np.array_equal(hats.sigma_x_hat[:, j], model.sigma_x(t, x, u) - lin.sigma_x[:, k])
             delta = np.einsum("mid,mi->md", hats.sigma_hat[:, j], adj.p[:, k])
             assert np.array_equal(hats.delta[:, j], delta)
-            assert np.array_equal(hats.f_hat_delta[:, j], model.f(t, x, y, z + delta, u) - lin.f[:, k])
+            f_hat_delta[:, j] = model.f(t, x, y, z + delta, u) - lin.f[:, k]
+        # the window-wide driver formula that hats.gap replaced, bit for bit
+        k1 = k0 + n_eps
+        drv = np.einsum("mti,mti->mt", adj.p[:, k0:k1], hats.b_hat)
+        drv += np.einsum("mtid,mtid->mt", adj.q[:, k0:k1], hats.sigma_hat)
+        drv += f_hat_delta
+        drv += 0.5 * np.einsum("mtid,mtij,mtjd->mt", hats.sigma_hat, adj.big_p[:, k0:k1], hats.sigma_hat)
+        assert np.array_equal(hats.gap, drv)
 
     @pytest.mark.parametrize("t0,eps", WINDOWS, ids=["start", "interior", "end"])
     def test_x1_additive_window_integral(self, t0, eps):
@@ -142,7 +160,7 @@ class TestVariationalStates:
         )
         spike = SpikePerturbation(t0=t0, eps=eps, replacement=np.array([2.0]))
         lin = linearize(flat, frozen)
-        hats = hatted_coefficients(lin, spike, np.ones((200, 65, 1)))
+        hats = hatted_coefficients(lin, spike, _unit_adjoints(200, 64))
         x1 = solve_x1(lin, hats)
         k0, n_eps = spike.window(grid)
         paths = w.paths()[:, :, 0]
@@ -176,7 +194,7 @@ class TestVariationalStates:
         )
         spike = SpikePerturbation(t0=t0, eps=eps, replacement=np.array([3.0]))
         lin = linearize(flat, frozen)
-        hats = hatted_coefficients(lin, spike, np.ones((50, 65, 1)))
+        hats = hatted_coefficients(lin, spike, _unit_adjoints(50, 64))
         x1 = solve_x1(lin, hats)
         x2 = solve_x2(lin, x1, hats)
         elapsed = np.clip(grid.times, t0, t0 + eps) - t0
@@ -188,7 +206,7 @@ def spiked(base_pipeline):
     model, grid, traj, adj, lin = base_pipeline
     spike = SpikePerturbation(t0=0.25, eps=16 * grid.dt, replacement=np.array([1.0]))
     u_eps = build_spiked_control(traj.u, spike, grid)
-    hats = hatted_coefficients(lin, spike, adj.p)
+    hats = hatted_coefficients(lin, spike, adj)
     x1 = solve_x1(lin, hats)
     x2 = solve_x2(lin, x1, hats)
     return spike, u_eps, hats, x1, x2
@@ -204,15 +222,15 @@ class TestBackwardRelations:
     def test_y2_equals_yhat_at_zero(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, x2 = spiked
-        y_hat, z_hat = solve_yhat(lin, adj, hats)
+        y_hat, z_hat = solve_yhat(lin, hats)
         y2, z2 = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
         assert y2[:, 0] == pytest.approx(y_hat[:, 0], abs=1e-12)
 
     def test_yhat0_against_direct_weight_sde(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, _, _ = spiked
-        y_hat, _ = solve_yhat(lin, adj, hats)
-        direct, se = yhat0_direct_estimate(lin, adj, hats)
+        y_hat, _ = solve_yhat(lin, hats)
+        direct, se = yhat0_direct_estimate(lin, hats)
         assert abs(float(y_hat[:, 0].mean()) - direct) <= 2.0 * se + 1e-4
 
     def test_first_variation_weighted_cross_check(self, base_pipeline, spiked):
