@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bsde import ControlledTrajectory, MultiLinearBsdeData, solve_multidim_linear_bsde
+from .grids import step_major
 from .models import COEFFICIENTS, ModelSpec, coefficient_shape, evaluate
 
 __all__ = [
@@ -86,7 +87,7 @@ def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
     """Evaluate the model coefficients and derivatives along the candidate (x, y, z, u)."""
     grid = traj.w.grid
     steps = {
-        f.name: np.empty((traj.n_paths, grid.n_steps) + coefficient_shape(model, f.name))
+        f.name: step_major((traj.n_paths, grid.n_steps) + coefficient_shape(model, f.name))
         for f in fields(Linearization)
         if f.name in COEFFICIENTS
     }
@@ -163,18 +164,17 @@ def assemble_second_order_source(lin: Linearization, p: np.ndarray, q: np.ndarra
     times = traj.w.grid.times
     n_steps = traj.w.grid.n_steps
     p_steps = p[:, :n_steps]
-    phi1 = np.einsum("mtijk,mti->mtjk", lin.b_xx, p_steps)
+    source = np.einsum("mtijk,mti->mtjk", lin.b_xx, p_steps, out=step_major((m, n_steps, n, n)))
     coef = lin.f_z[:, :, None, :] * p_steps[:, :, :, None] + q
-    phi2 = np.einsum("mtidjk,mtid->mtjk", lin.sigma_xx, coef)
+    source += np.einsum("mtidjk,mtid->mtjk", lin.sigma_xx, coef)
     upsilon = upsilon_process(lin, p, q)
     eye = np.broadcast_to(np.eye(n), (m, n, n))
     # Hess(f) is contracted step by step, so one (m, n+1+d, n+1+d) block is live at a time
-    phi3 = np.empty((m, n_steps, n, n))
     for k in range(n_steps):
         jac = np.concatenate([eye, p_steps[:, k, :, None], upsilon[:, k]], axis=2)  # (m, n, n+1+d)
         f_hess = model.f_hess(times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k])
-        phi3[:, k] = np.einsum("mia,mab,mjb->mij", jac, f_hess, jac)
-    return phi1 + phi2 + phi3
+        source[:, k] += np.einsum("mia,mab,mjb->mij", jac, f_hess, jac)
+    return source
 
 
 def _second_order_operators(
@@ -218,18 +218,22 @@ def solve_second_order(
     Returns big_p: (m, N+1, n, n) and big_q: (m, N, n, n, d).
     """
     model, traj = lin.model, lin.traj
+    n = model.n
     a, c = _second_order_operators(lin.f_y, lin.f_z, lin.b_x, lin.sigma_x)
+    driver = svec(assemble_second_order_source(lin, p, q))
     data = MultiLinearBsdeData(
         a=a,
         beta=lin.f_z,
         c=c,
-        driver=svec(assemble_second_order_source(lin, p, q)),
+        driver=step_major(driver.shape, driver),
         xi=svec(model.phi_xx(traj.x[:, -1])),
         state=traj.x,
     )
+    del driver  # the step-major copy is the one the solve reads
     pv, qv, _, _ = solve_multidim_linear_bsde(data, traj.w, degree=degree)
-    big_q = np.moveaxis(unsvec(np.swapaxes(qv, 2, 3), model.n), 2, -1)
-    return unsvec(pv, model.n), big_q
+    big_p = unsvec(pv, n)
+    big_q = np.moveaxis(unsvec(np.swapaxes(qv, 2, 3), n), 2, -1)
+    return step_major(big_p.shape, big_p), step_major(big_q.shape, big_q)
 
 
 def solve_adjoints(lin: Linearization, degree: int = 2) -> AdjointBundle:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import BrownianEnsemble
+from .grids import BrownianEnsemble, step_major
 from .regression import RegressionBasis, conditional_expectation
 from .sde import MatrixFlowPair, _diffusion_matrices, simulate_matrix_flow
 
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _LOG_OVERFLOW = 700.0  # exp overflows float64 just above this
+_IMPLICIT_GUARD = 100  # implicit Y iterations before a step gives up, however fast the gap shrinks
 
 
 class BsdeSolverError(RuntimeError):
@@ -130,8 +131,10 @@ def solve_bsde_lsmc(
     fitted conditional mean changes nothing in expectation and removes the
     O(|Y|/sqrt(dt)) variance of the raw product), clipped in norm at the
     model's z_truncation_default; Y from the regression of Y_{k+1} plus an
-    implicit fixed point in the f(.., Y, ..) dt term (at most 10 iterations,
-    to a sup-norm gap of 1e-10). The regressions keep every basis term.
+    implicit fixed point in the f(.., Y, ..) dt term, iterated to a sup-norm
+    gap of 1e-10. The iteration raises BsdeSolverError as soon as an update
+    fails to shrink the gap (the map does not contract) and, as a guard, after
+    100 updates. The regressions keep every basis term.
     """
     grid = w.grid
     dt, times, n_steps = grid.dt, grid.times, grid.n_steps
@@ -140,8 +143,8 @@ def solve_bsde_lsmc(
     u = np.broadcast_to(u, (m, n_steps, u.shape[-1]))
     z_truncation = model.z_truncation_default(grid.horizon)
 
-    y = np.empty((m, n_steps + 1))
-    z = np.zeros((m, n_steps, model.d))
+    y = step_major((m, n_steps + 1))
+    z = step_major((m, n_steps, model.d))
     y[:, n_steps] = model.phi(x[:, n_steps])
     clip_hits = 0
     for k in range(n_steps - 1, -1, -1):
@@ -157,13 +160,16 @@ def solve_bsde_lsmc(
         clip_hits += int(over.sum())
         scale = np.where(over, z_truncation / np.maximum(z_norm, 1e-300), 1.0)
         z[:, k] = z_fit * scale[:, None]
-        y_k = e_next
-        for _ in range(10):
+        y_k, last_gap = e_next, np.inf
+        for _ in range(_IMPLICIT_GUARD):
             y_new = e_next + model.f(times[k], feats, y_k, z[:, k], u[:, k]) * dt
             gap = float(np.max(np.abs(y_new - y_k)))
             y_k = y_new
             if gap <= 1e-10:
                 break
+            if not gap < last_gap:
+                raise BsdeSolverError(f"implicit Y iteration does not contract at step {k} (gap {gap:.3e})")
+            last_gap = gap
         else:
             raise BsdeSolverError(f"implicit Y iteration did not converge at step {k} (gap {gap:.3e})")
         y[:, k] = y_k
@@ -190,9 +196,9 @@ def exponential_weight(lam: np.ndarray, mu: np.ndarray, w: BrownianEnsemble) -> 
     m, n_steps, _ = w.increments.shape
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (m, n_steps))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), w.increments.shape)
-    log_weight = np.zeros((m, n_steps + 1))
+    log_weight = step_major((m, n_steps + 1), 0.0)
     np.cumsum(np.sum(mu * w.increments, axis=2) - 0.5 * np.sum(mu * mu, axis=2) * dt, axis=1, out=log_weight[:, 1:])
-    lam_int = np.zeros((m, n_steps + 1))
+    lam_int = step_major((m, n_steps + 1), 0.0)
     np.cumsum(lam * dt, axis=1, out=lam_int[:, 1:])
     log_weight += lam_int
     if float(log_weight.max()) > _LOG_OVERFLOW:
@@ -224,9 +230,10 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (m, n_steps, d))
     c = np.broadcast_to(np.asarray(c, dtype=float), (m, n_steps, d, n, n))
 
-    weighted_f = np.einsum("mtij,mti->mtj", flow[:, :n_steps], driver) * dt
+    weighted_f = np.einsum("mtij,mti->mtj", flow[:, :n_steps], driver, out=step_major((m, n_steps, n)))
+    weighted_f *= dt
     # pathwise X_T' xi + int_t^T X_s' f_s ds
-    bracket = np.zeros((m, n_steps + 1, n))
+    bracket = step_major((m, n_steps + 1, n), 0.0)
     bracket[:, :n_steps] = np.cumsum(weighted_f[:, ::-1], axis=1)[:, ::-1]
     bracket += np.einsum("mij,mi->mj", flow[:, n_steps], xi)[:, None]
 
@@ -235,13 +242,15 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     # noise level uniform instead of amplifying it where the flow is small.
     # y holds each node's target until its regression replaces it; a constant
     # target is its own conditional expectation and stays
-    y = np.empty((m, n_steps + 1, n))
+    y = step_major((m, n_steps + 1, n))
     np.einsum("mtji,mtj->mti", inv[:, :n_steps], bracket[:, :n_steps], out=y[:, :n_steps])
     y[:, n_steps] = xi
     flat_flow = flow.reshape(m, n_steps + 1, n * n)
-    prefix = np.zeros((m, n_steps + 1, n))
+    prefix = step_major((m, n_steps + 1, n), 0.0)
     np.cumsum(weighted_f, axis=1, out=prefix[:, 1:])
-    z = np.empty((m, n_steps, n, d))
+    target0 = bracket[:, 0].copy()
+    del weighted_f, bracket  # the backward pass reads only y's targets and the prefix
+    z = step_major((m, n_steps, n, d))
     eye = np.eye(n)
     # one backward pass: node k's basis serves its Y fit and then its Z fit,
     # which regresses the martingale increment of X'Y + int X'f ds on (k, k+1]
@@ -263,7 +272,7 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
         # (D^i)' Y for every i: (m, d, n)
         d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], eye))[:, :, 0]
         z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
-    return y, z, bracket[:, 0]
+    return y, z, target0
 
 
 def solve_linear_bsde_weighted(

@@ -8,6 +8,12 @@ Array conventions used throughout the package:
   backward equations) have shape ``(n_paths, n_steps, ...)`` and are read at
   the left endpoint of each grid cell;
 * Brownian increments have shape ``(n_paths, n_steps, d)``.
+
+Every node and step process the package allocates is stored step-major:
+``step_major`` orders the memory ``(n_steps, n_paths, ...)`` and hands out
+the transposed ``(n_paths, n_steps, ...)`` view, so the per-step slice
+``a[:, k]`` that every recursion reads is one contiguous block. Functions
+accept inputs in any layout; only their own allocations follow this order.
 """
 
 from __future__ import annotations
@@ -20,10 +26,23 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "BrownianEnsemble",
+    "step_major",
     "generate_brownian",
     "constant_control",
     "write_ensemble_csv",
 ]
+
+
+def step_major(shape, fill=None) -> np.ndarray:
+    """An (n_paths, n_steps, ...) float array stored as (n_steps, n_paths, ...).
+
+    Uninitialized when fill is None, else filled with it: a scalar, or an
+    array in any layout that broadcasts to shape.
+    """
+    out = np.empty((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
+    if fill is not None:
+        out[...] = fill
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,7 +95,7 @@ class BrownianEnsemble:
 
     def paths(self) -> np.ndarray:
         """Brownian node values W_{t_k}, shape (n_paths, n_steps+1, dim)."""
-        w = np.zeros((self.n_paths, self.grid.n_steps + 1, self.dim))
+        w = step_major((self.n_paths, self.grid.n_steps + 1, self.dim), 0.0)
         np.cumsum(self.increments, axis=1, out=w[:, 1:])
         return w
 
@@ -88,14 +107,16 @@ def generate_brownian(n_paths: int, grid: TimeGrid, d: int, seed: int) -> Browni
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
-    dw = rng.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
+    draw = rng.standard_normal((n_paths, grid.n_steps, d))
+    dw = step_major(draw.shape, draw)
+    dw *= np.sqrt(grid.dt)
     return BrownianEnsemble(grid=grid, dim=d, seed=seed, increments=dw)
 
 
 def constant_control(value, n_paths: int, n_steps: int) -> np.ndarray:
     """Step process equal to a constant control value, shape (n_paths, n_steps, k)."""
     v = np.atleast_1d(np.asarray(value, dtype=float))
-    return np.broadcast_to(v, (n_paths, n_steps, v.shape[-1])).copy()
+    return step_major((n_paths, n_steps, v.shape[-1]), v)
 
 
 def write_ensemble_csv(path, array: np.ndarray) -> None:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import BrownianEnsemble
+from .grids import BrownianEnsemble, step_major
 
 __all__ = [
     "SimulationError",
@@ -52,7 +52,7 @@ def simulate_forward_sde(model, x0, u: np.ndarray, w: BrownianEnsemble) -> np.nd
     u = np.asarray(u, dtype=float)
     u = np.broadcast_to(u, (n_paths, grid.n_steps, u.shape[-1]))
 
-    x = np.empty((n_paths, grid.n_steps + 1, n))
+    x = step_major((n_paths, grid.n_steps + 1, n))
     x[:, 0] = x0
     for k in range(grid.n_steps):
         xk = x[:, k]
@@ -88,7 +88,7 @@ class MatrixFlowPair:
         """Euler-Maruyama for dLambda = Lambda (-A + sum_i (D^i)^2) dt - sum_i Lambda D^i dW^i."""
         dw, dt = self.w.increments, self.w.grid.dt
         eye = np.eye(self.dim)
-        lam = np.empty_like(self.flow)
+        lam = step_major(self.flow.shape)
         lam[:, 0] = eye
         for k in range(dw.shape[1]):
             dk = _diffusion_matrices(self.beta[:, k], self.c[:, k], eye)
@@ -139,7 +139,7 @@ def simulate_matrix_flow(a, beta, c, w: BrownianEnsemble) -> MatrixFlowPair:
     a, beta, c = _coef_arrays(a, beta, c, n_paths, n_steps, n, d)
 
     eye = np.eye(n)
-    x = np.empty((n_paths, n_steps + 1, n, n))
+    x = step_major((n_paths, n_steps + 1, n, n))
     x[:, 0] = eye
     for k in range(n_steps):
         step = _noise_term(dw[:, k], _diffusion_matrices(beta[:, k], c[:, k], eye))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .adjoint import AdjointBundle, Linearization
 from .bsde import ControlledTrajectory
-from .grids import constant_control
+from .grids import constant_control, step_major
 from .models import ModelSpec
 from .sde import simulate_forward_sde
 
@@ -231,7 +231,7 @@ def local_smp_gradient(
         raise ValueError("model lacks control derivatives (b_u, sigma_u, f_u)")
     grid = traj.w.grid
     m, n_steps = traj.n_paths, grid.n_steps
-    grad = np.empty((m, n_steps, model.k))
+    grad = step_major((m, n_steps, model.k))
     for k in range(n_steps):
         t = grid.times[k]
         xk, yk, zk, uk = traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]

@@ -26,7 +26,7 @@ from .bsde import (
     solve_bsde_lsmc,
     solve_linear_bsde_weighted,
 )
-from .grids import TimeGrid, constant_control, generate_brownian
+from .grids import TimeGrid, constant_control, generate_brownian, step_major
 from .models import ModelSpec
 from .sde import simulate_forward_sde
 from .smp import hamiltonian_gap
@@ -108,11 +108,11 @@ def hatted_coefficients(lin: Linearization, spike: SpikePerturbation, adj: Adjoi
     k0, n_eps = spike.window(grid)
     m = traj.n_paths
     ur = np.broadcast_to(np.asarray(spike.replacement, dtype=float), (m, model.k))
-    b_hat = np.empty((m, n_eps, model.n))
-    sigma_hat = np.empty((m, n_eps, model.n, model.d))
-    sigma_x_hat = np.empty((m, n_eps, model.d, model.n, model.n))
-    delta = np.empty((m, n_eps, model.d))
-    gap = np.empty((m, n_eps))
+    b_hat = step_major((m, n_eps, model.n))
+    sigma_hat = step_major((m, n_eps, model.n, model.d))
+    sigma_x_hat = step_major((m, n_eps, model.d, model.n, model.n))
+    delta = step_major((m, n_eps, model.d))
+    gap = step_major((m, n_eps))
     for j, k in enumerate(range(k0, k0 + n_eps)):
         t, xk = grid.times[k], traj.x[:, k]
         gap[:, j], b_hat[:, j], sigma_hat[:, j], delta[:, j] = hamiltonian_gap(
@@ -131,7 +131,7 @@ def solve_x1(lin: Linearization, hats: HattedCoefficients) -> np.ndarray:
     grid = lin.traj.w.grid
     dt = grid.dt
     dw = lin.traj.w.increments
-    x1 = np.zeros((lin.traj.n_paths, grid.n_steps + 1, lin.model.n))
+    x1 = step_major((lin.traj.n_paths, grid.n_steps + 1, lin.model.n), 0.0)
     for k in range(hats.k0, grid.n_steps):
         xk = x1[:, k]
         incr = np.einsum("mij,mj->mi", lin.b_x[:, k], xk) * dt
@@ -149,7 +149,7 @@ def solve_x2(lin: Linearization, x1: np.ndarray, hats: HattedCoefficients) -> np
     grid = lin.traj.w.grid
     dt = grid.dt
     dw = lin.traj.w.increments
-    x2 = np.zeros((lin.traj.n_paths, grid.n_steps + 1, lin.model.n))
+    x2 = step_major((lin.traj.n_paths, grid.n_steps + 1, lin.model.n), 0.0)
     for k in range(hats.k0, grid.n_steps):
         xk = x2[:, k]
         x1k = x1[:, k]
@@ -184,7 +184,7 @@ def compute_y1z1(
 
 def _yhat_driver(hats: HattedCoefficients, n_steps: int) -> np.ndarray:
     """The window's Hamiltonian gap on every step, 0 off the window. Shape (m, N)."""
-    out = np.zeros((hats.gap.shape[0], n_steps))
+    out = step_major((hats.gap.shape[0], n_steps), 0.0)
     out[:, hats.k0 : hats.k1] = hats.gap
     return out
 

@@ -3,13 +3,15 @@ an n = d = k = 2 model with every derivative layout visible, an independent
 estimate of the spike auxiliary value, the two-einsum Euler step of the
 matrix flow pair as an oracle for the flow kernel, and, as oracles for the
 shared regression basis, the one-call regression kernel and the two-pass
-linear representation."""
+linear representation; and, for the step-major storage, path-major copies
+of any solver input with the checks that compare them."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 
-from quadsmp.bsde import LinearBsdeData
+from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import ControlDomain, ModelSpec, scalar_model
 from quadsmp.regression import RIDGE, RankDeficientRegression, conditional_expectation, polynomial_design
@@ -346,3 +348,41 @@ def represent_two_pass_reference(flow, inv, driver, xi, beta, c, state, w, degre
         d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], np.eye(n)))[:, :, 0]
         z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
     return y, z
+
+
+def path_major(obj):
+    """obj with every array, in nested dataclasses too, copied to C order, so
+    a[:, k] of a node or step process is strided across paths again."""
+    if isinstance(obj, np.ndarray):
+        return np.ascontiguousarray(obj)
+    if not dataclasses.is_dataclass(obj) or isinstance(obj, ModelSpec):
+        return obj
+    changes = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray) or dataclasses.is_dataclass(value):
+            changes[f.name] = path_major(value)
+    return dataclasses.replace(obj, **changes)
+
+
+def steps_contiguous(a) -> bool:
+    """Every per-step slice a[:, k] of a node or step process is one C-contiguous block."""
+    return all(a[:, k].flags.c_contiguous for k in range(a.shape[1]))
+
+
+def assert_close_rel(actual, expected, rel=1e-12):
+    """max |actual - expected| within rel times max |expected|."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def planar_candidate(n_paths, n_steps, seed, control=(0.2, -0.4), x0=(0.3, -0.2)):
+    """A solved planar_model candidate trajectory on a unit horizon."""
+    model = planar_model()
+    grid = TimeGrid(1.0, n_steps)
+    w = generate_brownian(n_paths, grid, model.d, seed)
+    u = constant_control(list(control), n_paths, n_steps)
+    x = simulate_forward_sde(model, list(x0), u, w)
+    y, z, _ = solve_bsde_lsmc(model, x, u, w)
+    return model, ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from support import driver_model, planar_model
+from support import assert_close_rel, driver_model, path_major, planar_candidate, planar_model, steps_contiguous
 
 from quadsmp.adjoint import (
     _second_order_operators,
@@ -303,3 +303,37 @@ class TestExampleAdjoints:
         assert np.sqrt((adj.q**2).mean(axis=0)).max() < 0.1
         assert np.abs(adj.big_p).max() < 0.05
         assert np.abs(adj.big_q).max() < 0.05
+
+
+class TestStepMajorStorage:
+    """Step-major outputs at n = d = k = 2, and the same values from path-major inputs."""
+
+    @pytest.fixture(scope="class")
+    def planar(self):
+        model, traj = planar_candidate(300, 8, seed=5)
+        lin = linearize(model, traj)
+        return lin, solve_adjoints(lin)
+
+    def test_linearization(self, planar):
+        lin, _ = planar
+        lin_pm = linearize(lin.model, path_major(lin.traj))
+        assert not steps_contiguous(lin_pm.traj.x)
+        for name in ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
+            assert steps_contiguous(getattr(lin, name)), name
+            assert steps_contiguous(getattr(lin_pm, name)), name
+            assert_close_rel(getattr(lin_pm, name), getattr(lin, name))
+
+    def test_adjoints(self, planar):
+        lin, adj = planar
+        adj_pm = solve_adjoints(path_major(lin))
+        for name in ("p", "q", "big_p", "big_q"):
+            assert steps_contiguous(getattr(adj, name)), name
+            assert steps_contiguous(getattr(adj_pm, name)), name
+            assert_close_rel(getattr(adj_pm, name), getattr(adj, name))
+
+    def test_second_order_source(self, planar):
+        lin, adj = planar
+        source = assemble_second_order_source(lin, adj.p, adj.q)
+        assert steps_contiguous(source)
+        source_pm = assemble_second_order_source(path_major(lin), path_major(adj.p), path_major(adj.q))
+        assert_close_rel(source_pm, source)

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from support import driver_model, random_linear_instance, represent_two_pass_reference
+from support import (
+    assert_close_rel,
+    driver_model,
+    path_major,
+    planar_candidate,
+    random_linear_instance,
+    represent_two_pass_reference,
+    steps_contiguous,
+)
 
 from quadsmp import bmo
 from quadsmp.bsde import (
@@ -112,6 +120,23 @@ class TestLsmcSolver:
         u = constant_control(0.0, w.n_paths, grid.n_steps)
         x = simulate_forward_sde(model, 0.0, u, w)
         with pytest.raises(BsdeSolverError, match=r"step \d+"):
+            solve_bsde_lsmc(model, x, u, w)
+
+    def test_slow_contraction_runs_to_convergence(self):
+        # dt = 0.5 and |f_y| <= 0.4: the implicit map shrinks the gap by about
+        # 0.2 per iteration, so it needs more iterations than a fixed cap of 10
+        _, traj = planar_candidate(400, 2, seed=3)
+        assert float(traj.y[:, 0].mean()) == pytest.approx(0.1297, abs=1e-4)
+
+    def test_non_contraction_is_named(self, small_setup):
+        grid, w = small_setup
+        model = driver_model(
+            lambda t, x: 200.0 + 0.0 * x, lambda t, x: 0.0 * x, lambda t, x: 0.0 * x,
+            lambda x: np.ones_like(x), 200.0, 0.0, 0.0, 1.0,
+        )
+        u = constant_control(0.0, w.n_paths, grid.n_steps)
+        x = simulate_forward_sde(model, 0.0, u, w)
+        with pytest.raises(BsdeSolverError, match=r"does not contract at step 99"):
             solve_bsde_lsmc(model, x, u, w)
 
 
@@ -368,3 +393,46 @@ class TestAprioriBounds:
         assert np.abs(y).mean() <= 1.0
         assert np.quantile(np.abs(y), 0.9) <= 1.0
         assert float((np.abs(y) > 1.05).mean()) <= 0.05
+
+
+class TestStepMajorStorage:
+    """Step-major outputs, and the same values from path-major inputs."""
+
+    def test_lsmc(self):
+        model, traj = planar_candidate(300, 8, seed=5)
+        assert steps_contiguous(traj.y) and steps_contiguous(traj.z)
+        pm = path_major(traj)
+        assert not steps_contiguous(pm.x)
+        y, z, _ = solve_bsde_lsmc(model, pm.x, pm.u, pm.w)
+        assert_close_rel(y, traj.y)
+        assert_close_rel(z, traj.z)
+
+    def test_weighted_representation(self):
+        _, data, _, _, w = random_linear_instance(seed=3, n_paths=500, n_steps=20)
+        y, z, _ = solve_linear_bsde_weighted(data, w)
+        gt = exponential_weight(data.lam, data.mu, w)
+        for a in (y, z, gt):
+            assert steps_contiguous(a)
+        y_pm, z_pm, _ = solve_linear_bsde_weighted(path_major(data), path_major(w))
+        assert_close_rel(y_pm, y)
+        assert_close_rel(z_pm, z)
+        assert_close_rel(exponential_weight(data.lam, np.ascontiguousarray(data.mu), path_major(w)), gt)
+
+    def test_multidim_representation(self):
+        m, n_steps = 400, 12
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), 2, seed=17)
+        rng = np.random.default_rng(17)
+        state = w.paths()[:, :, :1]
+        data = MultiLinearBsdeData(
+            a=rng.uniform(-0.5, 0.5, (n_steps, 2, 2)) + 0.2 * np.tanh(state[:, :n_steps, :, None]) * [[0.0, 1.0], [-1.0, 0.5]],
+            beta=rng.uniform(-0.2, 0.2, (n_steps, 2)),
+            c=rng.uniform(-0.3, 0.3, (n_steps, 2, 2, 2)),
+            driver=np.concatenate([np.sin(state[:, :n_steps]), np.cos(2.0 * state[:, :n_steps])], axis=2),
+            xi=np.column_stack([np.tanh(state[:, -1, 0]), state[:, -1, 0] ** 2]),
+            state=state,
+        )
+        y, z, _, pair = solve_multidim_linear_bsde(data, w)
+        assert steps_contiguous(y) and steps_contiguous(z) and steps_contiguous(pair.flow)
+        y_pm, z_pm, _, _ = solve_multidim_linear_bsde(path_major(data), path_major(w))
+        assert_close_rel(y_pm, y)
+        assert_close_rel(z_pm, z)

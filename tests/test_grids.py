@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from support import path_major, steps_contiguous
 
-from quadsmp.grids import TimeGrid, constant_control, generate_brownian, write_ensemble_csv
+from quadsmp.grids import TimeGrid, constant_control, generate_brownian, step_major, write_ensemble_csv
 
 
 class TestTimeGrid:
@@ -92,3 +93,35 @@ def test_ensemble_csv(tmp_path):
     assert lines[0] == "path,step,coordinate,value"
     assert lines[1] == "0,0,0,1"
     assert len(lines) == 3
+
+
+class TestStepMajorStorage:
+    def test_helper_orders_storage_by_step(self):
+        a = step_major((5, 7, 2))
+        assert a.shape == (5, 7, 2)
+        assert a.swapaxes(0, 1).flags.c_contiguous
+        assert steps_contiguous(a)
+        assert np.all(step_major((5, 7), 0.5) == 0.5)
+
+    def test_helper_fills_from_any_layout(self):
+        v = np.random.default_rng(0).standard_normal((5, 7, 2))
+        assert np.array_equal(step_major(v.shape, v), v)
+        assert np.array_equal(step_major(v.shape, np.asfortranarray(v)), v)
+
+    def test_increments_equal_the_path_major_draw(self):
+        grid = TimeGrid(1.0, 16)
+        w = generate_brownian(64, grid, 2, seed=9)
+        draw = np.random.default_rng(9).standard_normal((64, 16, 2)) * np.sqrt(grid.dt)
+        assert np.array_equal(w.increments, draw)
+
+    def test_step_slices_contiguous(self):
+        w = generate_brownian(64, TimeGrid(1.0, 16), 2, seed=9)
+        assert steps_contiguous(w.increments)
+        assert steps_contiguous(w.paths())
+        assert steps_contiguous(constant_control([1.0, -1.0], 64, 16))
+
+    def test_paths_agree_on_path_major_increments(self):
+        w = generate_brownian(64, TimeGrid(1.0, 16), 2, seed=9)
+        w_pm = path_major(w)
+        assert not steps_contiguous(w_pm.increments)
+        assert np.array_equal(w_pm.paths(), w.paths())

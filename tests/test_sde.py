@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from support import euler_flow_pair_reference
+from support import assert_close_rel, euler_flow_pair_reference, path_major, planar_model, steps_contiguous
 
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import scalar_model
@@ -135,3 +135,32 @@ class TestMatrixFlow:
         assert np.isfinite(pair.flow).all()
         with pytest.raises(SimulationError, match=r"inverse flow became non-finite at path \d+, step 1"):
             pair.inverse
+
+
+class TestStepMajorStorage:
+    """Step-major outputs, and the same values from path-major inputs."""
+
+    def test_forward_sde_on_path_major_inputs(self):
+        model = planar_model()
+        w = generate_brownian(200, TimeGrid(1.0, 24), model.d, seed=5)
+        u = constant_control([0.2, -0.4], 200, 24)
+        x = simulate_forward_sde(model, [0.3, -0.2], u, w)
+        x_pm = simulate_forward_sde(model, [0.3, -0.2], path_major(u), path_major(w))
+        assert steps_contiguous(x) and steps_contiguous(x_pm)
+        assert_close_rel(x_pm, x)
+
+    def test_matrix_flow_on_path_major_inputs(self):
+        m, n_steps, n, d = 200, 24, 2, 2
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), d, seed=31)
+        rng = np.random.default_rng(4)
+        coefficients = (
+            0.5 * rng.standard_normal((n_steps, m, n, n)).swapaxes(0, 1),
+            0.3 * rng.standard_normal((n_steps, m, d)).swapaxes(0, 1),
+            0.3 * rng.standard_normal((n_steps, m, d, n, n)).swapaxes(0, 1),
+        )
+        pair = simulate_matrix_flow(*coefficients, w)
+        pair_pm = simulate_matrix_flow(*(np.ascontiguousarray(a) for a in coefficients), path_major(w))
+        for flow in (pair.flow, pair.inverse, pair_pm.flow, pair_pm.inverse):
+            assert steps_contiguous(flow)
+        assert_close_rel(pair_pm.flow, pair.flow)
+        assert_close_rel(pair_pm.inverse, pair.inverse)

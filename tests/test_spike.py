@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from support import yhat0_direct_estimate
+from support import assert_close_rel, path_major, planar_candidate, steps_contiguous, yhat0_direct_estimate
 
 from quadsmp.adjoint import AdjointBundle, linearize, solve_adjoints
 from quadsmp.bsde import (
@@ -323,3 +323,27 @@ class TestSpikeStudy:
         assert serial.remainder_over_eps_se == threaded.remainder_over_eps_se
         assert serial.remainder_over_eps_diff_z == threaded.remainder_over_eps_diff_z
         assert serial.y_bar_0 == threaded.y_bar_0
+
+
+class TestStepMajorStorage:
+    """Step-major variational states at n = d = k = 2, and the same values
+    from path-major inputs."""
+
+    def test_variational_states(self):
+        model, traj = planar_candidate(300, 16, seed=5)
+        lin = linearize(model, traj)
+        adj = solve_adjoints(lin)
+        spike = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array([0.8, -0.6]))
+        hats = hatted_coefficients(lin, spike, adj)
+        x1 = solve_x1(lin, hats)
+        x2 = solve_x2(lin, x1, hats)
+        for a in (hats.b_hat, hats.sigma_hat, hats.sigma_x_hat, hats.delta, hats.gap, x1, x2):
+            assert steps_contiguous(a)
+
+        lin_pm, adj_pm = path_major(lin), path_major(adj)
+        hats_pm = hatted_coefficients(lin_pm, spike, adj_pm)
+        for name in ("b_hat", "sigma_hat", "sigma_x_hat", "delta", "gap"):
+            assert_close_rel(getattr(hats_pm, name), getattr(hats, name))
+        x1_pm = solve_x1(lin_pm, path_major(hats))
+        assert_close_rel(x1_pm, x1)
+        assert_close_rel(solve_x2(lin_pm, np.ascontiguousarray(x1), path_major(hats)), x2)
