@@ -189,7 +189,7 @@ def run_adjoint(cfg: dict, out: Path) -> dict:
         "sup_rms_Q": example.sup_time_rms(adj.big_q),
     }
     checks = {"p_bounded": bool(np.isfinite(payload["sup_abs_p"]))}
-    if model.name == "arctan-example" and cfg.get("control", 0.0) == 0.0:
+    if model.name == "arctan-example" and cfg.get("control", 0.0) == 0.0 and cfg.get("x0", 0.0) == 0.0:
         deviations = example.ExampleAdjointReport.of(adj)
         payload["sup_p_minus_one"] = deviations.sup_p_minus_one
         checks["adjoint_constants"] = deviations.within(tol)
@@ -206,6 +206,8 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
         isinstance(e, int) and not isinstance(e, bool) and e > 0 for e in eps_steps
     ):
         raise ConfigError("config field 'eps_steps' must be a non-empty list of positive integers")
+    if any(a >= b for a, b in zip(eps_steps, eps_steps[1:])):  # the remainder check reads list order as width order
+        raise ConfigError(f"config field 'eps_steps' must be strictly increasing, got {eps_steps}")
     if max(eps_steps) > grid.n_steps:
         raise ConfigError("config field 'eps_steps': window exceeds the horizon")
     cfg = {"t0": 0.25, "x0": 1.0, "replacement": 1.0, "candidate": 0.0, "basis_degree": 2, **cfg}
@@ -221,7 +223,7 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
     degree = _require(cfg, "basis_degree", int, positive=True)
     if replacement == candidate:
         raise ConfigError("config field 'replacement' must differ from 'candidate'")
-    if len(set(eps_steps)) < 4:
+    if len(eps_steps) < 4:
         raise ConfigError("config field 'eps_steps' needs at least 4 distinct widths to fit orders")
     bands = cfg.get("slope_bands", {})
     if not isinstance(bands, dict) or not all(
@@ -396,6 +398,8 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel windows")
         p.add_argument("--out", type=str, default="out", help="output directory")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
 
     cfg = {}
     if args.config is not None:

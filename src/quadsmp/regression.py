@@ -17,11 +17,9 @@ import numpy as np
 
 __all__ = ["polynomial_design", "RegressionBasis", "conditional_expectation", "RankDeficientRegression"]
 
-RIDGE = 1e-9  # ridge penalty, relative to the mean Gram diagonal, of the rank-deficient fallback
-
-
 class RankDeficientRegression(UserWarning):
-    """Emitted when the design matrix is rank deficient and ridge is used."""
+    """Emitted when the Gram matrix of the design is rank deficient and the
+    fit is the truncated-SVD least-squares solution at its rank."""
 
 
 def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
@@ -42,8 +40,8 @@ def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
 
 
 class RegressionBasis:
-    """One node's design and factorizations: each is built on the first fit
-    that reads it and reused by every later fit on the same (m, p) features."""
+    """One node's design and its SVD: each is built on the first fit that
+    reads it and reused by every later fit on the same (m, p) features."""
 
     def __init__(self, features: np.ndarray, degree: int = 2, winsor: float = 0.005):
         self.features = np.asarray(features, dtype=float).reshape(len(features), -1)
@@ -73,19 +71,17 @@ class RegressionBasis:
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, s, vt) cut at lstsq's rank: s at or below eps max(m, p) s[0] is zero."""
+        """(u, s, vt) cut at the rank of the Gram matrix A'A, whose inverse the
+        pretest reads: s is zero where s^2 <= eps p s[0]^2 (lstsq's rule on A'A)."""
         u, s, vt = np.linalg.svd(self.design, full_matrices=False)
-        rank = int(np.count_nonzero(s > np.finfo(float).eps * max(self.design.shape) * s[0]))
+        rank = int(np.count_nonzero(s * s > np.finfo(float).eps * self.design.shape[1] * s[0] ** 2))
         return u[:, :rank], s[:rank], vt[:rank]
 
     @cached_property
-    def gram_inv_diag(self) -> np.ndarray | None:
-        """Diagonal of the Gram inverse, None where the Gram matrix is singular:
-        it squares the design's condition number, so it can be at full rank."""
-        try:
-            return np.diag(np.linalg.inv(self.design.T @ self.design))
-        except np.linalg.LinAlgError:
-            return None
+    def gram_inv_diag(self) -> np.ndarray:
+        """Diagonal of the Gram inverse at full rank, sum_j (vt[j, i] / s[j])^2."""
+        _, s, vt = self.svd
+        return np.sum((vt / s[:, None]) ** 2, axis=0)
 
 
 def conditional_expectation(
@@ -108,7 +104,8 @@ def conditional_expectation(
     (winsor, 1-winsor) quantiles, removing tail leverage, and slope terms
     whose t-statistic falls below t_min are refit away, so pure-noise
     surfaces collapse to the mean instead of acquiring spurious derivatives.
-    On a rank deficient design the solve falls back to ridge with a warning.
+    On a design whose Gram matrix is rank deficient the fit is cut at that
+    rank, with a warning and no pretest.
     """
     basis = features if isinstance(features, RegressionBasis) else RegressionBasis(features, degree, winsor)
     if (basis.degree, basis.winsor) != (degree, winsor):
@@ -118,28 +115,16 @@ def conditional_expectation(
     a = basis.design
     m, p = a.shape
     u, s, vt = basis.svd
-    rank = s.size
+    coef = vt.T @ ((u.T @ t) / s[:, None])
+    fitted = a @ coef
 
-    pretest = t_min > 0.0 and p > 1 and m > p + 2
-    deficiency = f"{rank} < {p} columns" if rank < p else None
-    if deficiency is None and pretest and basis.gram_inv_diag is None:
-        deficiency = f"singular Gram matrix at rank {rank}"
-    if deficiency is not None:
+    if s.size < p:
         warnings.warn(
-            f"rank-deficient regression design ({deficiency}); falling back to ridge",
+            f"rank-deficient regression design ({s.size} < {p} columns); fitted at rank {s.size}",
             RankDeficientRegression,
             stacklevel=2,
         )
-        gram = a.T @ a
-        penalty = RIDGE * max(1.0, float(np.trace(gram)) / p) * np.eye(p)
-        penalty[0, 0] = 0.0  # never shrink the intercept
-        coef = np.linalg.solve(gram + penalty, a.T @ t)
-        pretest = False
-    else:
-        coef = vt.T @ ((u.T @ t) / s[:, None])
-    fitted = a @ coef
-
-    if pretest:
+    elif t_min > 0.0 and p > 1 and m > p + 2:
         sigma2 = np.sum((t - fitted) ** 2, axis=0) / (m - p)  # per target column, on m - p dof
         for col in range(t.shape[1]):
             se = np.sqrt(np.maximum(sigma2[col] * basis.gram_inv_diag, 1e-300))

@@ -14,9 +14,11 @@ import numpy as np
 from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import ControlDomain, ModelSpec, scalar_model
-from quadsmp.regression import RIDGE, RankDeficientRegression, conditional_expectation, polynomial_design
+from quadsmp.regression import RankDeficientRegression, conditional_expectation, polynomial_design
 from quadsmp.sde import _diffusion_matrices, simulate_forward_sde
 from quadsmp.spike import _yhat_driver
+
+RIDGE = 1e-9  # ridge penalty of conditional_expectation_reference, relative to the mean Gram diagonal
 
 
 def driver_model(lam_fn, mu_fn, phi_fn, terminal_fn, lam_sup, mu_sup, phi_sup, term_sup):
@@ -238,17 +240,9 @@ def euler_flow_pair_reference(a, beta, c, w):
     return x, lam
 
 
-def conditional_expectation_reference(features, targets, degree=2, winsor=0.005, t_min=2.0):
-    """The regression kernel as it stood before the shared basis: every call
-    winsorizes, designs, standardizes and solves by lstsq on its own.
-
-    Returns (fitted, kept): kept holds, per target column, the boolean mask of
-    the terms the t-pretest kept, or None when no pretest ran (t_min = 0, an
-    intercept-only design, too few rows, or the ridge fallback)."""
-    t = np.asarray(targets, dtype=float)
-    squeeze = t.ndim == 1
-    if squeeze:
-        t = t[:, None]
+def standardized_design_reference(features, degree=2, winsor=0.005):
+    """The standardized design of conditional_expectation_reference:
+    winsorized by np.quantile, centered and scaled by std, constant columns dropped."""
     x = np.asarray(features, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -265,9 +259,22 @@ def conditional_expectation_reference(features, targets, degree=2, winsor=0.005,
     keep[0] = True
     scale[~keep] = 1.0
     a = (design - mean) / scale
-    a = a[:, keep]
-    m, p = a.shape
+    return a[:, keep]
 
+
+def conditional_expectation_reference(features, targets, degree=2, winsor=0.005, t_min=2.0):
+    """The regression kernel as it stood before the shared basis: every call
+    winsorizes, designs, standardizes and solves by lstsq on its own.
+
+    Returns (fitted, kept): kept holds, per target column, the boolean mask of
+    the terms the t-pretest kept, or None when no pretest ran (t_min = 0, an
+    intercept-only design, too few rows, or the ridge fallback)."""
+    t = np.asarray(targets, dtype=float)
+    squeeze = t.ndim == 1
+    if squeeze:
+        t = t[:, None]
+    a = standardized_design_reference(features, degree, winsor)
+    m, p = a.shape
     coef, _, rank, _ = np.linalg.lstsq(a, t, rcond=None)
     pretest = t_min > 0.0 and p > 1 and m > p + 2
     deficiency = f"{rank} < {p} columns" if rank < p else None

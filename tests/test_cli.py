@@ -125,6 +125,8 @@ class TestValidation:
             ("check-smp", {"test_controls": [[0.0], [3.0]]}, "test_controls"),
             ("spike", {"replacement": 1.5, "eps_steps": [1, 2]}, "replacement"),
             ("spike", {"candidate": -2.0, "eps_steps": [1, 2]}, "candidate"),
+            ("spike", {"t0": 0.0, "eps_steps": [4, 3, 2, 1]}, "eps_steps"),
+            ("spike", {"t0": 0.0, "eps_steps": [1, 2, 2, 3, 4]}, "eps_steps"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, capsys, experiment, fields, bad_key):
@@ -136,6 +138,16 @@ class TestValidation:
         assert code == 2
         assert bad_key in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("experiment,jobs", [("spike", "-3"), ("simulate", "0")])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, experiment, jobs):
+        cfg = _write_config(
+            tmp_path, {"n_paths": 10, "n_steps": 4, "horizon": 1.0, "seed": 1, "t0": 0.0, "eps_steps": [1, 2, 3, 4]}
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main([experiment, "--config", cfg, "--jobs", jobs, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_numerical_breakdown_exits_1(self, tmp_path, capsys):
         cfg = _write_config(
@@ -157,7 +169,7 @@ SIZES = st.integers(-2, 8) | st.none() | st.booleans() | st.text(max_size=3) | s
 FIELD_VALUES = {
     "model": st.sampled_from(["benchmark", "example"]) | JSON_VALUES,
     "equation": st.just("linear") | JSON_VALUES,
-    "eps_steps": st.lists(st.integers(1, 6), min_size=4, max_size=5, unique=True) | SIZES,
+    "eps_steps": st.lists(st.integers(1, 6), min_size=4, max_size=5, unique=True).map(sorted) | SIZES,
     "test_controls": st.lists(st.lists(NUMBERS, min_size=1, max_size=2), max_size=3) | JSON_VALUES,
     "slope_bands": st.dictionaries(
         st.sampled_from(["x1_sup_sq", "y1_sup_sq", "other"]), st.lists(NUMBERS, min_size=2, max_size=2)
@@ -235,6 +247,21 @@ class TestArtifacts:
         assert report["sup_p_minus_one"] > 0.05
         assert report["checks"]["adjoint_constants"] is False
         assert code == 1
+
+    def test_adjoint_constants_only_at_zero_state(self, tmp_path):
+        # (p, P) = (1, 0) holds at x0 = 0 alone; at x0 = 1 the state stays put
+        # and p = phi'(1) = 1/2, which is no failure of the solver
+        out = tmp_path / "run"
+        cfg = _write_config(
+            tmp_path,
+            {"model": "example", "n_paths": 2000, "n_steps": 50, "horizon": 1.0, "x0": 1.0, "control": 0.0, "seed": 1},
+        )
+        code = cli.main(["adjoint", "--config", cfg, "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["sup_abs_p"] == pytest.approx(0.5, abs=0.05)
+        assert "sup_p_minus_one" not in report
+        assert report["checks"] == {"p_bounded": True}
+        assert code == 0
 
     def test_seed_flag_overrides(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from support import conditional_expectation_reference
+from support import conditional_expectation_reference, standardized_design_reference
 
 from quadsmp.regression import (
     RankDeficientRegression,
@@ -92,14 +92,15 @@ def test_winsorization_caps_tail_leverage():
     assert np.abs(fitted - 1.0).max() < 0.5
 
 
-def test_singular_gram_at_full_rank_falls_back_to_ridge():
-    # two features 1e-9 apart: lstsq still sees a full-rank design, but its
-    # Gram matrix, whose condition number is the square, is singular
+def test_near_collinear_design_fits_at_reduced_rank():
+    # two features 1e-9 apart: lstsq's rule on the design keeps both, but the
+    # Gram matrix, whose condition number is the square, has rank 2; its
+    # inverse would turn the pretest's standard errors into noise
     rng = np.random.default_rng(8)
     base = rng.standard_normal(50)
     x = np.column_stack([base, base + 1e-9 * rng.standard_normal(50)])
     y = base + rng.standard_normal(50)
-    with pytest.warns(RankDeficientRegression, match="singular Gram"):
+    with pytest.warns(RankDeficientRegression, match="2 < 3 columns"):
         fitted = conditional_expectation(x, y, degree=1)
     assert np.isfinite(fitted).all()
     assert np.corrcoef(fitted, base)[0, 1] > 0.99
@@ -169,20 +170,35 @@ def test_equivalence_cases_reach_every_pretest_outcome():
         # exactly collinear features: lstsq's rank falls short
         (lambda base, rng: np.column_stack([base, 2.0 * base]), 1, "columns"),
         (lambda base, rng: np.column_stack([base, 2.0 * base]), 2, "columns"),
-        # full rank to lstsq, singular Gram matrix
-        (lambda base, rng: np.column_stack([base, base + 1e-9 * rng.standard_normal(base.size)]), 1, "singular Gram"),
+        # full rank to lstsq, rank 2 to the Gram matrix
+        (lambda base, rng: np.column_stack([base, base + 1e-9 * rng.standard_normal(base.size)]), 1, "2 < 3 columns"),
     ],
 )
 def test_rank_deficient_design_matches_reference(make_x, degree, match):
-    rng = np.random.default_rng(8)  # the draw of test_singular_gram_at_full_rank_falls_back_to_ridge
+    rng = np.random.default_rng(8)  # the draw of test_near_collinear_design_fits_at_reduced_rank
     base = rng.standard_normal(50)
     x = make_x(base, rng)
     y = np.column_stack([base + rng.standard_normal(50), base**2, rng.standard_normal(50)])
     fitted, reference, _, n_new, n_ref = _fit_both(x, y, degree=degree)
     assert n_new == n_ref == 1
-    assert np.abs(fitted - reference).max() <= 1e-10 * np.abs(reference).max()
+    # the oracle: lstsq cut at the Gram matrix's rank, s <= sqrt(p eps) s[0],
+    # on the reference's design; the reference's ridge agrees to its penalty
+    a = standardized_design_reference(x, degree)
+    coef, *_ = np.linalg.lstsq(a, y, rcond=np.sqrt(a.shape[1] * np.finfo(float).eps))
+    assert np.abs(fitted - a @ coef).max() <= 1e-10 * np.abs(a @ coef).max()
+    assert np.abs(fitted - reference).max() <= 1e-8 * np.abs(reference).max()
     with pytest.warns(RankDeficientRegression, match=match):
         conditional_expectation(x, y, degree=degree)
+
+
+def test_gram_inverse_diagonal_matches_inverse():
+    # the pretest's standard errors, read off the SVD, equal those from the
+    # diagonal of np.linalg.inv(a'a), so its decisions on well-posed designs hold
+    for case, (degree, n_features, n_targets, _) in enumerate(EQUIVALENCE_CASES):
+        x, _ = _random_problem(degree, n_features, n_targets, case)
+        basis = RegressionBasis(x, degree)
+        expected = np.diag(np.linalg.inv(basis.design.T @ basis.design))
+        assert np.abs(basis.gram_inv_diag / expected - 1.0).max() <= 1e-10
 
 
 def test_shared_basis_equals_independent_calls():
