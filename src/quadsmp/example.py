@@ -13,12 +13,12 @@ g'(0) = -1/2 < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import smp
-from .adjoint import AdjointBundle, Linearization, linearize, solve_adjoints
+from .adjoint import AdjointBundle, Linearization, assemble_first_order, linearize, solve_adjoints
 from .bsde import ControlledTrajectory, solve_bsde_lsmc
 from .grids import TimeGrid, constant_control, generate_brownian
 from .models import ControlDomain, ModelSpec, scalar_model
@@ -27,6 +27,8 @@ from .sde import simulate_forward_sde
 __all__ = [
     "g_running",
     "g_prime",
+    "phi_prime",
+    "phi_second",
     "example_model",
     "validate_example_conditions",
     "girsanov_cost_estimate",
@@ -35,7 +37,6 @@ __all__ = [
     "confirm_global_smp",
     "convex_hull_counterexample",
     "integrand_positivity",
-    "ExampleVerdict",
     "run_example_experiment",
 ]
 
@@ -60,6 +61,18 @@ def g_second(z):
     return 2.0 * np.sign(z)
 
 
+def phi_prime(x):
+    """arctan'(x) = 1/(1 + x^2), in (0, 1] with phi'(0) = 1."""
+    x = np.asarray(x, dtype=float)
+    return 1.0 / (1.0 + x**2)
+
+
+def phi_second(x):
+    """arctan''(x) = -2x/(1 + x^2)^2, below 1 in absolute value."""
+    x = np.asarray(x, dtype=float)
+    return -2.0 * x / (1.0 + x**2) ** 2
+
+
 def example_model() -> ModelSpec:
     """ModelSpec of the solvable problem, on the control set {0, 1}."""
     return scalar_model(
@@ -73,8 +86,8 @@ def example_model() -> ModelSpec:
         f_z=lambda t, x, y, z, u: g_prime(z),
         f_zz=lambda t, x, y, z, u: g_second(z),
         phi=np.arctan,
-        phi_x=lambda x: 1.0 / (1.0 + x**2),
-        phi_xx=lambda x: -2.0 * x / (1.0 + x**2) ** 2,
+        phi_x=phi_prime,
+        phi_xx=phi_second,
         b_u=lambda t, x, u: np.zeros_like(x),
         sigma_u=lambda t, x, u: np.ones_like(x),
         f_u=lambda t, x, y, z, u: 2.0 * u,
@@ -83,7 +96,6 @@ def example_model() -> ModelSpec:
         l1=2.0,
         l2=1.0,
         l3=0.5,
-        l4=2.0,
         phi_bound=np.pi / 2,
         f_y_bound=0.0,
         control_domain=ControlDomain("finite", ((0.0,), (1.0,))),
@@ -98,8 +110,7 @@ def validate_example_conditions() -> dict:
     wide grid); g(0) = 0, g(1) > 0, g'(0) < 0 and |g| <= 1/2 on [0, 1].
     """
     x = np.linspace(-50.0, 50.0, 20001)
-    phi_x = 1.0 / (1.0 + x**2)
-    phi_xx = -2.0 * x / (1.0 + x**2) ** 2
+    phi_x, phi_xx = phi_prime(x), phi_second(x)
     z = np.linspace(0.0, 1.0, 20001)
     margins = {
         "phi_at_zero": abs(float(np.arctan(0.0))),
@@ -142,15 +153,11 @@ def girsanov_cost_estimate(traj: ControlledTrajectory) -> tuple[float, float]:
     g' average along the chord from phi'(X)u to Z, by fixed Gauss-Legendre
     quadrature (16 nodes) in the chord parameter.
     """
-    grid = traj.w.grid
-    dt = grid.dt
-    n_steps = grid.n_steps
-    x_steps = traj.x[:, :n_steps, 0]
+    dt = traj.w.grid.dt
+    x_steps = traj.x[:, :-1, 0]
     u_steps = traj.u[:, :, 0]
     z_steps = traj.z[:, :, 0]
-    phi_prime = 1.0 / (1.0 + x_steps**2)
-    phi_second = -2.0 * x_steps / (1.0 + x_steps**2) ** 2
-    anchor = phi_prime * u_steps
+    anchor = phi_prime(x_steps) * u_steps
     nodes, weights = np.polynomial.legendre.leggauss(16)
     theta = 0.5 * (nodes + 1.0)
     wq = 0.5 * weights
@@ -160,10 +167,9 @@ def girsanov_cost_estimate(traj: ControlledTrajectory) -> tuple[float, float]:
     dw = traj.w.increments[:, :, 0]
     log_density = np.sum(alpha * dw, axis=1) - 0.5 * np.sum(alpha**2, axis=1) * dt
     density = np.exp(log_density)
-    integrand = g_running(anchor) + (1.0 + 0.5 * phi_second) * u_steps**2
+    integrand = g_running(anchor) + (1.0 + 0.5 * phi_second(x_steps)) * u_steps**2
     payoff = density * np.sum(integrand, axis=1) * dt
-    m = payoff.shape[0]
-    return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(m))
+    return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(payoff.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -190,12 +196,7 @@ class ExampleAdjointReport:
         )
 
     def within(self, tol: float) -> bool:
-        return (
-            self.sup_p_minus_one <= tol
-            and self.sup_q <= tol
-            and self.sup_big_p <= tol
-            and self.sup_big_q <= tol
-        )
+        return all(dev <= tol for dev in asdict(self).values())
 
 
 def sup_time_rms(steps: np.ndarray) -> float:
@@ -205,34 +206,25 @@ def sup_time_rms(steps: np.ndarray) -> float:
     return float(np.sqrt(per_cell.mean(axis=0)).max())
 
 
-def analytic_adjoint_residual() -> float:
+def analytic_adjoint_residual(lin: Linearization) -> float:
     """Residual of the constant pair (p, q) = (1, 0) in the first-order
-    equation for this model: the terminal value is phi'(0) = 1 and every
+    equation assembled along lin: sup |xi - 1| + sup |A'1 + f_x|. Along the
+    zero candidate from x0 = 0 the terminal value is phi'(0) = 1 and every
     coefficient multiplying the pair vanishes, so the residual is exactly 0."""
-    model = example_model()
-    x = np.zeros((1, 1))
-    u = np.zeros((1, 1))
-    y = np.zeros(1)
-    z = np.zeros((1, 1))
-    terminal_gap = abs(float(model.phi_x(x)[0, 0]) - 1.0)
-    a_part = (
-        np.einsum("md,mdij->mij", model.f_z(0.0, x, y, z, u), model.sigma_x(0.0, x, u))
-        + model.f_y(0.0, x, y, z, u)[:, None, None] * np.eye(1)
-        + model.b_x(0.0, x, u)
-    )
-    drift_residual = abs(float(a_part[0, 0, 0] * 1.0 + model.f_x(0.0, x, y, z, u)[0, 0]))
-    return terminal_gap + drift_residual
+    data = assemble_first_order(lin)
+    return float(np.abs(data.xi - 1.0).max()) + float(np.abs(data.a.sum(axis=-1) + data.driver).max())
 
 
 def confirm_global_smp(lin: Linearization, adj: AdjointBundle, tolerance: float = TOLERANCE) -> dict:
     """Hamiltonian gap at the candidate: analytically g(u) + u^2 for test
-    controls in {0, 1}, and the simulated-pipeline violation report."""
-    analytic = {
+    controls in {0, 1}; passed iff the simulated pipeline finds no violation."""
+    report = smp.check_global_smp(lin, adj, test_controls=[[0.0], [1.0]], tolerance=tolerance)
+    return {
+        "passed": report.empty,
         "gap_at_zero": float(g_running(0.0) + 0.0),
         "gap_at_one": float(g_running(1.0) + 1.0),
+        "violations": report.n_violations,
     }
-    report = smp.check_global_smp(lin, adj, test_controls=[[0.0], [1.0]], tolerance=tolerance)
-    return {"analytic": analytic, "pipeline": report, "passed": report.empty}
 
 
 def convex_hull_counterexample(lin: Linearization, adj: AdjointBundle, tolerance: float = TOLERANCE) -> dict:
@@ -243,29 +235,26 @@ def convex_hull_counterexample(lin: Linearization, adj: AdjointBundle, tolerance
     not optimal on the hull; at the unit candidate the (1 - u) factor is 0 and
     the inequality holds trivially. The pipeline gradient is evaluated along
     the solved trajectory/adjoint pair; it never reads the control set, so
-    the model on {0, 1} serves.
+    the model on {0, 1} serves. Passed iff the analytic gradient is negative,
+    the pipeline finds violations and its mean gradient matches the analytic
+    one within tolerance.
     """
     analytic_at_zero = float(g_prime(0.0) * 1.0 + 0.0 + 0.0)
     grad, report = smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=[[1.0]], tolerance=tolerance)
     grad_mean = float(grad.mean())
+    matches = abs(grad_mean - analytic_at_zero) <= tolerance
     return {
+        "passed": bool(analytic_at_zero < 0.0 and report["n_violations"] > 0 and matches),
         "analytic_gradient_at_zero": analytic_at_zero,
-        "analytic_violation": analytic_at_zero < 0.0,
-        "at_one_left_side": 0.0,  # (1 - u) factor kills the product
         "pipeline_gradient_mean": grad_mean,
-        "pipeline_report": report,
-        "pipeline_violation": bool(report["n_violations"] > 0),
-        "matches_analytic": abs(grad_mean - analytic_at_zero) <= tolerance,
     }
 
 
 def integrand_positivity() -> dict:
     """g(phi'(x) u) + [1 + phi''(x)/2] u^2 >= 0 with equality iff u = 0."""
     x = np.linspace(-20.0, 20.0, 4001)
-    phi_prime = 1.0 / (1.0 + x**2)
-    phi_second = -2.0 * x / (1.0 + x**2) ** 2
     at_zero = np.zeros_like(x)
-    at_one = g_running(phi_prime) + (1.0 + 0.5 * phi_second)
+    at_one = g_running(phi_prime(x)) + (1.0 + 0.5 * phi_second(x))
     return {
         "min_at_zero": float(np.abs(at_zero).max()),
         "min_at_one": float(at_one.min()),
@@ -273,23 +262,11 @@ def integrand_positivity() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ExampleVerdict:
-    checks: dict
-
-
-def run_example_experiment(
-    n_paths: int = 20000,
-    n_steps: int = 200,
-    horizon: float = 1.0,
-    seed: int = 1,
-) -> ExampleVerdict:
-    """All checks of the solvable problem on one seeded configuration."""
+def run_example_experiment(n_paths: int, n_steps: int, horizon: float, seed: int) -> dict:
+    """All checks of the solvable problem on one seeded configuration:
+    check name -> {"passed": bool, ...its numbers}."""
     grid = TimeGrid(horizon, n_steps)
     model = example_model()
-
-    conditions = validate_example_conditions()
-    positivity = integrand_positivity()
 
     # one solve of the zero-control candidate gives J(0) and the adjoints
     traj0, report0 = _solve_for_control(model, 0.0, n_paths, grid, seed)
@@ -297,56 +274,26 @@ def run_example_experiment(
     traj1, report1 = _solve_for_control(model, 1.0, n_paths, grid, seed)
     j1, se1 = report1.y0, report1.y0_std_error
     jg, seg = girsanov_cost_estimate(traj1)
+    combined_se = float(np.hypot(se1, seg))
 
     lin = linearize(model, traj0)
     adj = solve_adjoints(lin)
-    adj_report = ExampleAdjointReport.of(adj)
-    smp_result = confirm_global_smp(lin, adj)
-    hull = convex_hull_counterexample(lin, adj)
-    residual = analytic_adjoint_residual()
+    deviations = ExampleAdjointReport.of(adj)
+    residual = analytic_adjoint_residual(lin)
 
-    checks = {
-        "structural_conditions": {"passed": conditions["passed"], **conditions},
-        "integrand_positivity": {"passed": positivity["passed"], **positivity},
-        "zero_control_cost": {
-            "passed": abs(j0) <= 1e-8,
-            "estimate": j0,
-            "std_error": se0,
-        },
-        "unit_control_cost_positive": {
-            "passed": j1 > 3.0 * se1,
-            "estimate": j1,
-            "std_error": se1,
-        },
+    return {
+        "structural_conditions": {"passed": validate_example_conditions()["passed"]},
+        "integrand_positivity": integrand_positivity(),
+        "zero_control_cost": {"passed": abs(j0) <= 1e-8, "estimate": j0, "std_error": se0},
+        "unit_control_cost_positive": {"passed": j1 > 3.0 * se1, "estimate": j1, "std_error": se1},
         "reweighted_cost_agreement": {
-            "passed": abs(j1 - jg) <= 3.0 * float(np.hypot(se1, seg)),
+            "passed": abs(j1 - jg) <= 3.0 * combined_se,
             "pipeline": j1,
             "reweighted": jg,
-            "combined_std_error": float(np.hypot(se1, seg)),
+            "combined_std_error": combined_se,
         },
-        "adjoint_constants": {
-            "passed": adj_report.within(TOLERANCE),
-            "sup_p_minus_one": adj_report.sup_p_minus_one,
-            "sup_q": adj_report.sup_q,
-            "sup_big_p": adj_report.sup_big_p,
-            "sup_big_q": adj_report.sup_big_q,
-        },
-        "analytic_adjoint_residual": {
-            "passed": residual == 0.0,
-            "residual": residual,
-        },
-        "global_smp": {
-            "passed": smp_result["passed"],
-            "gap_at_zero": smp_result["analytic"]["gap_at_zero"],
-            "gap_at_one": smp_result["analytic"]["gap_at_one"],
-            "violations": smp_result["pipeline"].n_violations,
-        },
-        "convex_hull_counterexample": {
-            "passed": bool(
-                hull["analytic_violation"] and hull["pipeline_violation"] and hull["matches_analytic"]
-            ),
-            "analytic_gradient_at_zero": hull["analytic_gradient_at_zero"],
-            "pipeline_gradient_mean": hull["pipeline_gradient_mean"],
-        },
+        "adjoint_constants": {"passed": deviations.within(TOLERANCE), **asdict(deviations)},
+        "analytic_adjoint_residual": {"passed": residual == 0.0, "residual": residual},
+        "global_smp": confirm_global_smp(lin, adj),
+        "convex_hull_counterexample": convex_hull_counterexample(lin, adj),
     }
-    return ExampleVerdict(checks=checks)

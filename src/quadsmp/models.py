@@ -83,7 +83,6 @@ class ModelSpec:
     l1: float
     l2: float
     l3: float
-    l4: float = 0.0
     phi_bound: float = 1.0
     f_y_bound: float = 1.0
     b_u: Optional[Callable] = None
@@ -215,7 +214,6 @@ def benchmark_model() -> ModelSpec:
         l1=2.0,
         l2=2.0,
         l3=0.1,
-        l4=2.0,
         phi_bound=1.0,
         f_y_bound=0.1,
         control_domain=ControlDomain("box", (-1.0, 1.0)),

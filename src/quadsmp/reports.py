@@ -30,8 +30,6 @@ def sanitize(obj):
         return sanitize(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if hasattr(obj, "to_dict"):
-        return sanitize(obj.to_dict())
     return obj
 
 

@@ -338,15 +338,6 @@ class OrderFitReport:
     ci_low: float
     ci_high: float
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": list(self.eps_values),
-            "errors": list(self.errors),
-            "slope": self.slope,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
-
 
 def fit_convergence_order(eps_values, errors) -> OrderFitReport:
     """Least-squares slope of log error against log eps, with a t-interval

@@ -65,8 +65,8 @@ def spike_run():
 class TestCriterion1ExampleCost:
     def test_costs_and_runtime(self, example_run):
         verdict, elapsed = example_run
-        zero = verdict.checks["zero_control_cost"]
-        unit = verdict.checks["unit_control_cost_positive"]
+        zero = verdict["zero_control_cost"]
+        unit = verdict["unit_control_cost_positive"]
         ok = (
             abs(zero["estimate"]) <= 1e-8
             and unit["estimate"] > 3.0 * unit["std_error"]
@@ -83,7 +83,7 @@ class TestCriterion1ExampleCost:
 class TestCriterion2ExampleAdjoints:
     def test_adjoint_deviations(self, example_run):
         verdict, _ = example_run
-        adj = verdict.checks["adjoint_constants"]
+        adj = verdict["adjoint_constants"]
         ok = all(
             adj[key] <= 0.05
             for key in ("sup_p_minus_one", "sup_q", "sup_big_p", "sup_big_q")
@@ -100,7 +100,7 @@ class TestCriterion2ExampleAdjoints:
 class TestCriterion3ExampleSmp:
     def test_global_smp(self, example_run):
         verdict, _ = example_run
-        res = verdict.checks["global_smp"]
+        res = verdict["global_smp"]
         ok = res["violations"] == 0 and res["gap_at_one"] == 1.5
         _verdict(
             3,
@@ -113,7 +113,7 @@ class TestCriterion3ExampleSmp:
 class TestCriterion4ConvexHull:
     def test_counterexample(self, example_run):
         verdict, _ = example_run
-        res = verdict.checks["convex_hull_counterexample"]
+        res = verdict["convex_hull_counterexample"]
         grad = res["pipeline_gradient_mean"]
         ok = (
             res["analytic_gradient_at_zero"] == -0.5

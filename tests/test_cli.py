@@ -127,6 +127,20 @@ class TestValidation:
             ("spike", {"candidate": -2.0, "eps_steps": [1, 2]}, "candidate"),
             ("spike", {"t0": 0.0, "eps_steps": [4, 3, 2, 1]}, "eps_steps"),
             ("spike", {"t0": 0.0, "eps_steps": [1, 2, 2, 3, 4]}, "eps_steps"),
+            ("spike", {"replacment": 0.5, "t0": 0.0, "eps_steps": [1, 2, 3, 4]}, "replacment"),
+            ("simulate", {"n_path": 10}, "n_path"),
+            ("solve-bsde", {"equation": "linear", "model": "example"}, "model"),
+            ("solve-bsde", {"equation": "linear", "x0": 0.5}, "x0"),
+            ("solve-bsde", {"equation": "linear", "control": 0.5}, "control"),
+            ("solve-bsde", {"equation": "linear", "basis_degree": 3}, "basis_degree"),
+            ("solve-bsde", {"lam": 0.4}, "lam"),
+            ("adjoint", {"candidate": 0.0}, "candidate"),
+            ("check-smp", {"control": 1.0}, "control"),
+            ("check-smp", {"local": True}, "local"),
+            ("check-smp", {"model": "example", "local": True}, "local"),
+            ("check-smp", {"local": False}, "local"),
+            ("example", {"n_paths": 200, "n_steps": 10, "local": True}, "local"),
+            ("bmo-suite", {"x0": 1.0}, "x0"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, capsys, experiment, fields, bad_key):
@@ -176,24 +190,24 @@ FIELD_VALUES = {
     ) | JSON_VALUES,
     **{key: SIZES for key in ("basis_degree", "csv_paths", "n_paths", "n_steps", "n_norms")},
 }
-OPTIONAL_FIELDS = {
-    "simulate": ["model", "x0", "control", "csv_paths"],
-    "solve-bsde": ["model", "x0", "control", "basis_degree", "equation", "lam", "mu", "phi", "xi"],
-    "adjoint": ["model", "x0", "control", "basis_degree", "tolerance"],
-    "spike": ["model", "eps_steps", "t0", "x0", "replacement", "candidate", "basis_degree", "slope_bands"],
-    "check-smp": ["model", "x0", "candidate", "basis_degree", "tolerance", "test_controls", "local"],
-    "example": ["n_paths", "n_steps", "horizon"],
-    "bmo-suite": ["n_norms"],
-}
+UNKNOWN_FIELD = "unknown_field"
+
+
+def _field_names(experiment):
+    """Every config field the CLI reads for this subcommand, and one it does not."""
+    names = set(cli.FIELDS[experiment])
+    if experiment == "solve-bsde":
+        names.update(*cli.EQUATION_FIELDS.values())
+    return sorted(names) + [UNKNOWN_FIELD]
 
 
 class TestAnyConfig:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data(), experiment=st.sampled_from(sorted(OPTIONAL_FIELDS)))
+    @given(data=st.data(), experiment=st.sampled_from(sorted(cli.FIELDS)))
     def test_exit_status_never_a_traceback(self, data, experiment):
-        # 10 paths x 8 steps: every run is small, whatever the optional fields say
+        # 10 paths x 8 steps: every run is small, whatever the drawn fields say
         cfg = {"n_paths": 10, "n_steps": 8, "horizon": 1.0, "seed": 1}
-        fields = st.lists(st.sampled_from(OPTIONAL_FIELDS[experiment]), unique=True, min_size=1, max_size=3)
+        fields = st.lists(st.sampled_from(_field_names(experiment)), unique=True, min_size=1, max_size=3)
         for key in data.draw(fields):
             cfg[key] = data.draw(FIELD_VALUES.get(key, NUMBERS | JSON_VALUES), label=key)
         with tempfile.TemporaryDirectory() as tmp:
@@ -201,6 +215,8 @@ class TestAnyConfig:
             path.write_text(json.dumps(cfg))
             code = cli.main([experiment, "--config", str(path), "--out", str(Path(tmp) / "o")])
         assert code in (0, 1, 2)
+        if UNKNOWN_FIELD in cfg:
+            assert code == 2
 
 
 class TestArtifacts:
