@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BrownianEnsemble, TimeGrid, step_major
+from .grids import BrownianEnsemble, TimeGrid, cumsum_steps, step_major
 from .regression import conditional_expectation
 
 __all__ = [
@@ -149,8 +149,8 @@ class MartingalePathSet:
         n_paths, n_steps = dw.shape[0], dw.shape[1]
         values = step_major((n_paths, n_steps + 1), 0.0)
         bracket = step_major((n_paths, n_steps + 1), 0.0)
-        np.cumsum(np.sum(hh * dw, axis=2), axis=1, out=values[:, 1:])
-        np.cumsum(np.sum(hh * hh, axis=2) * w.grid.dt, axis=1, out=bracket[:, 1:])
+        cumsum_steps(np.sum(hh * dw, axis=2), out=values[:, 1:])
+        cumsum_steps(np.sum(hh * hh, axis=2) * w.grid.dt, out=bracket[:, 1:])
         return cls(grid=w.grid, values=values, bracket=bracket)
 
 

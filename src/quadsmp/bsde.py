@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import BrownianEnsemble, step_major
+from .grids import BrownianEnsemble, cumsum_steps, step_major
 from .regression import RegressionBasis, conditional_expectation
 from .sde import MatrixFlowPair, _diffusion_matrices, simulate_matrix_flow
 
@@ -197,9 +197,9 @@ def exponential_weight(lam: np.ndarray, mu: np.ndarray, w: BrownianEnsemble) -> 
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (m, n_steps))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), w.increments.shape)
     log_weight = step_major((m, n_steps + 1), 0.0)
-    np.cumsum(np.sum(mu * w.increments, axis=2) - 0.5 * np.sum(mu * mu, axis=2) * dt, axis=1, out=log_weight[:, 1:])
+    cumsum_steps(np.sum(mu * w.increments, axis=2) - 0.5 * np.sum(mu * mu, axis=2) * dt, out=log_weight[:, 1:])
     lam_int = step_major((m, n_steps + 1), 0.0)
-    np.cumsum(lam * dt, axis=1, out=lam_int[:, 1:])
+    cumsum_steps(lam * dt, out=lam_int[:, 1:])
     log_weight += lam_int
     if float(log_weight.max()) > _LOG_OVERFLOW:
         raise WeightOverflowError(
@@ -217,7 +217,9 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     MultiLinearBsdeData. Y_t = Lambda_t' E[X_T' xi + int_t^T X_s' f_s ds | F_t];
     Z^i is recovered from the one-step martingale increments of
     X'Y + int X'f ds as Lambda_t' psi^i_t - (beta^i I + C^i)' Y_t. The flattened
-    flow (and state) are the regression features, with the default t-pretest.
+    flow (and state) are the regression features; each fit keeps the SVD
+    components of the node's basis that pass the default test, |alpha| >= 4
+    sigma-hat, so a flow collinear with the state keeps its real slope.
 
     Returns y: (m, N+1, n), z: (m, N, n, d) and the pathwise Y0 targets (m, n).
     """
@@ -234,7 +236,7 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     weighted_f *= dt
     # pathwise X_T' xi + int_t^T X_s' f_s ds
     bracket = step_major((m, n_steps + 1, n), 0.0)
-    bracket[:, :n_steps] = np.cumsum(weighted_f[:, ::-1], axis=1)[:, ::-1]
+    cumsum_steps(weighted_f[:, ::-1], out=bracket[:, n_steps - 1 :: -1])
     bracket += np.einsum("mij,mi->mj", flow[:, n_steps], xi)[:, None]
 
     # the inverse flow at the conditioning time is known per path, so it goes
@@ -247,7 +249,7 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     y[:, n_steps] = xi
     flat_flow = flow.reshape(m, n_steps + 1, n * n)
     prefix = step_major((m, n_steps + 1, n), 0.0)
-    np.cumsum(weighted_f, axis=1, out=prefix[:, 1:])
+    cumsum_steps(weighted_f, out=prefix[:, 1:])
     target0 = bracket[:, 0].copy()
     del weighted_f, bracket  # the backward pass reads only y's targets and the prefix
     z = step_major((m, n_steps, n, d))

@@ -122,38 +122,38 @@ def _model_from(cfg: dict):
     return model
 
 
-def _solve_candidate(cfg: dict, model, control_key: str = "control"):
-    """Brownian ensemble -> constant control -> forward SDE -> LSMC.
+def _simulate_candidate(cfg: dict, model, control_key: str = "control"):
+    """Brownian ensemble -> constant control -> forward SDE: (w, u, x).
 
-    Returns the candidate trajectory, the solver report and the basis degree.
     x0 defaults to 0 for the arctan example (its optimal state) and to 1
-    otherwise; the control to 0 and the basis degree to 2.
+    otherwise; the control to 0.
     """
     n_paths, grid, seed = _common(cfg)
     x0_default = 0.0 if model.name == "arctan-example" else 1.0
-    cfg = {"x0": x0_default, control_key: 0.0, "basis_degree": 2, **cfg}
+    cfg = {"x0": x0_default, control_key: 0.0, **cfg}
     x0 = _require(cfg, "x0", float)
     control = _control(cfg, control_key, model)
-    degree = _require(cfg, "basis_degree", int, positive=True)
     w = generate_brownian(n_paths, grid, model.d, seed)
     u = constant_control(control, n_paths, grid.n_steps)
-    x = simulate_forward_sde(model, x0, u, w)
+    return w, u, simulate_forward_sde(model, x0, u, w)
+
+
+def _solve_candidate(cfg: dict, model, control_key: str = "control"):
+    """The simulated candidate solved by LSMC, with the basis degree
+    defaulting to 2. Returns the candidate trajectory, the solver report and
+    the basis degree."""
+    degree = _require({"basis_degree": 2, **cfg}, "basis_degree", int, positive=True)
+    w, u, x = _simulate_candidate(cfg, model, control_key)
     y, z, report = solve_bsde_lsmc(model, x, u, w, degree=degree)
     return ControlledTrajectory(w=w, x=x, y=y, z=z, u=u), report, degree
 
 
 def run_simulate(cfg: dict, out: Path) -> dict:
-    n_paths, grid, seed = _common(cfg)
     model = _model_from(cfg)
-    cfg = {"x0": 1.0, "control": 0.0, "csv_paths": 32, **cfg}
-    x0 = _require(cfg, "x0", float)
-    control = _control(cfg, "control", model)
-    snap = min(n_paths, _require(cfg, "csv_paths", int))
+    snap = _require({"csv_paths": 32, **cfg}, "csv_paths", int)
     if snap < 0:
         raise ConfigError(f"config field 'csv_paths' must be non-negative, got {snap}")
-    w = generate_brownian(n_paths, grid, model.d, seed)
-    u = constant_control(control, n_paths, grid.n_steps)
-    x = simulate_forward_sde(model, x0, u, w)
+    _, _, x = _simulate_candidate(cfg, model)
     write_ensemble_csv(out / "state.csv", x[:snap])
     terminal = x[:, -1]
     return {

@@ -27,6 +27,7 @@ __all__ = [
     "TimeGrid",
     "BrownianEnsemble",
     "step_major",
+    "cumsum_steps",
     "generate_brownian",
     "constant_control",
     "write_ensemble_csv",
@@ -42,6 +43,16 @@ def step_major(shape, fill=None) -> np.ndarray:
     out = np.empty((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
     if fill is not None:
         out[...] = fill
+    return out
+
+
+def cumsum_steps(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.cumsum(a, axis=1, out=out) by one np.add per step: the same adds in
+    the same order, so bit-identical, each on one contiguous block of
+    step-major storage, where np.cumsum runs across the strided step axis."""
+    out[:, 0] = a[:, 0]
+    for k in range(1, a.shape[1]):
+        np.add(out[:, k - 1], a[:, k], out=out[:, k])
     return out
 
 
@@ -96,7 +107,7 @@ class BrownianEnsemble:
     def paths(self) -> np.ndarray:
         """Brownian node values W_{t_k}, shape (n_paths, n_steps+1, dim)."""
         w = step_major((self.n_paths, self.grid.n_steps + 1, self.dim), 0.0)
-        np.cumsum(self.increments, axis=1, out=w[:, 1:])
+        cumsum_steps(self.increments, out=w[:, 1:])
         return w
 
 

@@ -18,8 +18,8 @@ import numpy as np
 __all__ = ["polynomial_design", "RegressionBasis", "conditional_expectation", "RankDeficientRegression"]
 
 class RankDeficientRegression(UserWarning):
-    """Emitted when the Gram matrix of the design is rank deficient and the
-    fit is the truncated-SVD least-squares solution at its rank."""
+    """Emitted by each fit on a design whose Gram matrix is rank deficient:
+    the fit reads the SVD components up to that rank."""
 
 
 def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
@@ -40,8 +40,9 @@ def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
 
 
 class RegressionBasis:
-    """One node's design and its SVD: each is built on the first fit that
-    reads it and reused by every later fit on the same (m, p) features."""
+    """One node's design and the SVD of its slope columns: each is built on
+    the first fit that reads it and reused by every later fit on the same
+    (m, p) features."""
 
     def __init__(self, features: np.ndarray, degree: int = 2, winsor: float = 0.005):
         self.features = np.asarray(features, dtype=float).reshape(len(features), -1)
@@ -70,18 +71,14 @@ class RegressionBasis:
         return design[:, keep] / scale[keep]
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, s, vt) cut at the rank of the Gram matrix A'A, whose inverse the
-        pretest reads: s is zero where s^2 <= eps p s[0]^2 (lstsq's rule on A'A)."""
-        u, s, vt = np.linalg.svd(self.design, full_matrices=False)
-        rank = int(np.count_nonzero(s * s > np.finfo(float).eps * self.design.shape[1] * s[0] ** 2))
-        return u[:, :rank], s[:rank], vt[:rank]
-
-    @cached_property
-    def gram_inv_diag(self) -> np.ndarray:
-        """Diagonal of the Gram inverse at full rank, sum_j (vt[j, i] / s[j])^2."""
-        _, s, vt = self.svd
-        return np.sum((vt / s[:, None]) ** 2, axis=0)
+    def components(self) -> np.ndarray:
+        """(m, rank) orthonormal left singular vectors of the centered slope
+        columns, cut at lstsq's rule on the Gram matrix of the p-column design,
+        s^2 > eps p s[0]^2 (the intercept's singular value sqrt(m) is <= s[0])."""
+        p = self.design.shape[1]
+        u, s, _ = np.linalg.svd(self.design[:, 1:], full_matrices=False)
+        rank = np.count_nonzero(s * s > np.finfo(float).eps * p * s[:1] ** 2)
+        return u[:, :rank]
 
 
 def conditional_expectation(
@@ -89,7 +86,7 @@ def conditional_expectation(
     targets: np.ndarray,
     degree: int = 2,
     winsor: float = 0.005,
-    t_min: float = 2.0,
+    t_min: float = 4.0,
 ) -> np.ndarray:
     """Fitted values of a polynomial regression of targets on features.
 
@@ -98,42 +95,30 @@ def conditional_expectation(
     are dropped after centering, so fully degenerate features collapse the
     estimate to the unconditional mean. targets: (m,) or (m, q).
 
-    Two conditioning safeguards, both functions of the features and of
-    coefficient significance only (so the estimator still scales linearly
-    with the targets): feature columns are winsorized at the
-    (winsor, 1-winsor) quantiles, removing tail leverage, and slope terms
-    whose t-statistic falls below t_min are refit away, so pure-noise
-    surfaces collapse to the mean instead of acquiring spurious derivatives.
-    On a design whose Gram matrix is rank deficient the fit is cut at that
-    rank, with a warning and no pretest.
+    fitted = mean + U (alpha * keep), alpha = U'(y - mean), on the basis's
+    components U: the mean plus the whole projection is least squares, and
+    the intercept is never tested. Each alpha_j has standard error sigma
+    however collinear the columns, so it is kept iff |alpha_j| >= t_min
+    sigma-hat, sigma-hat^2 the residual variance on m - rank degrees of
+    freedom (t_min = 0 keeps all); pure-noise surfaces collapse to the mean.
+    Winsorizing the features at the (winsor, 1-winsor) quantiles caps tail
+    leverage. Neither device changes when the targets are scaled, so the fit
+    scales with them. A rank-deficient design has fewer components, and warns.
     """
     basis = features if isinstance(features, RegressionBasis) else RegressionBasis(features, degree, winsor)
     if (basis.degree, basis.winsor) != (degree, winsor):
         raise ValueError(f"basis has degree {basis.degree}, winsor {basis.winsor}; fit asked {degree}, {winsor}")
     targets = np.asarray(targets, dtype=float)
     t = targets.reshape(len(targets), -1)
-    a = basis.design
-    m, p = a.shape
-    u, s, vt = basis.svd
-    coef = vt.T @ ((u.T @ t) / s[:, None])
-    fitted = a @ coef
-
-    if s.size < p:
-        warnings.warn(
-            f"rank-deficient regression design ({s.size} < {p} columns); fitted at rank {s.size}",
-            RankDeficientRegression,
-            stacklevel=2,
-        )
-    elif t_min > 0.0 and p > 1 and m > p + 2:
-        sigma2 = np.sum((t - fitted) ** 2, axis=0) / (m - p)  # per target column, on m - p dof
-        for col in range(t.shape[1]):
-            se = np.sqrt(np.maximum(sigma2[col] * basis.gram_inv_diag, 1e-300))
-            significant = np.abs(coef[:, col]) >= t_min * se
-            significant[0] = True
-            if not significant[1:].any():
-                fitted[:, col] = t[:, col].mean()
-            elif not significant.all():
-                sub = a[:, significant]
-                sub_coef, *_ = np.linalg.lstsq(sub, t[:, col], rcond=None)
-                fitted[:, col] = sub @ sub_coef
+    u = basis.components
+    m, rank, p = len(u), u.shape[1] + 1, basis.design.shape[1]
+    if rank < p:
+        message = f"rank-deficient regression design ({rank} < {p} columns); fitted at rank {rank}"
+        warnings.warn(message, RankDeficientRegression, stacklevel=2)
+    mean = t.mean(axis=0)
+    centered = t - mean
+    alpha = u.T @ centered
+    rss = np.sum(centered * centered, axis=0) - np.sum(alpha * alpha, axis=0)
+    sigma2 = np.maximum(rss, 0.0) / max(m - rank, 1)
+    fitted = mean + u @ (alpha * (alpha * alpha >= t_min * t_min * sigma2))
     return fitted.reshape(targets.shape)

@@ -18,8 +18,6 @@ from quadsmp.regression import RankDeficientRegression, conditional_expectation,
 from quadsmp.sde import _diffusion_matrices, simulate_forward_sde
 from quadsmp.spike import _yhat_driver
 
-RIDGE = 1e-9  # ridge penalty of conditional_expectation_reference, relative to the mean Gram diagonal
-
 
 def driver_model(lam_fn, mu_fn, phi_fn, terminal_fn, lam_sup, mu_sup, phi_sup, term_sup):
     """Scalar model whose generator is lam(t,x) y + mu(t,x) z + phi(t,x)."""
@@ -262,63 +260,35 @@ def standardized_design_reference(features, degree=2, winsor=0.005):
     return a[:, keep]
 
 
-def conditional_expectation_reference(features, targets, degree=2, winsor=0.005, t_min=2.0):
-    """The regression kernel as it stood before the shared basis: every call
-    winsorizes, designs, standardizes and solves by lstsq on its own.
+def conditional_expectation_reference(features, targets, degree=2, winsor=0.005, t_min=4.0):
+    """The regression kernel restated target by target: every call winsorizes,
+    designs and standardizes on its own, takes np.linalg.svd of the slope
+    columns cut at lstsq's rule on the Gram matrix (s > sqrt(p eps) s_max),
+    and keeps each component alpha_j = U_j'(y - mean) whose |alpha_j| reaches
+    t_min times the standard error of the explicit residual on m - rank dof.
 
     Returns (fitted, kept): kept holds, per target column, the boolean mask of
-    the terms the t-pretest kept, or None when no pretest ran (t_min = 0, an
-    intercept-only design, too few rows, or the ridge fallback)."""
+    the components the test kept."""
     t = np.asarray(targets, dtype=float)
     squeeze = t.ndim == 1
     if squeeze:
         t = t[:, None]
     a = standardized_design_reference(features, degree, winsor)
     m, p = a.shape
-    coef, _, rank, _ = np.linalg.lstsq(a, t, rcond=None)
-    pretest = t_min > 0.0 and p > 1 and m > p + 2
-    deficiency = f"{rank} < {p} columns" if rank < p else None
-    if deficiency is None and pretest:
-        try:
-            gram_inv_diag = np.diag(np.linalg.inv(a.T @ a))
-        except np.linalg.LinAlgError:
-            deficiency = f"singular Gram matrix at rank {rank}"
-    kept = [None] * t.shape[1]
-    if deficiency is not None:
-        warnings.warn(
-            f"rank-deficient regression design ({deficiency}); falling back to ridge",
-            RankDeficientRegression,
-            stacklevel=2,
-        )
-        gram = a.T @ a
-        lam = RIDGE * max(1.0, float(np.trace(gram)) / p)
-        penalty = lam * np.eye(p)
-        penalty[0, 0] = 0.0
-        coef = np.linalg.solve(gram + penalty, a.T @ t)
-        fitted = a @ coef
-        return (fitted[:, 0] if squeeze else fitted), kept
-
-    if pretest:
-        resid = t - a @ coef
-        dof = m - p
-        sigma2 = np.sum(resid**2, axis=0) / dof
-        fitted = np.empty_like(t)
-        for col in range(t.shape[1]):
-            se = np.sqrt(np.maximum(sigma2[col] * gram_inv_diag, 1e-300))
-            significant = np.abs(coef[:, col]) >= t_min * se
-            significant[0] = True
-            kept[col] = significant
-            if significant.all():
-                fitted[:, col] = a @ coef[:, col]
-            elif not significant[1:].any():
-                fitted[:, col] = t[:, col].mean()
-            else:
-                sub = a[:, significant]
-                sub_coef, *_ = np.linalg.lstsq(sub, t[:, col], rcond=None)
-                fitted[:, col] = sub @ sub_coef
-        return (fitted[:, 0] if squeeze else fitted), kept
-
-    fitted = a @ coef
+    u, s, _ = np.linalg.svd(a[:, 1:], full_matrices=False)
+    u = u[:, s > np.sqrt(p * np.finfo(float).eps) * s.max(initial=0.0)]
+    rank = u.shape[1] + 1
+    if rank < p:
+        warnings.warn(f"rank-deficient regression design ({rank} < {p} columns)", RankDeficientRegression, stacklevel=2)
+    fitted = np.empty_like(t)
+    kept = []
+    for col in range(t.shape[1]):
+        centered = t[:, col] - t[:, col].mean()
+        alpha = u.T @ centered
+        resid = centered - u @ alpha
+        mask = np.abs(alpha) >= t_min * np.sqrt(resid @ resid / (m - rank))
+        kept.append(mask)
+        fitted[:, col] = t[:, col].mean() + u[:, mask] @ alpha[mask]
     return (fitted[:, 0] if squeeze else fitted), kept
 
 

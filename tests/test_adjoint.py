@@ -305,6 +305,18 @@ class TestExampleAdjoints:
         assert np.abs(adj.big_q).max() < 0.05
 
 
+class TestSpikeCandidateAdjoints:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_q_does_not_collapse(self, seed):
+        # on the benchmark candidate (u = 0, x0 = 1) the first-order flow moves
+        # with the state (correlation above 0.99), and q ~ -0.13 near T; a test
+        # on the design's collinear columns flattens p and zeroes q at most nodes
+        model = benchmark_model()
+        traj = _trajectory(model, 1.0, n_paths=500, n_steps=64, seed=seed)
+        adj = solve_adjoints(linearize(model, traj))
+        assert np.abs(adj.q[..., 0, 0]).mean(axis=0).min() >= 0.05
+
+
 class TestStepMajorStorage:
     """Step-major outputs at n = d = k = 2, and the same values from path-major inputs."""
 

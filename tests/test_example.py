@@ -6,6 +6,7 @@ import pytest
 from quadsmp.adjoint import linearize, solve_adjoints
 from quadsmp.bsde import ControlledTrajectory, solve_bsde_lsmc
 from quadsmp.example import (
+    TOLERANCE,
     ExampleAdjointReport,
     analytic_adjoint_residual,
     convex_hull_counterexample,
@@ -108,6 +109,14 @@ class TestAdjoints:
         assert report.sup_q <= 0.1
         assert report.sup_big_p <= 0.05
         assert report.sup_big_q <= 0.05
+
+    @pytest.mark.parametrize("seed", [6, 27])
+    def test_criterion_2_bounds_at_bench_scale(self, seed):
+        # seeds on which a test of the design's columns let p tilt or q leak
+        # past the acceptance tolerance at 10^4 paths x 100 steps
+        model = example_model()
+        traj, _ = _solve_for_control(model, 0.0, 10_000, TimeGrid(1.0, 100), seed=seed)
+        assert ExampleAdjointReport.of(solve_adjoints(linearize(model, traj))).within(TOLERANCE)
 
     def test_smp_confirmation(self, zero_candidate):
         result = confirm_global_smp(*zero_candidate, tolerance=0.05)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from support import path_major, steps_contiguous
 
-from quadsmp.grids import TimeGrid, constant_control, generate_brownian, step_major, write_ensemble_csv
+from quadsmp.grids import TimeGrid, constant_control, cumsum_steps, generate_brownian, step_major, write_ensemble_csv
 
 
 class TestTimeGrid:
@@ -125,3 +125,15 @@ class TestStepMajorStorage:
         w_pm = path_major(w)
         assert not steps_contiguous(w_pm.increments)
         assert np.array_equal(w_pm.paths(), w.paths())
+
+    @pytest.mark.parametrize("trailing", [(), (3,)])
+    def test_cumsum_steps_equals_numpy_cumsum(self, trailing):
+        v = np.random.default_rng(1).standard_normal((50, 40) + trailing)
+        for a in (step_major(v.shape, v), v, v[:, ::-1]):
+            out = step_major(v.shape)
+            assert cumsum_steps(a, out=out) is out
+            assert np.array_equal(out, np.cumsum(a, axis=1))
+        # the reversed view of step-major storage, as the suffix sums use it
+        out = step_major(v.shape)
+        cumsum_steps(v[:, ::-1], out=out[:, ::-1])
+        assert np.array_equal(out, np.cumsum(v[:, ::-1], axis=1)[:, ::-1])

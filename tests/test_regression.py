@@ -108,13 +108,13 @@ def test_near_collinear_design_fits_at_reduced_rank():
 
 # -- the shared basis against the one-call kernel it replaced -----------------
 
-EQUIVALENCE_CASES = list(itertools.product((1, 2), (1, 2, 3, 4), (1, 2, 3, 4), (0.0, 2.0)))
+EQUIVALENCE_CASES = list(itertools.product((1, 2), (1, 2, 3, 4), (1, 2, 3, 4), (0.0, 2.0, 4.0)))
 
 
 def _random_problem(degree, n_features, n_targets, seed):
     """Gaussian features and targets on their monomials plus unit noise. Target
     column j uses every term (j % 3 == 0), a random half of them (1) or none
-    (2), so the t-pretest keeps all, some and no slope terms."""
+    (2), so the component test keeps all, some and no components."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((500, n_features))
     design = polynomial_design(x, degree)
@@ -141,9 +141,9 @@ def _fit_both(x, y, **kwargs):
 
 @pytest.mark.parametrize("degree,n_features,n_targets,t_min", EQUIVALENCE_CASES)
 def test_basis_kernel_matches_reference(degree, n_features, n_targets, t_min):
-    # a pretest decision that flipped would move the fit by about t_min
-    # standard errors of the term, far above 1e-10 of the fitted values; so
-    # agreement at 1e-10 means the same terms were kept and dropped
+    # a component decision that flipped would move the fit by U_j alpha_j,
+    # with |alpha_j| near t_min standard errors, far above 1e-10 of the fitted
+    # values; so agreement at 1e-10 means the same components were kept
     seed = EQUIVALENCE_CASES.index((degree, n_features, n_targets, t_min))
     x, y = _random_problem(degree, n_features, n_targets, seed)
     fitted, reference, _, n_new, n_ref = _fit_both(x, y, degree=degree, t_min=t_min)
@@ -157,11 +157,8 @@ def test_equivalence_cases_reach_every_pretest_outcome():
         x, y = _random_problem(degree, n_features, n_targets, case)
         _, kept = conditional_expectation_reference(x, y, degree=degree, t_min=t_min)
         for mask in kept:
-            if mask is None:
-                outcomes.add("no pretest")
-            else:
-                outcomes.add("all" if mask.all() else "none" if not mask[1:].any() else "some")
-    assert outcomes == {"no pretest", "all", "some", "none"}
+            outcomes.add("all" if mask.all() else "none" if not mask.any() else "some")
+    assert outcomes == {"all", "some", "none"}
 
 
 @pytest.mark.parametrize(
@@ -179,26 +176,31 @@ def test_rank_deficient_design_matches_reference(make_x, degree, match):
     base = rng.standard_normal(50)
     x = make_x(base, rng)
     y = np.column_stack([base + rng.standard_normal(50), base**2, rng.standard_normal(50)])
-    fitted, reference, _, n_new, n_ref = _fit_both(x, y, degree=degree)
-    assert n_new == n_ref == 1
-    # the oracle: lstsq cut at the Gram matrix's rank, s <= sqrt(p eps) s[0],
-    # on the reference's design; the reference's ridge agrees to its penalty
+    # the oracle at t_min = 0: lstsq cut at the Gram matrix's rank,
+    # s <= sqrt(p eps) s[0], on the reference's design
     a = standardized_design_reference(x, degree)
     coef, *_ = np.linalg.lstsq(a, y, rcond=np.sqrt(a.shape[1] * np.finfo(float).eps))
-    assert np.abs(fitted - a @ coef).max() <= 1e-10 * np.abs(a @ coef).max()
-    assert np.abs(fitted - reference).max() <= 1e-8 * np.abs(reference).max()
     with pytest.warns(RankDeficientRegression, match=match):
-        conditional_expectation(x, y, degree=degree)
+        fitted = conditional_expectation(x, y, degree=degree, t_min=0.0)
+    assert np.abs(fitted - a @ coef).max() <= 1e-10 * np.abs(a @ coef).max()
+    # the default tests the same components as the reference does
+    fitted, reference, _, n_new, n_ref = _fit_both(x, y, degree=degree)
+    assert n_new == n_ref == 1
+    assert np.abs(fitted - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
-def test_gram_inverse_diagonal_matches_inverse():
-    # the pretest's standard errors, read off the SVD, equal those from the
-    # diagonal of np.linalg.inv(a'a), so its decisions on well-posed designs hold
-    for case, (degree, n_features, n_targets, _) in enumerate(EQUIVALENCE_CASES):
-        x, _ = _random_problem(degree, n_features, n_targets, case)
-        basis = RegressionBasis(x, degree)
-        expected = np.diag(np.linalg.inv(basis.design.T @ basis.design))
-        assert np.abs(basis.gram_inv_diag / expected - 1.0).max() <= 1e-10
+@pytest.mark.parametrize("seed", range(5))
+def test_collinear_slope_survives_the_pretest(seed):
+    # two features at correlation 0.999 inflate each column's standard error
+    # about 22-fold, so a test on the columns drops both slopes; the leading
+    # component carries the slope with standard error sigma
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(1500)
+    twin = 0.999 * x + np.sqrt(1.0 - 0.999**2) * rng.standard_normal(1500)
+    y = 0.3 * x + rng.standard_normal(1500)
+    fitted = conditional_expectation(np.column_stack([x, twin]), y, degree=1)
+    assert np.ptp(fitted) > 0.0
+    assert np.corrcoef(fitted, x)[0, 1] > 0.99
 
 
 def test_shared_basis_equals_independent_calls():
