@@ -2,8 +2,8 @@
 an n = d = k = 2 model with every derivative layout visible, an independent
 estimate of the spike auxiliary value, the two-einsum Euler step of the
 matrix flow pair as an oracle for the flow kernel, and, as oracles for the
-shared regression basis, the one-call regression kernel and the two-pass
-linear representation; and, for the step-major storage, path-major copies
+shared regression basis, the component test restated call by call and the
+two-pass linear representation; and, for the step-major storage, path-major copies
 of any solver input with the checks that compare them."""
 
 import dataclasses

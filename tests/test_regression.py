@@ -106,7 +106,7 @@ def test_near_collinear_design_fits_at_reduced_rank():
     assert np.corrcoef(fitted, base)[0, 1] > 0.99
 
 
-# -- the shared basis against the one-call kernel it replaced -----------------
+# -- the shared basis against the component test restated per call ------------
 
 EQUIVALENCE_CASES = list(itertools.product((1, 2), (1, 2, 3, 4), (1, 2, 3, 4), (0.0, 2.0, 4.0)))
 
