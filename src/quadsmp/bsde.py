@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import BrownianEnsemble, cumsum_steps, step_major
-from .regression import RegressionBasis, conditional_expectation
+from .regression import NodeBases, conditional_expectation
 from .sde import MatrixFlowPair, _diffusion_matrices, simulate_matrix_flow
 
 __all__ = [
@@ -134,7 +134,8 @@ def solve_bsde_lsmc(
     implicit fixed point in the f(.., Y, ..) dt term, iterated to a sup-norm
     gap of 1e-10. The iteration raises BsdeSolverError as soon as an update
     fails to shrink the gap (the map does not contract) and, as a guard, after
-    100 updates. The regressions keep every basis term.
+    100 updates. The regressions keep every basis term; both fits of node k
+    read its basis in X_k, which NodeBases factors a block of nodes at a time.
     """
     grid = w.grid
     dt, times, n_steps = grid.dt, grid.times, grid.n_steps
@@ -147,9 +148,10 @@ def solve_bsde_lsmc(
     z = step_major((m, n_steps, model.d))
     y[:, n_steps] = model.phi(x[:, n_steps])
     clip_hits = 0
+    bases = NodeBases(x, degree=degree)
     for k in range(n_steps - 1, -1, -1):
         feats = x[:, k]
-        basis = RegressionBasis(feats, degree)
+        basis = bases[k]
         y_next = y[:, k + 1]
         e_next = conditional_expectation(basis, y_next, degree, t_min=0.0)
         z_fit = conditional_expectation(
@@ -220,6 +222,9 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     flow (and state) are the regression features; each fit keeps the SVD
     components of the node's basis that pass the default test, |alpha| >= 4
     sigma-hat, so a flow collinear with the state keeps its real slope.
+    NodeBases factors the bases a block of nodes at a time, from the highest
+    node a fit reads down; a node whose Y and Z targets are both constant is
+    its own conditional expectation and requests no basis.
 
     Returns y: (m, N+1, n), z: (m, N, n, d) and the pathwise Y0 targets (m, n).
     """
@@ -257,12 +262,11 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     # one backward pass: node k's basis serves its Y fit and then its Z fit,
     # which regresses the martingale increment of X'Y + int X'f ds on (k, k+1]
     g_next = np.einsum("mji,mj->mi", flow[:, n_steps], y[:, n_steps]) + prefix[:, n_steps]
+    bases = NodeBases(flat_flow, *(() if state is None else (state,)), degree=degree)
     for k in range(n_steps - 1, -1, -1):
-        feats = flat_flow[:, k] if state is None else np.column_stack([flat_flow[:, k], state[:, k]])
-        basis = RegressionBasis(feats, degree)
         target = y[:, k]
         if not np.all(target == target[0]):
-            y[:, k] = conditional_expectation(basis, target, degree)
+            y[:, k] = conditional_expectation(bases[k], target, degree)
         g_k = np.einsum("mji,mj->mi", flow[:, k], y[:, k]) + prefix[:, k]
         incr = np.einsum("mji,mj->mi", inv[:, k], g_next - g_k)
         g_next = g_k
@@ -270,7 +274,7 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
         if np.all(tgt == 0.0):
             psi_scaled = np.zeros((m, n, d))
         else:
-            psi_scaled = conditional_expectation(basis, tgt, degree).reshape(m, n, d)
+            psi_scaled = conditional_expectation(bases[k], tgt, degree).reshape(m, n, d)
         # (D^i)' Y for every i: (m, d, n)
         d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], eye))[:, :, 0]
         z[:, k] = psi_scaled - d_y.swapaxes(1, 2)

@@ -3,19 +3,26 @@
 The single regression primitive shared by the backward solvers and the BMO
 estimators: fit a polynomial in the supplied state features and return the
 fitted values, which play the role of E[target | F_t] on the ensemble. A
-RegressionBasis holds one node's design and factorization, so every target
-regressed on the same features reuses them.
+RegressionBasis holds one node's factorized design, so every target regressed
+on the same features reuses it. Bases are factored a block of nodes at a
+time: NodeBases serves a backward walk, and a basis built from one node's
+features is a block of one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["polynomial_design", "RegressionBasis", "conditional_expectation", "RankDeficientRegression"]
+__all__ = ["polynomial_design", "RegressionBasis", "NodeBases", "conditional_expectation", "RankDeficientRegression"]
+
+_BLOCK_BYTES = 1 << 20  # design bytes a NodeBases block factors at once
+_WINSOR = 0.005  # features are clipped at their (_WINSOR, 1 - _WINSOR) quantiles
+
 
 class RankDeficientRegression(UserWarning):
     """Emitted by each fit on a design whose Gram matrix is rank deficient:
@@ -25,67 +32,106 @@ class RankDeficientRegression(UserWarning):
 def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
     """Multivariate monomials of the feature columns up to total degree.
 
-    features: (m, p). Returns (m, n_terms) including the intercept column.
+    features: (..., m, p), any leading node axes, or (m,) for one feature.
+    Returns (..., m, n_terms) including the intercept column, stored
+    term-major: each column [..., :, j] is one contiguous run of m values.
     """
-    x = np.asarray(features, dtype=float).reshape(len(features), -1)
-    m, p = x.shape
-    cols = [np.ones(m)]
-    for deg in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(p), deg):
-            term = np.ones(m)
-            for j in combo:
-                term = term * x[:, j]
-            cols.append(term)
-    return np.column_stack(cols)
+    x = np.asarray(features, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    p = x.shape[-1]
+    combos = [c for deg in range(1, degree + 1) for c in itertools.combinations_with_replacement(range(p), deg)]
+    design = np.empty(x.shape[:-2] + (1 + len(combos), x.shape[-2]))
+    design[..., 0, :] = 1.0
+    for t, combo in enumerate(combos, 1):
+        term = design[..., t, :]
+        term[...] = x[..., combo[0]]
+        for j in combo[1:]:
+            term *= x[..., j]
+    return design.swapaxes(-1, -2)
 
 
-class RegressionBasis:
-    """One node's design and the SVD of its slope columns: each is built on
-    the first fit that reads it and reused by every later fit on the same
-    (m, p) features."""
+class RegressionBasis(NamedTuple):
+    """One node's basis: components (m, rank), the orthonormal left singular
+    vectors of its standardized slope columns cut at the design's rank;
+    columns, the design's kept-column count with the intercept; and the
+    degree and winsor it was built with."""
 
-    def __init__(self, features: np.ndarray, degree: int = 2, winsor: float = 0.005):
-        self.features = np.asarray(features, dtype=float).reshape(len(features), -1)
+    components: np.ndarray
+    columns: int
+    degree: int
+    winsor: float
+
+
+def _factor_block(features: np.ndarray, degree: int, winsor: float) -> list[RegressionBasis]:
+    """Factor the bases of a block of nodes at once.
+
+    features: (B, p, m), each node's features along the contiguous path axis.
+    Each node is winsorized at its (winsor, 1-winsor) quantiles, designed,
+    and its non-intercept columns centered and scaled by their std; a
+    (near-)constant column is zeroed, so degenerate features collapse to the
+    unconditional mean and the block keeps one shape. Each node's components
+    are cut at lstsq's rule on the Gram matrix of its p kept columns,
+    s^2 > eps p s[0]^2 (the intercept's singular value sqrt(m) is <= s[0]).
+    """
+    x = features
+    m = x.shape[-1]
+    if winsor > 0.0 and m > 20:
+        # np.quantile's linear rule between order statistics, without its overhead
+        rank = (m - 1) * np.array([winsor, 1.0 - winsor])
+        below = np.floor(rank).astype(int)
+        ordered = np.sort(x, axis=-1)
+        a, b = ordered[..., below], ordered[..., below + 1]
+        g = rank - below
+        bounds = np.where(g < 0.5, a + (b - a) * g, b - (b - a) * (1 - g))
+        x = np.clip(x, bounds[..., :1], bounds[..., 1:])
+    design = polynomial_design(x.swapaxes(-1, -2), degree)
+    columns = design.swapaxes(-1, -2)  # (B, P, m), the design's own storage
+    mean = columns.mean(axis=-1)
+    mean[:, 0] = 0.0
+    columns -= mean[..., None]
+    scale = np.sqrt(np.mean(columns * columns, axis=-1))  # 1 on the intercept
+    keep = scale > 1e-10 * (1.0 + np.abs(mean))
+    columns /= np.where(keep, scale, np.inf)[..., None]
+    kept = np.count_nonzero(keep, axis=1)
+    u, s, _ = np.linalg.svd(design[..., 1:], full_matrices=False)
+    ranks = np.count_nonzero(s * s > np.finfo(float).eps * kept[:, None] * s[:, :1] ** 2, axis=1)
+    return [RegressionBasis(u[i, :, :rank], int(p), degree, winsor) for i, (rank, p) in enumerate(zip(ranks, kept))]
+
+
+class NodeBases:
+    """The regression bases of one backward walk.
+
+    features: node processes (m, N+1, p_i) or (m, N+1); node k's features are
+    their node-k slices side by side. bases[k] factors the block of nodes that
+    ends at k on the first request of k, with one batched SVD, and lets the
+    block before it go: a walk keeps one block alive and factors no node
+    above the first one it requests. A block holds about 1 MiB of design.
+    """
+
+    def __init__(self, *features: np.ndarray, degree: int):
+        arrays = (np.asarray(f, dtype=float) for f in features)
+        self.features = [a.reshape(*a.shape[:2], -1) for a in arrays]
         self.degree = degree
-        self.winsor = winsor
+        self._block = None  # (first node, its bases) of the live block
 
-    @cached_property
-    def design(self) -> np.ndarray:
-        """(m, p) standardized design; column 0 is the intercept."""
-        x = self.features
-        if self.winsor > 0.0 and x.shape[0] > 20:
-            # np.quantile's linear rule between order statistics, without its overhead
-            rank = (x.shape[0] - 1) * np.array([self.winsor, 1.0 - self.winsor])
-            below = np.floor(rank).astype(int)
-            a, b = np.sort(x, axis=0)[np.stack([below, below + 1])]
-            g = (rank - below)[:, None]
-            x = np.clip(x, *np.where(g < 0.5, a + (b - a) * g, b - (b - a) * (1 - g)))
-        design = polynomial_design(x, self.degree)
-        # center/scale the non-intercept columns by their std; drop (near-)constant
-        # columns so degenerate designs collapse cleanly to the unconditional mean
-        mean = design.mean(axis=0)
-        mean[0] = 0.0
-        design -= mean
-        scale = np.sqrt(np.mean(design * design, axis=0))  # 1 on the intercept
-        keep = scale > 1e-10 * (1.0 + np.abs(mean))
-        return design[:, keep] / scale[keep]
-
-    @cached_property
-    def components(self) -> np.ndarray:
-        """(m, rank) orthonormal left singular vectors of the centered slope
-        columns, cut at lstsq's rule on the Gram matrix of the p-column design,
-        s^2 > eps p s[0]^2 (the intercept's singular value sqrt(m) is <= s[0])."""
-        p = self.design.shape[1]
-        u, s, _ = np.linalg.svd(self.design[:, 1:], full_matrices=False)
-        rank = np.count_nonzero(s * s > np.finfo(float).eps * p * s[:1] ** 2)
-        return u[:, :rank]
+    def __getitem__(self, k: int) -> RegressionBasis:
+        if self._block is None or not self._block[0] <= k < self._block[0] + len(self._block[1]):
+            self._block = None  # free the old block before the next is allocated
+            m = self.features[0].shape[0]
+            n_terms = math.comb(sum(f.shape[2] for f in self.features) + self.degree, self.degree)
+            lo = max(0, k + 1 - max(1, _BLOCK_BYTES // (8 * m * n_terms)))
+            x = np.concatenate([f[:, lo : k + 1].transpose(1, 2, 0) for f in self.features], axis=1)
+            self._block = (lo, _factor_block(x, self.degree, _WINSOR))
+        lo, bases = self._block
+        return bases[k - lo]
 
 
 def conditional_expectation(
     features: np.ndarray | RegressionBasis,
     targets: np.ndarray,
     degree: int = 2,
-    winsor: float = 0.005,
+    winsor: float = _WINSOR,
     t_min: float = 4.0,
 ) -> np.ndarray:
     """Fitted values of a polynomial regression of targets on features.
@@ -105,13 +151,17 @@ def conditional_expectation(
     leverage. Neither device changes when the targets are scaled, so the fit
     scales with them. A rank-deficient design has fewer components, and warns.
     """
-    basis = features if isinstance(features, RegressionBasis) else RegressionBasis(features, degree, winsor)
+    if isinstance(features, RegressionBasis):
+        basis = features
+    else:  # a block of one node
+        x = np.asarray(features, dtype=float).reshape(len(features), -1)
+        (basis,) = _factor_block(np.ascontiguousarray(x.T)[None], degree, winsor)
     if (basis.degree, basis.winsor) != (degree, winsor):
         raise ValueError(f"basis has degree {basis.degree}, winsor {basis.winsor}; fit asked {degree}, {winsor}")
     targets = np.asarray(targets, dtype=float)
     t = targets.reshape(len(targets), -1)
     u = basis.components
-    m, rank, p = len(u), u.shape[1] + 1, basis.design.shape[1]
+    m, rank, p = len(u), u.shape[1] + 1, basis.columns
     if rank < p:
         message = f"rank-deficient regression design ({rank} < {p} columns); fitted at rank {rank}"
         warnings.warn(message, RankDeficientRegression, stacklevel=2)

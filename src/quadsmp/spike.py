@@ -14,6 +14,7 @@ pathwise differences are meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,6 +340,29 @@ class OrderFitReport:
     ci_high: float
 
 
+def _t_quantile(dof: int, p: float) -> float:
+    """Student-t quantile for an integer dof >= 1. P(|T| <= t) has a closed
+    form in theta = arctan(t / sqrt(dof)) (Abramowitz & Stegun 26.7.3-26.7.4),
+    increasing on [0, pi/2), which bisection inverts to the last bit."""
+
+    def central(theta):
+        odd, c2 = dof % 2, math.cos(theta) ** 2
+        term = total = 1.0
+        for j in range(1, (dof - 1) // 2 if odd else dof // 2):
+            term *= (2 * j - 1 + odd) / (2 * j + odd) * c2
+            total += term
+        if odd:
+            return 2.0 / math.pi * (theta + (math.sin(theta) * math.cos(theta) * total if dof > 1 else 0.0))
+        return math.sin(theta) * total
+
+    target, lo, hi = abs(2.0 * p - 1.0), 0.0, math.pi / 2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if central(mid) < target else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return math.copysign(math.sqrt(dof) * math.tan(mid), p - 0.5)
+
+
 def fit_convergence_order(eps_values, errors) -> OrderFitReport:
     """Least-squares slope of log error against log eps, with a t-interval
     from the fit residuals. Requires >= 4 positive pairs."""
@@ -355,8 +379,7 @@ def fit_convergence_order(eps_values, errors) -> OrderFitReport:
     dof = x.size - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = np.sqrt(np.sum(resid**2) / dof / sxx) if dof > 0 else 0.0
-    from scipy.special import stdtrit  # the t quantile; scipy.stats would dominate the package's import
-    half = float(stdtrit(dof, 0.975) * se) if dof > 0 else 0.0
+    half = float(_t_quantile(dof, 0.975) * se) if dof > 0 else 0.0
     return OrderFitReport(
         eps_values=tuple(eps_values),
         errors=tuple(errors),

@@ -1,5 +1,8 @@
 """The three backward solvers against closed forms and each other."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -13,7 +16,7 @@ from support import (
     steps_contiguous,
 )
 
-from quadsmp import bmo
+from quadsmp import bmo, regression
 from quadsmp.bsde import (
     BsdeSolverError,
     LinearBsdeData,
@@ -27,7 +30,7 @@ from quadsmp.bsde import (
 )
 from quadsmp.example import example_model
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
-from quadsmp.regression import conditional_expectation
+from quadsmp.regression import NodeBases, conditional_expectation
 from quadsmp.sde import simulate_forward_sde
 
 
@@ -395,6 +398,23 @@ class TestAprioriBounds:
         assert float((np.abs(y) > 1.05).mean()) <= 0.05
 
 
+def _planar_flow_data(m, n_steps):
+    """n = d = 2 data with path- and step-dependent coefficients on a
+    Brownian state; returns (data, w)."""
+    w = generate_brownian(m, TimeGrid(1.0, n_steps), 2, seed=17)
+    rng = np.random.default_rng(17)
+    state = w.paths()[:, :, :1]
+    data = MultiLinearBsdeData(
+        a=rng.uniform(-0.5, 0.5, (n_steps, 2, 2)) + 0.2 * np.tanh(state[:, :n_steps, :, None]) * [[0.0, 1.0], [-1.0, 0.5]],
+        beta=rng.uniform(-0.2, 0.2, (n_steps, 2)),
+        c=rng.uniform(-0.3, 0.3, (n_steps, 2, 2, 2)),
+        driver=np.concatenate([np.sin(state[:, :n_steps]), np.cos(2.0 * state[:, :n_steps])], axis=2),
+        xi=np.column_stack([np.tanh(state[:, -1, 0]), state[:, -1, 0] ** 2]),
+        state=state,
+    )
+    return data, w
+
+
 class TestStepMajorStorage:
     """Step-major outputs, and the same values from path-major inputs."""
 
@@ -419,20 +439,59 @@ class TestStepMajorStorage:
         assert_close_rel(exponential_weight(data.lam, np.ascontiguousarray(data.mu), path_major(w)), gt)
 
     def test_multidim_representation(self):
-        m, n_steps = 400, 12
-        w = generate_brownian(m, TimeGrid(1.0, n_steps), 2, seed=17)
-        rng = np.random.default_rng(17)
-        state = w.paths()[:, :, :1]
-        data = MultiLinearBsdeData(
-            a=rng.uniform(-0.5, 0.5, (n_steps, 2, 2)) + 0.2 * np.tanh(state[:, :n_steps, :, None]) * [[0.0, 1.0], [-1.0, 0.5]],
-            beta=rng.uniform(-0.2, 0.2, (n_steps, 2)),
-            c=rng.uniform(-0.3, 0.3, (n_steps, 2, 2, 2)),
-            driver=np.concatenate([np.sin(state[:, :n_steps]), np.cos(2.0 * state[:, :n_steps])], axis=2),
-            xi=np.column_stack([np.tanh(state[:, -1, 0]), state[:, -1, 0] ** 2]),
-            state=state,
-        )
+        data, w = _planar_flow_data(400, 12)
         y, z, _, pair = solve_multidim_linear_bsde(data, w)
         assert steps_contiguous(y) and steps_contiguous(z) and steps_contiguous(pair.flow)
         y_pm, z_pm, _, _ = solve_multidim_linear_bsde(path_major(data), path_major(w))
         assert_close_rel(y_pm, y)
         assert_close_rel(z_pm, z)
+
+
+class TestBlockWalk:
+    """The solvers' bases, factored a block of nodes at a time."""
+
+    def test_one_node_blocks_give_the_same_solutions(self, monkeypatch):
+        model, data, x, u, w = random_linear_instance(seed=4, n_paths=1500, n_steps=64)
+        flow_data, flow_w = _planar_flow_data(1500, 64)
+        solves = [
+            lambda: solve_bsde_lsmc(model, x, u, w)[:2],
+            lambda: solve_linear_bsde_weighted(data, w)[:2],
+            lambda: solve_multidim_linear_bsde(flow_data, flow_w)[:2],
+        ]
+        blocked = [solve() for solve in solves]
+        monkeypatch.setattr(regression, "_BLOCK_BYTES", 1)
+        for (y, z), solve in zip(blocked, solves):
+            y_node, z_node = solve()
+            assert_close_rel(y_node, y)
+            assert_close_rel(z_node, z)
+
+    def test_constant_targets_above_k_factor_no_node_there(self, monkeypatch):
+        # lam = mu = 0 and a driver that stops after node K: every Y target
+        # above K is xi = 1 and every Z target there is 0, so no fit reads
+        # those nodes
+        m, n_steps, K = 500, 64, 40
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), 1, seed=21)
+        state = w.paths()
+        phi = np.where(np.arange(n_steps) <= K, np.sin(state[:, :n_steps, 0]), 0.0)
+        data = LinearBsdeData(lam=np.zeros((m, n_steps)), mu=np.zeros((m, n_steps, 1)), phi=phi, xi=np.ones(m), state=state)
+        factored = []
+        design = regression.polynomial_design
+
+        def counted(features, degree):
+            factored.append(len(features))
+            return design(features, degree)
+
+        monkeypatch.setattr(regression, "polynomial_design", counted)
+        y, z, _ = solve_linear_bsde_weighted(data, w)
+        assert sum(factored) == K + 1  # nodes 0..K, each once
+        assert np.all(y[:, K + 1 :] == 1.0) and np.all(z[:, K + 1 :] == 0.0)
+
+    def test_released_block_is_freed(self, monkeypatch):
+        monkeypatch.setattr(regression, "_BLOCK_BYTES", 4 * 8 * 200 * 3)  # four nodes of 200 paths, 3 terms
+        bases = NodeBases(np.random.default_rng(0).standard_normal((200, 9, 1)), degree=2)
+        block = weakref.ref(bases[8].components.base)
+        bases[5]
+        assert block() is not None  # nodes 5..8 are one block
+        bases[4]
+        gc.collect()
+        assert block() is None

@@ -2,6 +2,7 @@
 the code it named."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,22 @@ def test_cli_module_runs_without_runtime_warning():
     run = _python("-W", "error::RuntimeWarning", "-m", "quadsmp.cli", "--help")
     assert run.returncode == 0, run.stderr
     assert "usage" in run.stdout
+
+
+def test_spike_run_leaves_scipy_unloaded(tmp_path):
+    # the package needs numpy alone: a whole spike study, order fits included
+    config = tmp_path / "spike.json"
+    config.write_text(
+        json.dumps({"n_paths": 200, "n_steps": 32, "horizon": 1.0, "seed": 1, "t0": 0.25, "eps_steps": [1, 2, 4, 8]})
+    )
+    code = (
+        "import sys; from quadsmp import cli; "
+        f"status = cli.main(['spike', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(status, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    run = _python("-c", code)
+    assert run.returncode == 0, run.stderr
+    status, loaded = run.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert status in ("0", "1")
+    assert loaded == "[]"
+    assert (tmp_path / "out" / "report.json").exists()

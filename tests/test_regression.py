@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from support import conditional_expectation_reference, standardized_design_reference
 
+from quadsmp import regression
 from quadsmp.regression import (
+    NodeBases,
     RankDeficientRegression,
-    RegressionBasis,
     conditional_expectation,
     polynomial_design,
 )
@@ -208,7 +209,7 @@ def test_shared_basis_equals_independent_calls():
     x = np.column_stack([rng.standard_normal(800), np.exp(rng.standard_normal(800))])
     y1 = x[:, 0] - 0.5 * x[:, 1] ** 2 + rng.standard_normal(800)
     y2 = rng.standard_normal((800, 3))
-    basis = RegressionBasis(x, degree=2)
+    basis = NodeBases(x[:, None], degree=2)[0]  # a walk of one node
     assert np.array_equal(conditional_expectation(basis, y1), conditional_expectation(x, y1))
     assert np.array_equal(conditional_expectation(basis, y2, t_min=0.0), conditional_expectation(x, y2, t_min=0.0))
 
@@ -216,7 +217,7 @@ def test_shared_basis_equals_independent_calls():
 def test_shared_deficient_basis_warns_once_per_fit():
     rng = np.random.default_rng(11)
     base = rng.standard_normal(300)
-    basis = RegressionBasis(np.column_stack([base, 2.0 * base]), degree=1)
+    basis = NodeBases(np.column_stack([base, 2.0 * base])[:, None], degree=1)[0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficientRegression)
         for _ in range(2):
@@ -228,4 +229,50 @@ def test_shared_deficient_basis_warns_once_per_fit():
 def test_basis_rejects_other_degree_or_winsor(kwargs):
     x = np.random.default_rng(12).standard_normal((100, 1))
     with pytest.raises(ValueError, match="basis has degree 2"):
-        conditional_expectation(RegressionBasis(x), x[:, 0], **kwargs)
+        conditional_expectation(NodeBases(x[:, None], degree=2)[0], x[:, 0], **kwargs)
+
+
+# -- a block of nodes factored at once against the per-node reference --------
+
+
+def test_block_design_equals_node_designs():
+    x = np.random.default_rng(13).standard_normal((5, 300, 3))
+    block = polynomial_design(x, 3)
+    assert block.shape == (5, 300, 20)
+    for b in range(5):
+        assert np.array_equal(block[b], polynomial_design(x[b], 3))
+        assert all(block[b, :, j].flags.c_contiguous for j in range(20))
+
+
+def _mixed_block():
+    """Features (50, 4, 2) of a block of four nodes, and targets (50, 4, 2):
+    a constant node (every slope column dropped), the near-collinear draw of
+    test_near_collinear_design_fits_at_reduced_rank ("2 < 3 columns"), and
+    two full-rank nodes. Target column 0 carries a slope, column 1 is noise."""
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal(50)
+    near = np.column_stack([base, base + 1e-9 * rng.standard_normal(50)])
+    x = np.stack([np.ones((50, 2)), near, *rng.standard_normal((2, 50, 2))], axis=1)
+    y = np.stack([x[..., 0] + rng.standard_normal((50, 4)), rng.standard_normal((50, 4))], axis=2)
+    return x, y
+
+
+@pytest.mark.parametrize("t_min", [0.0, 4.0])
+def test_block_fits_match_reference(monkeypatch, t_min):
+    x, y = _mixed_block()
+    designs = []
+    design = regression.polynomial_design
+    monkeypatch.setattr(regression, "polynomial_design", lambda f, degree: designs.append(f.shape) or design(f, degree))
+    bases = NodeBases(x, degree=1)
+    for k in range(3, -1, -1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RankDeficientRegression)
+            fitted = conditional_expectation(bases[k], y[:, k], degree=1, t_min=t_min)
+        # each reduced-rank fit warns once, however many targets it fits
+        assert [w.category for w in caught] == [RankDeficientRegression] * (k == 1)
+        assert all("(2 < 3 columns)" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficientRegression)
+            reference, _ = conditional_expectation_reference(x[:, k], y[:, k], degree=1, t_min=t_min)
+        assert np.abs(fitted - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert designs == [(4, 50, 2)]  # one block

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 from support import assert_close_rel, path_major, planar_candidate, steps_contiguous, yhat0_direct_estimate
 
 from quadsmp.adjoint import AdjointBundle, linearize, solve_adjoints
@@ -28,6 +29,7 @@ from quadsmp.spike import (
     solve_x2,
     solve_yhat,
     value_remainder_estimate,
+    _t_quantile,
 )
 
 
@@ -272,6 +274,21 @@ class TestOrderFit:
             fit = fit_convergence_order(eps, 3.0 * eps**power)
             assert fit.slope == pytest.approx(power, abs=1e-12)
             assert fit.ci_high - fit.ci_low == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dof", range(1, 41))
+    def test_t_quantile_matches_scipy(self, dof):
+        for p in (0.975, 0.9, 0.025):
+            assert _t_quantile(dof, p) == pytest.approx(float(stdtrit(dof, p)), rel=1e-13)
+
+    def test_interval_uses_the_t_quantile(self):
+        eps = np.array([0.01, 0.02, 0.04, 0.08, 0.16])
+        errors = eps * np.array([1.0, 1.1, 0.9, 1.05, 0.97])
+        fit = fit_convergence_order(eps, errors)
+        x, y = np.log(eps), np.log(errors)
+        resid = y - np.polyval(np.polyfit(x, y, 1), x)
+        se = np.sqrt(resid @ resid / 3 / np.sum((x - x.mean()) ** 2))
+        # the 0.975 quantile of Student's t at 3 dof
+        assert fit.ci_high - fit.slope == pytest.approx(3.182446305283708 * se, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
