@@ -96,7 +96,7 @@ def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
         point = {"t": times[k], "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
         for name, arr in steps.items():
             arr[:, k] = evaluate(model, name, point)
-    for arr in steps.values():  # shared across spike windows and threads
+    for arr in steps.values():  # shared, read-only, by every spike window
         arr.flags.writeable = False
     return Linearization(model=model, traj=traj, **steps)
 

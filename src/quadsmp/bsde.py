@@ -102,10 +102,14 @@ class MultiLinearBsdeData:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """rollout (m,), set by solve_bsde_lsmc: the pathwise terminal-plus-running
+    cost sums behind y0_std_error; to_json leaves it out."""
+
     y0: float
     y0_std_error: float
     clip_rate: float = 0.0
     extras: dict = field(default_factory=dict)
+    rollout: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -187,6 +191,7 @@ def solve_bsde_lsmc(
         y0_std_error=se,
         clip_rate=clip_hits / (m * n_steps),
         extras={"solver": "lsmc", "z_truncation": z_truncation},
+        rollout=rollout,
     )
     return y, z, report
 

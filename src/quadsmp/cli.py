@@ -25,7 +25,7 @@ from .bsde import (
     solve_bsde_lsmc,
     solve_linear_bsde_weighted,
 )
-from .grids import TimeGrid, constant_control, generate_brownian, write_ensemble_csv
+from .grids import TimeGrid, constant_control, generate_brownian
 from .models import benchmark_model, validate_derivatives
 from .reports import content_hash, write_csv, write_json
 from .sde import SimulationError, simulate_forward_sde
@@ -67,7 +67,7 @@ def _is_vector(val, length: int) -> bool:
     return isinstance(val, list) and len(val) == length and all(_is_number(v) for v in val)
 
 
-def _require(cfg: dict, key: str, kind, positive: bool = False):
+def _require(cfg: dict, key: str, kind, positive: bool = False, minimum=None):
     if key not in cfg:
         raise ConfigError(f"config field '{key}' is required")
     val = cfg[key]
@@ -78,6 +78,8 @@ def _require(cfg: dict, key: str, kind, positive: bool = False):
         val = float(val)
     if positive and not val > 0:
         raise ConfigError(f"config field '{key}' must be positive, got {val}")
+    if minimum is not None and not val >= minimum:
+        raise ConfigError(f"config field '{key}' must be at least {minimum}, got {val}")
     return val
 
 
@@ -103,12 +105,10 @@ def _check_fields(kind: str, cfg: dict) -> None:
 
 
 def _common(cfg: dict):
-    n_paths = _require(cfg, "n_paths", int, positive=True)
+    n_paths = _require(cfg, "n_paths", int, minimum=2)  # a standard error needs two paths
     n_steps = _require(cfg, "n_steps", int, positive=True)
     horizon = _require(cfg, "horizon", float, positive=True)
-    seed = _require(cfg, "seed", int)
-    if seed < 0:
-        raise ConfigError(f"config field 'seed' must be non-negative, got {seed}")
+    seed = _require(cfg, "seed", int, minimum=0)
     return n_paths, TimeGrid(horizon, n_steps), seed
 
 
@@ -150,11 +150,10 @@ def _solve_candidate(cfg: dict, model, control_key: str = "control"):
 
 def run_simulate(cfg: dict, out: Path) -> dict:
     model = _model_from(cfg)
-    snap = _require({"csv_paths": 32, **cfg}, "csv_paths", int)
-    if snap < 0:
-        raise ConfigError(f"config field 'csv_paths' must be non-negative, got {snap}")
+    snap = _require({"csv_paths": 32, **cfg}, "csv_paths", int, minimum=0)
     _, _, x = _simulate_candidate(cfg, model)
-    write_ensemble_csv(out / "state.csv", x[:snap])
+    rows = [[*index, value] for index, value in np.ndenumerate(x[:snap])]
+    write_csv(out / "state.csv", ["path", "step", "coordinate", "value"], rows)
     terminal = x[:, -1]
     return {
         "checks": {"finite": bool(np.isfinite(x).all())},
@@ -198,7 +197,7 @@ def run_solve_bsde(cfg: dict, out: Path) -> dict:
 
 def run_adjoint(cfg: dict, out: Path) -> dict:
     model = _model_from(cfg)
-    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float)
+    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float, minimum=0.0)
     traj, _, degree = _solve_candidate(cfg, model)
     adj = solve_adjoints(linearize(model, traj), degree=degree)
     rows = [
@@ -221,7 +220,7 @@ def run_adjoint(cfg: dict, out: Path) -> dict:
     return {"checks": checks, **payload}
 
 
-def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
+def run_spike(cfg: dict, out: Path) -> dict:
     n_paths, grid, seed = _common(cfg)
     model = _model_from(cfg)
     if model.name == "arctan-example":  # b = 0 and sigma = u: X2 vanishes, no order-2 fit exists
@@ -252,12 +251,14 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
         raise ConfigError("config field 'eps_steps' needs at least 4 distinct widths to fit orders")
     bands = cfg.get("slope_bands", {})
     if not isinstance(bands, dict) or not all(
-        name in DEFAULT_SLOPE_BANDS and _is_vector(band, 2) for name, band in bands.items()
+        name in DEFAULT_SLOPE_BANDS and _is_vector(band, 2) and band[0] <= band[1] for name, band in bands.items()
     ):
-        raise ConfigError(f"config field 'slope_bands' must map names from {sorted(DEFAULT_SLOPE_BANDS)} to [lo, hi]")
+        raise ConfigError(
+            f"config field 'slope_bands' must map names from {sorted(DEFAULT_SLOPE_BANDS)} to [lo, hi] with lo <= hi"
+        )
     result = run_spike_study(
         model, x0, grid, n_paths, seed, t0, tuple(eps_steps),
-        replacement=replacement, u_bar_value=candidate, degree=degree, jobs=jobs,
+        replacement=replacement, u_bar_value=candidate, degree=degree,
     )
     rows = []
     for name, fit in result.fits.items():
@@ -296,7 +297,7 @@ def run_spike(cfg: dict, out: Path, jobs: int = 1) -> dict:
 
 def run_check_smp(cfg: dict, out: Path) -> dict:
     model = _model_from(cfg)
-    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float)
+    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float, minimum=0.0)
     test_controls = cfg.get("test_controls")
     if test_controls is None:
         test_controls = model.control_domain.test_controls(model.k).tolist()
@@ -380,7 +381,7 @@ RUNNERS = {
 }
 
 
-def run(kind: str, cfg: dict, out_dir, jobs: int = 1) -> int:
+def run(kind: str, cfg: dict, out_dir) -> int:
     """Validate, execute and report one experiment; returns the exit status."""
     _check_fields(kind, cfg)
     out = Path(out_dir)
@@ -390,10 +391,7 @@ def run(kind: str, cfg: dict, out_dir, jobs: int = 1) -> int:
         out / "manifest.json",
         {"experiment": kind, "config": cfg, "config_hash": content_hash(echo.encode())},
     )
-    if kind == "spike":
-        payload = RUNNERS[kind](cfg, out, jobs=jobs)
-    else:
-        payload = RUNNERS[kind](cfg, out)
+    payload = RUNNERS[kind](cfg, out)
     write_json(out / "report.json", payload)
     return 0 if all(payload.get("checks", {}).values()) else 1
 
@@ -408,11 +406,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="overrides config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel windows")
+        # windows run serially; the option stays for callers that pass --jobs 1
+        p.add_argument("--jobs", type=int, default=1, choices=(1,), help="worker count; 1 is the only value")
         p.add_argument("--out", type=str, default="out", help="output directory")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
 
     cfg = {}
     if args.config is not None:
@@ -430,7 +427,7 @@ def main(argv=None) -> int:
         print("config error: field 'seed' is required (no wall-clock seeding)", file=sys.stderr)
         return 2
     try:
-        return run(args.experiment, cfg, args.out, jobs=args.jobs)
+        return run(args.experiment, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

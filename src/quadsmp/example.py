@@ -20,7 +20,7 @@ import numpy as np
 from . import smp
 from .adjoint import AdjointBundle, Linearization, assemble_first_order, linearize, solve_adjoints
 from .bsde import ControlledTrajectory, solve_bsde_lsmc
-from .grids import TimeGrid, constant_control, generate_brownian
+from .grids import BrownianEnsemble, TimeGrid, constant_control, generate_brownian
 from .models import ControlDomain, ModelSpec, scalar_model
 from .sde import simulate_forward_sde
 
@@ -135,9 +135,8 @@ def validate_example_conditions() -> dict:
     return {"passed": bool(passed), "margins": margins}
 
 
-def _solve_for_control(model: ModelSpec, control_value: float, n_paths: int, grid: TimeGrid, seed: int):
-    w = generate_brownian(n_paths, grid, model.d, seed)
-    u = constant_control(control_value, n_paths, grid.n_steps)
+def _solve_for_control(model: ModelSpec, control_value: float, w: BrownianEnsemble):
+    u = constant_control(control_value, w.n_paths, w.grid.n_steps)
     x = simulate_forward_sde(model, 0.0, u, w)
     y, z, report = solve_bsde_lsmc(model, x, u, w)
     return ControlledTrajectory(w=w, x=x, y=y, z=z, u=u), report
@@ -253,8 +252,8 @@ def convex_hull_counterexample(lin: Linearization, adj: AdjointBundle, tolerance
 def integrand_positivity() -> dict:
     """g(phi'(x) u) + [1 + phi''(x)/2] u^2 >= 0 with equality iff u = 0."""
     x = np.linspace(-20.0, 20.0, 4001)
-    at_zero = np.zeros_like(x)
-    at_one = g_running(phi_prime(x)) + (1.0 + 0.5 * phi_second(x))
+    phi_x, phi_xx = phi_prime(x), phi_second(x)
+    at_zero, at_one = (g_running(phi_x * u) + (1.0 + 0.5 * phi_xx) * u**2 for u in (0.0, 1.0))
     return {
         "min_at_zero": float(np.abs(at_zero).max()),
         "min_at_one": float(at_one.min()),
@@ -268,10 +267,11 @@ def run_example_experiment(n_paths: int, n_steps: int, horizon: float, seed: int
     grid = TimeGrid(horizon, n_steps)
     model = example_model()
 
-    # one solve of the zero-control candidate gives J(0) and the adjoints
-    traj0, report0 = _solve_for_control(model, 0.0, n_paths, grid, seed)
+    # both controls run on one ensemble; the zero-control solve also gives the adjoints
+    w = generate_brownian(n_paths, grid, model.d, seed)
+    traj0, report0 = _solve_for_control(model, 0.0, w)
     j0, se0 = report0.y0, report0.y0_std_error
-    traj1, report1 = _solve_for_control(model, 1.0, n_paths, grid, seed)
+    traj1, report1 = _solve_for_control(model, 1.0, w)
     j1, se1 = report1.y0, report1.y0_std_error
     jg, seg = girsanov_cost_estimate(traj1)
     combined_se = float(np.hypot(se1, seg))

@@ -18,7 +18,6 @@ accept inputs in any layout; only their own allocations follow this order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "cumsum_steps",
     "generate_brownian",
     "constant_control",
-    "write_ensemble_csv",
 ]
 
 
@@ -128,20 +126,3 @@ def constant_control(value, n_paths: int, n_steps: int) -> np.ndarray:
     """Step process equal to a constant control value, shape (n_paths, n_steps, k)."""
     v = np.atleast_1d(np.asarray(value, dtype=float))
     return step_major((n_paths, n_steps, v.shape[-1]), v)
-
-
-def write_ensemble_csv(path, array: np.ndarray) -> None:
-    """Dump a (n_paths, n_steps, coord) or (n_paths, n_steps) array for debugging.
-
-    Columns: path, step, coordinate, value. Floats carry 17 significant digits.
-    """
-    a = np.asarray(array)
-    if a.ndim == 2:
-        a = a[:, :, None]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "step", "coordinate", "value"])
-        for p in range(a.shape[0]):
-            for s in range(a.shape[1]):
-                for c in range(a.shape[2]):
-                    writer.writerow([p, s, c, format(a[p, s, c], ".17g")])

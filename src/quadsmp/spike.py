@@ -271,7 +271,7 @@ def expansion_residuals(
 
 def value_remainder_estimate(
     lin: Linearization,
-    spiked: ControlledTrajectory,
+    cost_gap: np.ndarray,
     x1: np.ndarray,
     adj: AdjointBundle,
     hats: HattedCoefficients,
@@ -279,23 +279,14 @@ def value_remainder_estimate(
 ) -> tuple[float, float]:
     """Low-variance estimate of Y^eps_0 - Y_0 - Y1(0) - Y2(0).
 
-    Averages the pathwise cost-difference rollout minus the weighted rollouts
+    Averages the pathwise cost-difference rollout cost_gap (m,), the spiked
+    minus the candidate ``SolverReport.rollout``, minus the weighted rollouts
     of the two variational values (whose means are exactly Y1(0) = 0 and
     Y2(0)); with common random numbers the leading fluctuations cancel
     pathwise. Returns (estimate, std error).
     """
     model, base = lin.model, lin.traj
-    grid = base.w.grid
-    dt = grid.dt
-    n_steps = grid.n_steps
-    times = grid.times
-
-    diff = model.phi(spiked.x[:, -1]) - model.phi(base.x[:, -1])
-    for k in range(n_steps):
-        diff += (
-            model.f(times[k], spiked.x[:, k], spiked.y[:, k], spiked.z[:, k], spiked.u[:, k])
-            - lin.f[:, k]
-        ) * dt
+    dt, n_steps = base.w.grid.dt, base.w.grid.n_steps
 
     # first-variation rollout: terminal phi_x'X1 plus driver f_x'X1 minus the
     # window coupling through (p, q); X1 is 0 up to the window, and the
@@ -312,7 +303,7 @@ def value_remainder_estimate(
 
     r2 = np.sum(gamma_tilde[:, :n_steps] * _yhat_driver(hats, n_steps), axis=1) * dt
 
-    samples = diff - r1 - r2
+    samples = cost_gap - r1 - r2
     m = samples.shape[0]
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(m))
 
@@ -437,15 +428,13 @@ def run_spike_study(
     replacement,
     u_bar_value=0.0,
     degree: int = 2,
-    jobs: int = 1,
 ) -> SpikeStudyResult:
     """Full spike-order study on one common ensemble.
 
     Solves the candidate system once, the adjoints once, then for each window
-    width: the spiked system, both variational states, the backward relations
-    and the residual ladder. eps_steps are step counts (dyadic by convention).
-    Window jobs are independent; with jobs > 1 they run on a thread pool and
-    are merged in ladder order, so the output does not depend on jobs.
+    width in turn: the spiked system, both variational states, the backward
+    relations and the residual ladder. eps_steps are step counts (dyadic by
+    convention).
     """
     w = generate_brownian(n_paths, grid, model.d, seed)
     u_bar = constant_control(u_bar_value, n_paths, grid.n_steps)
@@ -464,7 +453,7 @@ def run_spike_study(
         )
         u_eps = build_spiked_control(u_bar, spike, grid)
         x_eps = simulate_forward_sde(model, x0, u_eps, w)
-        y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
+        y_eps, z_eps, spiked_report = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
         spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
 
         hats = hatted_coefficients(lin, spike, adj)
@@ -475,7 +464,8 @@ def run_spike_study(
         y2, _ = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
         del y_hat, z_hat  # folded into Y2/Z2; freed before the functionals
         res = expansion_residuals(lin.traj, spiked, x1)
-        rem_cv, rem_se = value_remainder_estimate(lin, spiked, x1, adj, hats, gamma_tilde)
+        cost_gap = spiked_report.rollout - base_report.rollout
+        rem_cv, rem_se = value_remainder_estimate(lin, cost_gap, x1, adj, hats, gamma_tilde)
         return {
             "state_gap_sup_sq": sup_square(res.xi1),
             "x1_sup_sq": sup_square(x1),
@@ -490,13 +480,7 @@ def run_spike_study(
         }
 
     eps_values = [n_eps * dt for n_eps in eps_steps]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            window_results = list(pool.map(study_window, eps_steps))
-    else:
-        window_results = [study_window(n_eps) for n_eps in eps_steps]
+    window_results = [study_window(n_eps) for n_eps in eps_steps]
 
     return SpikeStudyResult(
         eps_values=tuple(eps_values),

@@ -1,6 +1,7 @@
 """Shared builders for solver tests: linear-generator models and instances,
 an n = d = k = 2 model with every derivative layout visible, an independent
-estimate of the spike auxiliary value, the two-einsum Euler step of the
+estimate of the spike auxiliary value, the spike remainder estimator that
+re-evaluates the costs along both trajectories, the two-einsum Euler step of the
 matrix flow pair as an oracle for the flow kernel, and, as oracles for the
 shared regression basis, the component test restated call by call and the
 two-pass linear representation; and, for the step-major storage, path-major copies
@@ -208,6 +209,39 @@ def yhat0_direct_estimate(lin, hats):
         growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])
         weight = weight * (1.0 + growth)
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(m))
+
+
+def value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde):
+    """spike.value_remainder_estimate with its cost-difference rollout formed
+    from the two trajectories: phi at both terminal states, and f along the
+    spiked trajectory against the candidate's f at every step. Returns
+    (estimate, std error)."""
+    model, base = lin.model, lin.traj
+    grid = base.w.grid
+    dt, n_steps, times = grid.dt, grid.n_steps, grid.times
+
+    diff = model.phi(spiked.x[:, -1]) - model.phi(base.x[:, -1])
+    for k in range(n_steps):
+        diff += (
+            model.f(times[k], spiked.x[:, k], spiked.y[:, k], spiked.z[:, k], spiked.u[:, k])
+            - lin.f[:, k]
+        ) * dt
+
+    r1 = gamma_tilde[:, n_steps] * np.einsum(
+        "mi,mi->m", model.phi_x(base.x[:, -1]), x1[:, n_steps]
+    )
+    for k in range(hats.k0, n_steps):
+        drv = np.einsum("mi,mi->m", lin.f_x[:, k], x1[:, k])
+        if k < hats.k1:
+            drv -= np.einsum("md,md->m", lin.f_z[:, k], hats.delta[:, k - hats.k0])
+            drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k - hats.k0])
+        r1 += gamma_tilde[:, k] * drv * dt
+
+    r2 = np.sum(gamma_tilde[:, :n_steps] * _yhat_driver(hats, n_steps), axis=1) * dt
+
+    samples = diff - r1 - r2
+    m = samples.shape[0]
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(m))
 
 
 def euler_flow_pair_reference(a, beta, c, w):

@@ -63,17 +63,17 @@ class TestStructuralConditions:
 
 class TestCosts:
     def test_zero_control_cost_is_exact_zero(self):
-        _, rep = _solve_for_control(example_model(), 0.0, 1500, TimeGrid(1.0, 40), seed=5)
+        _, rep = _solve_for_control(example_model(), 0.0, generate_brownian(1500, TimeGrid(1.0, 40), 1, seed=5))
         assert abs(rep.y0) <= 1e-10
 
     def test_unit_control_cost_positive(self):
         model = example_model()
-        traj, rep = _solve_for_control(model, 1.0, 4000, TimeGrid(1.0, 64), seed=5)
+        traj, rep = _solve_for_control(model, 1.0, generate_brownian(4000, TimeGrid(1.0, 64), 1, seed=5))
         assert rep.y0 > 3.0 * rep.y0_std_error
 
     def test_reweighted_estimate_agrees(self):
         model = example_model()
-        traj, rep = _solve_for_control(model, 1.0, 6000, TimeGrid(1.0, 64), seed=6)
+        traj, rep = _solve_for_control(model, 1.0, generate_brownian(6000, TimeGrid(1.0, 64), 1, seed=6))
         jg, seg = girsanov_cost_estimate(traj)
         assert abs(rep.y0 - jg) <= 3.0 * float(np.hypot(rep.y0_std_error, seg))
 
@@ -82,7 +82,7 @@ class TestCosts:
 def zero_candidate():
     """Linearization and adjoints along the zero control, 4000 paths x 64 steps."""
     model = example_model()
-    traj, _ = _solve_for_control(model, 0.0, 4000, TimeGrid(1.0, 64), seed=1)
+    traj, _ = _solve_for_control(model, 0.0, generate_brownian(4000, TimeGrid(1.0, 64), 1, seed=1))
     lin = linearize(model, traj)
     return lin, solve_adjoints(lin)
 
@@ -115,7 +115,7 @@ class TestAdjoints:
         # seeds on which a test of the design's columns let p tilt or q leak
         # past the acceptance tolerance at 10^4 paths x 100 steps
         model = example_model()
-        traj, _ = _solve_for_control(model, 0.0, 10_000, TimeGrid(1.0, 100), seed=seed)
+        traj, _ = _solve_for_control(model, 0.0, generate_brownian(10_000, TimeGrid(1.0, 100), 1, seed=seed))
         assert ExampleAdjointReport.of(solve_adjoints(linearize(model, traj))).within(TOLERANCE)
 
     def test_smp_confirmation(self, zero_candidate):

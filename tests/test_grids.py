@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from support import path_major, steps_contiguous
 
-from quadsmp.grids import TimeGrid, constant_control, cumsum_steps, generate_brownian, step_major, write_ensemble_csv
+from quadsmp.grids import TimeGrid, constant_control, cumsum_steps, generate_brownian, step_major
 
 
 class TestTimeGrid:
@@ -84,15 +84,6 @@ def test_constant_control_shape():
     assert np.all(u == 0.5)
     u2 = constant_control([1.0, -1.0], 3, 5)
     assert u2.shape == (3, 5, 2)
-
-
-def test_ensemble_csv(tmp_path):
-    path = tmp_path / "snap.csv"
-    write_ensemble_csv(path, np.array([[[1.0], [2.0]]]))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "path,step,coordinate,value"
-    assert lines[1] == "0,0,0,1"
-    assert len(lines) == 3
 
 
 class TestStepMajorStorage:

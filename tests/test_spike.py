@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 from scipy.special import stdtrit
-from support import assert_close_rel, path_major, planar_candidate, steps_contiguous, yhat0_direct_estimate
+from support import (
+    assert_close_rel,
+    path_major,
+    planar_candidate,
+    steps_contiguous,
+    value_remainder_reference,
+    yhat0_direct_estimate,
+)
 
 from quadsmp.adjoint import AdjointBundle, linearize, solve_adjoints
 from quadsmp.bsde import (
@@ -105,7 +112,8 @@ class TestVariationalStates:
         for arr in (x1, x2, y1, z1, y_hat, z_hat, y2, z2, res.xi1, res.xi2, res.eta1, res.zeta1):
             assert np.all(arr == 0.0)
         gamma_tilde = exponential_weight(lin.f_y, lin.f_z, traj.w)
-        assert value_remainder_estimate(lin, traj, x1, adj, hats, gamma_tilde) == (0.0, 0.0)
+        no_cost_gap = np.zeros(traj.n_paths)
+        assert value_remainder_estimate(lin, no_cost_gap, x1, adj, hats, gamma_tilde) == (0.0, 0.0)
 
     def test_hats_live_on_the_window(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
@@ -267,6 +275,39 @@ class TestBackwardRelations:
         assert np.array_equal(res.xi2, res.xi1 - x1)
 
 
+class TestValueRemainder:
+    """The remainder estimator reads the cost-difference rollout from the two
+    LSMC solves' reports; the oracle re-evaluates phi and f along both
+    trajectories."""
+
+    @pytest.fixture(scope="class")
+    @classmethod
+    def candidate(cls):
+        model, grid = benchmark_model(), TimeGrid(1.0, 64)
+        w = generate_brownian(500, grid, 1, seed=4)
+        u_bar = constant_control(0.0, 500, 64)
+        x = simulate_forward_sde(model, 1.0, u_bar, w)
+        y, z, report = solve_bsde_lsmc(model, x, u_bar, w)
+        lin = linearize(model, ControlledTrajectory(w=w, x=x, y=y, z=z, u=u_bar))
+        return lin, solve_adjoints(lin), exponential_weight(lin.f_y, lin.f_z, w), report
+
+    @pytest.mark.parametrize("n_eps", [4, 8, 16, 32])
+    def test_matches_re_evaluated_costs(self, candidate, n_eps):
+        lin, adj, gamma_tilde, base_report = candidate
+        model, w = lin.model, lin.traj.w
+        spike = SpikePerturbation(t0=0.25, eps=n_eps * w.grid.dt, replacement=np.array([1.0]))
+        u_eps = build_spiked_control(lin.traj.u, spike, w.grid)
+        x_eps = simulate_forward_sde(model, 1.0, u_eps, w)
+        y_eps, z_eps, report = solve_bsde_lsmc(model, x_eps, u_eps, w)
+        spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
+        hats = hatted_coefficients(lin, spike, adj)
+        x1 = solve_x1(lin, hats)
+        estimate = value_remainder_estimate(lin, report.rollout - base_report.rollout, x1, adj, hats, gamma_tilde)
+        reference = value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde)
+        assert_close_rel(estimate[0], reference[0], rel=1e-10)
+        assert_close_rel(estimate[1], reference[1], rel=1e-10)
+
+
 class TestOrderFit:
     def test_exact_powers(self):
         eps = np.array([0.01, 0.02, 0.04, 0.08])
@@ -325,21 +366,6 @@ class TestSpikeStudy:
         ratios = np.asarray(study.y2_at_zero) / np.asarray(study.eps_values)
         spread = (ratios.max() - ratios.min()) / np.abs(ratios).max()
         assert spread <= 0.25
-
-    def test_jobs_do_not_change_results(self):
-        kwargs = dict(
-            model=benchmark_model(), x0=1.0, grid=TimeGrid(1.0, 64), n_paths=500,
-            seed=9, t0=0.25, eps_steps=(4, 8, 16, 32), replacement=1.0, u_bar_value=0.0,
-        )
-        serial = run_spike_study(**kwargs, jobs=1)
-        threaded = run_spike_study(**kwargs, jobs=3)
-        for name in serial.fits:
-            assert serial.fits[name].errors == threaded.fits[name].errors
-        assert serial.y2_at_zero == threaded.y2_at_zero
-        assert serial.remainder_over_eps == threaded.remainder_over_eps
-        assert serial.remainder_over_eps_se == threaded.remainder_over_eps_se
-        assert serial.remainder_over_eps_diff_z == threaded.remainder_over_eps_diff_z
-        assert serial.y_bar_0 == threaded.y_bar_0
 
 
 class TestStepMajorStorage:
