@@ -5,11 +5,11 @@ grid cells k0 .. k1 - 1. Every variational source carries the window's
 indicator, so the hatted gaps are held on the window's n_eps cells and the
 pieces slice [k0, k1) of the step arrays. The first/second-order variational
 states (X1, X2) are 0 up to k0 and are simulated from there by linearized
-dynamics with window sources; the backward components are evaluated through
-the adjoint processes, with the auxiliary pair solved as a weighted scalar
-linear equation. Order fits quantify how the error functionals scale across
-a dyadic ladder of window widths, on one common Brownian ensemble so
-pathwise differences are meaningful.
+dynamics with window sources; the backward values Y1 and Y2 are evaluated
+through the adjoint processes, with the auxiliary value Yhat solved as a
+weighted scalar linear equation. Order fits quantify how the error
+functionals scale across a dyadic ladder of window widths, on one common
+Brownian ensemble so pathwise differences are meaningful.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class HattedCoefficients:
     b_hat: (m, n_eps, n); sigma_hat: (m, n_eps, n, d);
     sigma_x_hat: (m, n_eps, d, n, n); delta: (m, n_eps, d) with
     delta^i = (sigma_hat^i)' p; gap: (m, n_eps) the Hamiltonian gap
-    ``smp.hamiltonian_gap``, which drives the auxiliary pair.
+    ``smp.hamiltonian_gap``, which drives the auxiliary value.
     """
 
     k0: int
@@ -165,22 +165,10 @@ def solve_x2(lin: Linearization, x1: np.ndarray, hats: HattedCoefficients) -> np
     return x2
 
 
-def compute_y1z1(
-    lin: Linearization, x1: np.ndarray, adj: AdjointBundle, hats: HattedCoefficients
-) -> tuple[np.ndarray, np.ndarray]:
-    """First backward variation via the adjoint relation.
-
-    Y1 = p'X1 on nodes; Z1^i = p'sigma_hat^i 1_E + [p'sigma_x^i + q^i'] X1
-    on steps.
-    """
-    n_steps = lin.traj.w.grid.n_steps
-    k0, k1 = hats.k0, hats.k1
-    y1 = np.einsum("mti,mti->mt", adj.p, x1)
-    p_steps = adj.p[:, :n_steps]
-    row = np.einsum("mtl,mtdlj->mtdj", p_steps, lin.sigma_x) + np.swapaxes(adj.q, 2, 3)
-    z1 = np.einsum("mtdj,mtj->mtd", row, x1[:, :n_steps])
-    z1[:, k0:k1] += np.einsum("mti,mtid->mtd", p_steps[:, k0:k1], hats.sigma_hat)
-    return y1, z1
+def compute_y1z1(adj: AdjointBundle, x1: np.ndarray) -> np.ndarray:
+    """First backward variation via the adjoint relation: Y1 = p'X1 on nodes,
+    shape (m, N+1). The name stays while the benchmark's traced sites pin it."""
+    return np.einsum("mti,mti->mt", adj.p, x1)
 
 
 def _yhat_driver(hats: HattedCoefficients, n_steps: int) -> np.ndarray:
@@ -190,9 +178,10 @@ def _yhat_driver(hats: HattedCoefficients, n_steps: int) -> np.ndarray:
     return out
 
 
-def solve_yhat(lin: Linearization, hats: HattedCoefficients, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Auxiliary pair: scalar linear equation with the window Hamiltonian-gap
-    driver, generator slopes (f_y, f_z) and zero terminal value."""
+def solve_yhat(lin: Linearization, hats: HattedCoefficients, degree: int = 2) -> np.ndarray:
+    """Auxiliary value Yhat on nodes, (m, N+1): scalar linear equation with the
+    window Hamiltonian-gap driver, generator slopes (f_y, f_z) and zero
+    terminal value. The name stays while the benchmark's traced sites pin it."""
     traj = lin.traj
     data = LinearBsdeData(
         lam=lin.f_y,
@@ -201,47 +190,17 @@ def solve_yhat(lin: Linearization, hats: HattedCoefficients, degree: int = 2) ->
         xi=np.zeros(traj.n_paths),
         state=traj.x,
     )
-    y_hat, z_hat, _ = solve_linear_bsde_weighted(data, traj.w, degree=degree)
-    return y_hat, z_hat
+    y_hat, _, _ = solve_linear_bsde_weighted(data, traj.w, degree=degree)
+    return y_hat
 
 
-def compute_y2z2(
-    lin: Linearization,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    y_hat: np.ndarray,
-    z_hat: np.ndarray,
-    adj: AdjointBundle,
-    hats: HattedCoefficients,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Second backward variation via the adjoint relation.
-
-    Y2 = Yhat + p'X2 + X1'P X1 / 2 on nodes; Z2 adds to Zhat the X2-transport
-    row, the X1-quadratic bracket and the window coupling terms.
-    """
-    n_steps = lin.traj.w.grid.n_steps
-    k0, k1 = hats.k0, hats.k1
+def compute_y2z2(adj: AdjointBundle, x1: np.ndarray, x2: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Second backward variation via the adjoint relation:
+    Y2 = Yhat + p'X2 + X1'P X1 / 2 on nodes, shape (m, N+1). The name stays
+    while the benchmark's traced sites pin it."""
     y2 = y_hat + np.einsum("mti,mti->mt", adj.p, x2)
     y2 += 0.5 * np.einsum("mti,mtij,mtj->mt", x1, adj.big_p, x1)
-
-    sigma_x = lin.sigma_x
-    p_steps = adj.p[:, :n_steps]
-    big_p = adj.big_p[:, :n_steps]
-    x1_s, x2_s = x1[:, :n_steps], x2[:, :n_steps]
-
-    row_x2 = np.einsum("mtl,mtdlj->mtdj", p_steps, sigma_x) + np.swapaxes(adj.q, 2, 3)
-    z2 = np.einsum("mtdj,mtj->mtd", row_x2, x2_s)
-
-    bracket = np.einsum("mtdji,mtjk->mtdik", sigma_x, big_p)
-    bracket += np.einsum("mtij,mtdjk->mtdik", big_p, sigma_x)
-    bracket += np.moveaxis(adj.big_q, 4, 2)
-    bracket += np.einsum("mtjiab,mtj->mtiab", lin.sigma_xx, p_steps)
-    z2 += 0.5 * np.einsum("mta,mtdab,mtb->mtd", x1_s, bracket, x1_s)
-
-    window_row = np.einsum("mtad,mtab->mtdb", hats.sigma_hat, big_p[:, k0:k1])
-    window_row += np.einsum("mta,mtdab->mtdb", p_steps[:, k0:k1], hats.sigma_x_hat)
-    z2[:, k0:k1] += np.einsum("mtdb,mtb->mtd", window_row, x1_s[:, k0:k1])
-    return y2, z_hat + z2
+    return y2
 
 
 @dataclass(frozen=True)
@@ -261,8 +220,9 @@ class ExpansionResiduals:
 def expansion_residuals(
     base: ControlledTrajectory, spiked: ControlledTrajectory, x1: np.ndarray
 ) -> ExpansionResiduals:
-    if base.w is not spiked.w and base.w.seed != spiked.w.seed:
-        raise ValueError("residuals need common random numbers across the two systems")
+    """Pathwise gaps of two systems driven by the same BrownianEnsemble object."""
+    if base.w is not spiked.w:
+        raise ValueError("residuals need the two systems on one Brownian ensemble")
     xi1 = spiked.x - base.x
     return ExpansionResiduals(
         xi1=xi1, xi2=xi1 - x1, eta1=spiked.y - base.y, zeta1=spiked.z - base.z
@@ -369,8 +329,8 @@ def fit_convergence_order(eps_values, errors) -> OrderFitReport:
     resid = y - (slope * x + intercept)
     dof = x.size - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
-    se = np.sqrt(np.sum(resid**2) / dof / sxx) if dof > 0 else 0.0
-    half = float(_t_quantile(dof, 0.975) * se) if dof > 0 else 0.0
+    se = np.sqrt(np.sum(resid**2) / dof / sxx)
+    half = float(_t_quantile(dof, 0.975) * se)
     return OrderFitReport(
         eps_values=tuple(eps_values),
         errors=tuple(errors),
@@ -459,10 +419,8 @@ def run_spike_study(
         hats = hatted_coefficients(lin, spike, adj)
         x1 = solve_x1(lin, hats)
         x2 = solve_x2(lin, x1, hats)
-        y1, _ = compute_y1z1(lin, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(lin, hats, degree=degree)
-        y2, _ = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
-        del y_hat, z_hat  # folded into Y2/Z2; freed before the functionals
+        y1 = compute_y1z1(adj, x1)
+        y2 = compute_y2z2(adj, x1, x2, solve_yhat(lin, hats, degree=degree))
         res = expansion_residuals(lin.traj, spiked, x1)
         cost_gap = spiked_report.rollout - base_report.rollout
         rem_cv, rem_se = value_remainder_estimate(lin, cost_gap, x1, adj, hats, gamma_tilde)

@@ -58,22 +58,51 @@ def test_expected_site_binds_a_traced_function(workload, site):
     assert id(binding) in _traced_functions(), f"{site} is not a traced function"
 
 
-def test_oracles_operations_run_on_small_inputs(tmp_path, monkeypatch):
-    """The benchmark's oracle operations call the library directly (positional
-    MultiLinearBsdeData, LinearBsdeData with state, 3- and 4-tuple returns,
-    the flow pair's inverse_identity_error); run each one on small inputs, its
-    check left out, so a signature change fails here."""
-    for scale, fields in [
+# each workload's scales, cut so one round runs in well under a second
+SMALL_SCALES = {
+    "example": [(workloads.EXAMPLE, {"n_paths": 500, "n_steps": 20})],
+    "spike": [(workloads.SPIKE, {"n_paths": 200, "n_steps": 64, "eps_steps": [2, 4, 8, 16]})],
+    "oracles": [
         (workloads.CLOSED_FORM, {"n_paths": 300, "n_steps": 20}),
         (workloads.AGREEMENT, {"n_paths": 300, "n_steps": 20}),
         (workloads.MATRIX_ODE, {"n_paths": 300, "n_steps": 16}),
         (workloads.FLOW_INVERSE, {"n_paths": 100, "n_steps": (8, 16)}),
         (workloads.BMO_SUITE, {"n_paths": 200, "n_steps": 16}),
-    ]:
+    ],
+}
+
+
+def _shrink(name, monkeypatch):
+    for scale, fields in SMALL_SCALES[name]:
         for key, value in fields.items():
             monkeypatch.setitem(scale, key, value)
+
+
+def test_oracles_operations_run_on_small_inputs(tmp_path, monkeypatch):
+    """The benchmark's oracle operations call the library directly (positional
+    MultiLinearBsdeData, LinearBsdeData with state, 3- and 4-tuple returns,
+    the flow pair's inverse_identity_error); run each one on small inputs, its
+    check left out, so a signature change fails here."""
+    _shrink("oracles", monkeypatch)
     inputs = workloads.prepare("oracles", 1, tmp_path)
     for name, run, _ in workloads.operations("oracles"):
         output = run(inputs)
         assert isinstance(output, dict) and output, name
         json.dumps(output)
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_expected_sites_are_entered(name, tmp_path, monkeypatch):
+    """Every binding a workload's trace requires is entered by its operations,
+    so a change that stops calling a pinned function fails here and not only
+    under a traced benchmark run."""
+    _shrink(name, monkeypatch)
+    importlib.import_module("quadsmp.cli")  # bound before patching, as the workload process does
+    trace = tracer.Tracer(extra_factories=[(workloads, "linear_model")]).install()
+    try:
+        inputs = workloads.prepare(name, 1, tmp_path)
+        for _, run, _ in workloads.operations(name):
+            run(inputs)
+    finally:
+        trace.restore()
+    trace.require_entered(workloads.EXPECTED_SITES[name])

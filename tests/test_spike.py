@@ -105,11 +105,11 @@ class TestVariationalStates:
         hats = hatted_coefficients(lin, spike, adj)
         x1 = solve_x1(lin, hats)
         x2 = solve_x2(lin, x1, hats)
-        y1, z1 = compute_y1z1(lin, x1, adj, hats)
-        y_hat, z_hat = solve_yhat(lin, hats)
-        y2, z2 = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
+        y1 = compute_y1z1(adj, x1)
+        y_hat = solve_yhat(lin, hats)
+        y2 = compute_y2z2(adj, x1, x2, y_hat)
         res = expansion_residuals(traj, traj, x1)
-        for arr in (x1, x2, y1, z1, y_hat, z_hat, y2, z2, res.xi1, res.xi2, res.eta1, res.zeta1):
+        for arr in (x1, x2, y1, y_hat, y2, res.xi1, res.xi2, res.eta1, res.zeta1):
             assert np.all(arr == 0.0)
         gamma_tilde = exponential_weight(lin.f_y, lin.f_z, traj.w)
         no_cost_gap = np.zeros(traj.n_paths)
@@ -226,20 +226,20 @@ class TestBackwardRelations:
     def test_y1_starts_at_zero(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, _ = spiked
-        y1, z1 = compute_y1z1(lin, x1, adj, hats)
+        y1 = compute_y1z1(adj, x1)
         assert np.all(y1[:, 0] == 0.0)
 
     def test_y2_equals_yhat_at_zero(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, x1, x2 = spiked
-        y_hat, z_hat = solve_yhat(lin, hats)
-        y2, z2 = compute_y2z2(lin, x1, x2, y_hat, z_hat, adj, hats)
+        y_hat = solve_yhat(lin, hats)
+        y2 = compute_y2z2(adj, x1, x2, y_hat)
         assert y2[:, 0] == pytest.approx(y_hat[:, 0], abs=1e-12)
 
     def test_yhat0_against_direct_weight_sde(self, base_pipeline, spiked):
         model, grid, traj, adj, lin = base_pipeline
         spike, _, hats, _, _ = spiked
-        y_hat, _ = solve_yhat(lin, hats)
+        y_hat = solve_yhat(lin, hats)
         direct, se = yhat0_direct_estimate(lin, hats)
         assert abs(float(y_hat[:, 0].mean()) - direct) <= 2.0 * se + 1e-4
 
@@ -273,6 +273,21 @@ class TestBackwardRelations:
         spiked_traj = ControlledTrajectory(w=traj.w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
         res = expansion_residuals(traj, spiked_traj, x1)
         assert np.array_equal(res.xi2, res.xi1 - x1)
+
+    def test_residuals_reject_another_ensemble_with_the_same_seed(self):
+        # same seed and shape, different horizons: the increments differ
+        model = benchmark_model()
+
+        def system(horizon):
+            w = generate_brownian(20, TimeGrid(horizon, 16), 1, seed=3)
+            u = constant_control(0.0, 20, 16)
+            x = simulate_forward_sde(model, 1.0, u, w)
+            return ControlledTrajectory(w=w, x=x, y=np.zeros((20, 17)), z=np.zeros((20, 16, 1)), u=u)
+
+        base, spiked = system(1.0), system(4.0)
+        assert base.w.seed == spiked.w.seed and not np.array_equal(base.w.increments, spiked.w.increments)
+        with pytest.raises(ValueError, match="one Brownian ensemble"):
+            expansion_residuals(base, spiked, np.zeros_like(base.x))
 
 
 class TestValueRemainder:
