@@ -7,6 +7,7 @@ energy and exponential-moment inequalities on simulated martingales, with
 conditional expectations replaced by cross-path regression at grid times (a
 lower-biased surrogate: grid times stand in for stopping times and the
 per-path maximum of the regression stands in for the essential supremum).
+Both regression checks run one backward node walk on one NodeBases.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BrownianEnsemble, TimeGrid, cumsum_steps, step_major
-from .regression import conditional_expectation
+from .regression import NodeBases, conditional_expectation
 
 __all__ = [
     "psi",
@@ -159,20 +160,20 @@ def doleans_exponential(m: MartingalePathSet) -> np.ndarray:
     return np.exp(m.values - 0.5 * m.bracket)
 
 
-def _features_at(m: MartingalePathSet, conditioner, k: int) -> np.ndarray:
-    if conditioner is None:
-        return m.values[:, k : k + 1]
-    state = np.asarray(conditioner, dtype=float)
-    if state.ndim == 2:
-        state = state[:, :, None]
-    return state[:, k, :]
+def _regressed_maxima(m: MartingalePathSet, target_at, conditioner=None):
+    """(k, target, estimate) for k = N down to 0: estimate is the per-path
+    maximum of the regression of target_at(k) on the conditioning state at
+    node k (default M_t itself; conditioner (m, N+1) or (m, N+1, p)). The walk
+    runs backward because NodeBases factors the block of nodes that ends at
+    the requested node; a constant target is its own fit."""
+    bases = NodeBases(m.values if conditioner is None else conditioner, degree=2)
+    for k in range(m.grid.n_steps, -1, -1):
+        target = target_at(k)
+        fitted = target[:1] if np.all(target == target[0]) else conditional_expectation(bases[k], target)
+        yield k, target, float(fitted.max())
 
 
-def estimate_bmo2_norm(
-    m: MartingalePathSet,
-    conditioner: np.ndarray | None = None,
-    degree: int = 2,
-) -> float:
+def estimate_bmo2_norm(m: MartingalePathSet, conditioner: np.ndarray | None = None) -> float:
     """Grid-time surrogate of the BMO2 norm of M.
 
     At each node the remaining bracket <M>_T - <M>_t is regressed on the
@@ -182,16 +183,8 @@ def estimate_bmo2_norm(
     if m.n_paths < 2:
         raise ValueError("need at least 2 paths")
     total = m.bracket[:, -1]
-    if np.all(total == 0.0):
-        return 0.0
-    worst = 0.0
-    for k in range(m.grid.n_steps + 1):
-        remaining = total - m.bracket[:, k]
-        if np.all(remaining == 0.0):
-            continue
-        fitted = conditional_expectation(_features_at(m, conditioner, k), remaining, degree)
-        worst = max(worst, float(fitted.max()))
-    return math.sqrt(max(worst, 0.0))
+    maxima = (estimate for _, _, estimate in _regressed_maxima(m, lambda k: total - m.bracket[:, k], conditioner))
+    return math.sqrt(max(0.0, *maxima))
 
 
 @dataclass(frozen=True)
@@ -221,13 +214,7 @@ def energy_inequality_report(
     )
 
 
-def john_nirenberg_report(
-    m: MartingalePathSet,
-    delta: float,
-    bmo2_norm: float,
-    conditioner: np.ndarray | None = None,
-    degree: int = 2,
-) -> InequalityReport:
+def john_nirenberg_report(m: MartingalePathSet, delta: float, bmo2_norm: float) -> InequalityReport:
     """Exponential-moment check of the remaining bracket at every grid time.
 
     The conditional expectation E[exp(delta*(<M>_T - <M>_t)) | F_t] is
@@ -240,19 +227,11 @@ def john_nirenberg_report(
         raise ValueError(f"delta={delta} must be below bmo2_norm^-2={bmo2_norm**-2}")
     bound = 1.0 / (1.0 - delta * bmo2_norm**2)
     total = m.bracket[:, -1]
-    worst_margin = math.inf
-    worst = None
-    passed = True
-    for k in range(m.grid.n_steps + 1):
-        target = np.exp(delta * (total - m.bracket[:, k]))
-        if np.all(target == target[0]):
-            estimate = float(target[0])
-        else:
-            fitted = conditional_expectation(_features_at(m, conditioner, k), target, degree)
-            estimate = float(fitted.max())
+    worst_margin, worst, passed = math.inf, None, True
+    for k, target, estimate in _regressed_maxima(m, lambda k: np.exp(delta * (total - m.bracket[:, k]))):
         se = float(target.std(ddof=1) / math.sqrt(m.n_paths)) if m.n_paths > 1 else 0.0
         margin = bound + 3.0 * se - estimate
-        if margin < worst_margin:
+        if margin <= worst_margin:  # the walk runs backward: the earliest of tied nodes is kept
             worst_margin = margin
             worst = {"node": k, "estimate": estimate, "std_error": se, "bound": bound}
         if margin < 0:

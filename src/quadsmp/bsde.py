@@ -157,10 +157,8 @@ def solve_bsde_lsmc(
         feats = x[:, k]
         basis = bases[k]
         y_next = y[:, k + 1]
-        e_next = conditional_expectation(basis, y_next, degree, t_min=0.0)
-        z_fit = conditional_expectation(
-            basis, (y_next - e_next)[:, None] * w.increments[:, k] / dt, degree, t_min=0.0
-        )
+        e_next = conditional_expectation(basis, y_next, t_min=0.0)
+        z_fit = conditional_expectation(basis, (y_next - e_next)[:, None] * w.increments[:, k] / dt, t_min=0.0)
         z_norm = np.sqrt(np.sum(z_fit**2, axis=1))
         over = z_norm > z_truncation
         clip_hits += int(over.sum())
@@ -233,6 +231,8 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
 
     Returns y: (m, N+1, n), z: (m, N, n, d) and the pathwise Y0 targets (m, n).
     """
+    if not np.isfinite(inv).all():
+        raise BsdeSolverError("flow or weight is numerically singular: its inverse is not finite")
     grid = w.grid
     dt, n_steps, m = grid.dt, grid.n_steps, w.n_paths
     n = flow.shape[-1]
@@ -271,7 +271,7 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     for k in range(n_steps - 1, -1, -1):
         target = y[:, k]
         if not np.all(target == target[0]):
-            y[:, k] = conditional_expectation(bases[k], target, degree)
+            y[:, k] = conditional_expectation(bases[k], target)
         g_k = np.einsum("mji,mj->mi", flow[:, k], y[:, k]) + prefix[:, k]
         incr = np.einsum("mji,mj->mi", inv[:, k], g_next - g_k)
         g_next = g_k
@@ -279,7 +279,7 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
         if np.all(tgt == 0.0):
             psi_scaled = np.zeros((m, n, d))
         else:
-            psi_scaled = conditional_expectation(bases[k], tgt, degree).reshape(m, n, d)
+            psi_scaled = conditional_expectation(bases[k], tgt).reshape(m, n, d)
         # (D^i)' Y for every i: (m, d, n)
         d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], eye))[:, :, 0]
         z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
@@ -345,8 +345,6 @@ def solve_multidim_linear_bsde(
     """
     pair = simulate_matrix_flow(data.a, data.beta, data.c, w)
     inv = _flow_inverse(pair.flow)
-    if not np.isfinite(inv).all():
-        raise BsdeSolverError("simulated flow is numerically singular; cannot invert")
     y, z, target0 = _represent(pair.flow, inv, data.driver, data.xi, data.beta, data.c, data.state, w, degree)
     m = w.n_paths
     se_vec = target0.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(y.shape[2])

@@ -175,14 +175,15 @@ def run_solve_bsde(cfg: dict, out: Path) -> dict:
             xi=np.full(n_paths, xi),
         )
         y, _, report = solve_linear_bsde_weighted(data, w)
-        closed_form = xi * float(np.exp(lam * grid.horizon)) if mu == 0.0 and phi == 0.0 else None
         payload = {"y0": report.y0, "y0_std_error": report.y0_std_error}
         checks = {}
-        if closed_form is not None:
-            rel = abs(report.y0 - closed_form) / max(1e-12, abs(closed_form))
+        if phi == 0.0:  # constant coefficients: Z = 0 and Y0 = xi e^(lam T) for every mu
+            closed_form = xi * float(np.exp(lam * grid.horizon))
+            gap = abs(report.y0 - closed_form)
             payload["closed_form"] = closed_form
-            payload["relative_error"] = rel
-            checks["closed_form_within_1pct"] = bool(rel <= 0.01)
+            payload["relative_error"] = gap / max(1e-12, abs(closed_form))
+            tolerance = max(0.01 * abs(closed_form), 4.0 * report.y0_std_error)
+            checks["closed_form_within_tolerance"] = bool(gap <= tolerance)
         (out / "solver.json").write_text(report.to_json() + "\n")
         return {"checks": checks, **payload}
     traj, report, _ = _solve_candidate(cfg, _model_from(cfg))
@@ -362,7 +363,7 @@ def run_bmo_suite(cfg: dict, out: Path) -> dict:
             rep = bmo.energy_inequality_report(mart, n, declared)
             checks[f"energy_{name}_n{n}"] = rep.passed
             rows.append([name, f"energy_n{n}", int(rep.passed), rep.worst_margin])
-        delta = 0.5 * declared**-2
+        delta = 0.5 * declared**-2 if declared > 0.0 else 1.0  # any delta > 0 bounds a zero martingale by 1
         jn = bmo.john_nirenberg_report(mart, delta, declared)
         checks[f"john_nirenberg_{name}"] = jn.passed
         rows.append([name, "john_nirenberg", int(jn.passed), jn.worst_margin])

@@ -214,10 +214,10 @@ def analytic_adjoint_residual(lin: Linearization) -> float:
     return float(np.abs(data.xi - 1.0).max()) + float(np.abs(data.a.sum(axis=-1) + data.driver).max())
 
 
-def confirm_global_smp(lin: Linearization, adj: AdjointBundle, tolerance: float = TOLERANCE) -> dict:
+def confirm_global_smp(lin: Linearization, adj: AdjointBundle) -> dict:
     """Hamiltonian gap at the candidate: analytically g(u) + u^2 for test
     controls in {0, 1}; passed iff the simulated pipeline finds no violation."""
-    report = smp.check_global_smp(lin, adj, test_controls=[[0.0], [1.0]], tolerance=tolerance)
+    report = smp.check_global_smp(lin, adj, test_controls=[[0.0], [1.0]], tolerance=TOLERANCE)
     return {
         "passed": report.empty,
         "gap_at_zero": float(g_running(0.0) + 0.0),
@@ -226,7 +226,7 @@ def confirm_global_smp(lin: Linearization, adj: AdjointBundle, tolerance: float 
     }
 
 
-def convex_hull_counterexample(lin: Linearization, adj: AdjointBundle, tolerance: float = TOLERANCE) -> dict:
+def convex_hull_counterexample(lin: Linearization, adj: AdjointBundle) -> dict:
     """Local check on the convex hull [0, 1] at the zero candidate.
 
     Analytically the control gradient is [g'(0) p + q + 2 u](1 - u) = -1/2 at
@@ -236,12 +236,12 @@ def convex_hull_counterexample(lin: Linearization, adj: AdjointBundle, tolerance
     the solved trajectory/adjoint pair; it never reads the control set, so
     the model on {0, 1} serves. Passed iff the analytic gradient is negative,
     the pipeline finds violations and its mean gradient matches the analytic
-    one within tolerance.
+    one within TOLERANCE.
     """
     analytic_at_zero = float(g_prime(0.0) * 1.0 + 0.0 + 0.0)
-    grad, report = smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=[[1.0]], tolerance=tolerance)
+    grad, report = smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=[[1.0]], tolerance=TOLERANCE)
     grad_mean = float(grad.mean())
-    matches = abs(grad_mean - analytic_at_zero) <= tolerance
+    matches = abs(grad_mean - analytic_at_zero) <= TOLERANCE
     return {
         "passed": bool(analytic_at_zero < 0.0 and report["n_violations"] > 0 and matches),
         "analytic_gradient_at_zero": analytic_at_zero,

@@ -4,9 +4,8 @@ The single regression primitive shared by the backward solvers and the BMO
 estimators: fit a polynomial in the supplied state features and return the
 fitted values, which play the role of E[target | F_t] on the ensemble. A
 RegressionBasis holds one node's factorized design, so every target regressed
-on the same features reuses it. Bases are factored a block of nodes at a
-time: NodeBases serves a backward walk, and a basis built from one node's
-features is a block of one.
+on the same features reuses it. Every basis comes from NodeBases, which
+factors a walk's bases a block of nodes at a time.
 """
 
 from __future__ import annotations
@@ -54,20 +53,17 @@ def polynomial_design(features: np.ndarray, degree: int) -> np.ndarray:
 class RegressionBasis(NamedTuple):
     """One node's basis: components (m, rank), the orthonormal left singular
     vectors of its standardized slope columns cut at the design's rank;
-    columns, the design's kept-column count with the intercept; and the
-    degree and winsor it was built with."""
+    and columns, the design's kept-column count with the intercept."""
 
     components: np.ndarray
     columns: int
-    degree: int
-    winsor: float
 
 
-def _factor_block(features: np.ndarray, degree: int, winsor: float) -> list[RegressionBasis]:
+def _factor_block(features: np.ndarray, degree: int) -> list[RegressionBasis]:
     """Factor the bases of a block of nodes at once.
 
     features: (B, p, m), each node's features along the contiguous path axis.
-    Each node is winsorized at its (winsor, 1-winsor) quantiles, designed,
+    Each node is winsorized at its (_WINSOR, 1-_WINSOR) quantiles, designed,
     and its non-intercept columns centered and scaled by their std; a
     (near-)constant column is zeroed, so degenerate features collapse to the
     unconditional mean and the block keeps one shape. Each node's components
@@ -76,9 +72,9 @@ def _factor_block(features: np.ndarray, degree: int, winsor: float) -> list[Regr
     """
     x = features
     m = x.shape[-1]
-    if winsor > 0.0 and m > 20:
+    if _WINSOR > 0.0 and m > 20:
         # np.quantile's linear rule between order statistics, without its overhead
-        rank = (m - 1) * np.array([winsor, 1.0 - winsor])
+        rank = (m - 1) * np.array([_WINSOR, 1.0 - _WINSOR])
         below = np.floor(rank).astype(int)
         ordered = np.sort(x, axis=-1)
         a, b = ordered[..., below], ordered[..., below + 1]
@@ -96,7 +92,7 @@ def _factor_block(features: np.ndarray, degree: int, winsor: float) -> list[Regr
     kept = np.count_nonzero(keep, axis=1)
     u, s, _ = np.linalg.svd(design[..., 1:], full_matrices=False)
     ranks = np.count_nonzero(s * s > np.finfo(float).eps * kept[:, None] * s[:, :1] ** 2, axis=1)
-    return [RegressionBasis(u[i, :, :rank], int(p), degree, winsor) for i, (rank, p) in enumerate(zip(ranks, kept))]
+    return [RegressionBasis(u[i, :, :rank], int(p)) for i, (rank, p) in enumerate(zip(ranks, kept))]
 
 
 class NodeBases:
@@ -122,22 +118,15 @@ class NodeBases:
             n_terms = math.comb(sum(f.shape[2] for f in self.features) + self.degree, self.degree)
             lo = max(0, k + 1 - max(1, _BLOCK_BYTES // (8 * m * n_terms)))
             x = np.concatenate([f[:, lo : k + 1].transpose(1, 2, 0) for f in self.features], axis=1)
-            self._block = (lo, _factor_block(x, self.degree, _WINSOR))
+            self._block = (lo, _factor_block(x, self.degree))
         lo, bases = self._block
         return bases[k - lo]
 
 
-def conditional_expectation(
-    features: np.ndarray | RegressionBasis,
-    targets: np.ndarray,
-    degree: int = 2,
-    winsor: float = _WINSOR,
-    t_min: float = 4.0,
-) -> np.ndarray:
-    """Fitted values of a polynomial regression of targets on features.
+def conditional_expectation(basis: RegressionBasis, targets: np.ndarray, t_min: float = 4.0) -> np.ndarray:
+    """Fitted values of a polynomial regression of targets on a node's features.
 
-    features: (m, p) state observed at the conditioning time, or its
-    RegressionBasis built with the same degree and winsor; constant columns
+    basis: the node's RegressionBasis from NodeBases, whose constant columns
     are dropped after centering, so fully degenerate features collapse the
     estimate to the unconditional mean. targets: (m,) or (m, q).
 
@@ -147,17 +136,10 @@ def conditional_expectation(
     however collinear the columns, so it is kept iff |alpha_j| >= t_min
     sigma-hat, sigma-hat^2 the residual variance on m - rank degrees of
     freedom (t_min = 0 keeps all); pure-noise surfaces collapse to the mean.
-    Winsorizing the features at the (winsor, 1-winsor) quantiles caps tail
-    leverage. Neither device changes when the targets are scaled, so the fit
-    scales with them. A rank-deficient design has fewer components, and warns.
+    The basis's winsorized features cap tail leverage. Neither device changes
+    when the targets are scaled, so the fit scales with them. A
+    rank-deficient design has fewer components, and warns.
     """
-    if isinstance(features, RegressionBasis):
-        basis = features
-    else:  # a block of one node
-        x = np.asarray(features, dtype=float).reshape(len(features), -1)
-        (basis,) = _factor_block(np.ascontiguousarray(x.T)[None], degree, winsor)
-    if (basis.degree, basis.winsor) != (degree, winsor):
-        raise ValueError(f"basis has degree {basis.degree}, winsor {basis.winsor}; fit asked {degree}, {winsor}")
     targets = np.asarray(targets, dtype=float)
     t = targets.reshape(len(targets), -1)
     u = basis.components

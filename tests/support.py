@@ -4,8 +4,10 @@ estimate of the spike auxiliary value, the spike remainder estimator that
 re-evaluates the costs along both trajectories, the two-einsum Euler step of the
 matrix flow pair as an oracle for the flow kernel, and, as oracles for the
 shared regression basis, the component test restated call by call and the
-two-pass linear representation; and, for the step-major storage, path-major copies
-of any solver input with the checks that compare them."""
+two-pass linear representation; a one-node regression basis for fits on raw
+features; the per-node BMO estimators as oracles for bmo's shared node walk;
+and, for the step-major storage, path-major copies of any solver input with
+the checks that compare them."""
 
 import dataclasses
 import warnings
@@ -15,7 +17,7 @@ import numpy as np
 from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import ControlDomain, ModelSpec, scalar_model
-from quadsmp.regression import RankDeficientRegression, conditional_expectation, polynomial_design
+from quadsmp.regression import NodeBases, RankDeficientRegression, conditional_expectation, polynomial_design
 from quadsmp.sde import _diffusion_matrices, simulate_forward_sde
 from quadsmp.spike import _yhat_driver
 
@@ -272,6 +274,13 @@ def euler_flow_pair_reference(a, beta, c, w):
     return x, lam
 
 
+def node_basis(features, degree=2):
+    """The RegressionBasis of one node's features (m, p) or (m,): a NodeBases
+    walk of one node."""
+    x = np.asarray(features, dtype=float)
+    return NodeBases(x.reshape(len(x), 1, -1), degree=degree)[0]
+
+
 def standardized_design_reference(features, degree=2, winsor=0.005):
     """The standardized design of conditional_expectation_reference:
     winsorized by np.quantile, centered and scaled by std, constant columns dropped."""
@@ -347,7 +356,7 @@ def represent_two_pass_reference(flow, inv, driver, xi, beta, c, state, w, degre
     for k in range(n_steps):
         target = y[:, k]
         if not np.all(target == target[0]):
-            y[:, k] = conditional_expectation(features(k), target, degree)
+            y[:, k] = conditional_expectation(node_basis(features(k), degree), target)
     prefix = np.zeros((m, n_steps + 1, n))
     np.cumsum(weighted_f, axis=1, out=prefix[:, 1:])
     g_mart = np.einsum("mtji,mtj->mti", flow, y) + prefix
@@ -355,10 +364,59 @@ def represent_two_pass_reference(flow, inv, driver, xi, beta, c, state, w, degre
     z = np.empty((m, n_steps, n, d))
     for k in range(n_steps):
         tgt = (incrs[:, k, :, None] * w.increments[:, k][:, None, :] / dt).reshape(m, n * d)
-        psi_scaled = conditional_expectation(features(k), tgt, degree).reshape(m, n, d)
+        psi_scaled = conditional_expectation(node_basis(features(k), degree), tgt).reshape(m, n, d)
         d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], np.eye(n)))[:, :, 0]
         z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
     return y, z
+
+
+def _bmo_features_at(m, conditioner, k):
+    if conditioner is None:
+        return m.values[:, k : k + 1]
+    state = np.asarray(conditioner, dtype=float)
+    if state.ndim == 2:
+        state = state[:, :, None]
+    return state[:, k, :]
+
+
+def estimate_bmo2_norm_reference(m, conditioner=None):
+    """bmo.estimate_bmo2_norm as it stood before the shared node walk: nodes
+    0..N forward, each regressed on a basis of its own features, an all-zero
+    remaining bracket skipped."""
+    total = m.bracket[:, -1]
+    if np.all(total == 0.0):
+        return 0.0
+    worst = 0.0
+    for k in range(m.grid.n_steps + 1):
+        remaining = total - m.bracket[:, k]
+        if np.all(remaining == 0.0):
+            continue
+        fitted = conditional_expectation(node_basis(_bmo_features_at(m, conditioner, k)), remaining)
+        worst = max(worst, float(fitted.max()))
+    return np.sqrt(max(worst, 0.0))
+
+
+def john_nirenberg_reference(m, delta, bmo2_norm):
+    """bmo.john_nirenberg_report as it stood before the shared node walk:
+    nodes 0..N forward, the earliest of tied nodes reported. Returns
+    (passed, worst_margin, detail)."""
+    bound = 1.0 / (1.0 - delta * bmo2_norm**2)
+    total = m.bracket[:, -1]
+    worst_margin, worst, passed = np.inf, None, True
+    for k in range(m.grid.n_steps + 1):
+        target = np.exp(delta * (total - m.bracket[:, k]))
+        if np.all(target == target[0]):
+            estimate = float(target[0])
+        else:
+            estimate = float(conditional_expectation(node_basis(m.values[:, k]), target).max())
+        se = float(target.std(ddof=1) / np.sqrt(m.n_paths))
+        margin = bound + 3.0 * se - estimate
+        if margin < worst_margin:
+            worst_margin = margin
+            worst = {"node": k, "estimate": estimate, "std_error": se, "bound": bound}
+        if margin < 0:
+            passed = False
+    return passed, worst_margin, worst or {}
 
 
 def path_major(obj):

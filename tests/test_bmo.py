@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import estimate_bmo2_norm_reference, john_nirenberg_reference
 
 from quadsmp import bmo
 from quadsmp.grids import TimeGrid, generate_brownian
@@ -225,3 +226,39 @@ class TestJohnNirenberg:
     def test_delta_domain(self, ensemble):
         with pytest.raises(ValueError):
             bmo.john_nirenberg_report(_constant_martingale(ensemble, 1.0), 1.2, 1.0)
+
+
+# -- the shared backward node walk against the per-node estimators ------------
+
+BMO_SUITE_INTEGRANDS = {
+    "constant": lambda paths: np.ones_like(paths),
+    "sine_of_w": np.sin,
+    "half_indicator": lambda paths: 0.5 * (paths > 0.0),
+    "zero": np.zeros_like,  # every node ties: the earliest is reported
+}
+
+
+@pytest.fixture(scope="module")
+def suite_ensemble():
+    # 1000 paths x 64 steps: one feature at degree 2 makes two NodeBases blocks
+    return generate_brownian(1000, TimeGrid(1.0, 64), 1, seed=17)
+
+
+@pytest.mark.parametrize("name", sorted(BMO_SUITE_INTEGRANDS))
+def test_node_walk_matches_per_node_estimators(suite_ensemble, name):
+    w = suite_ensemble
+    paths = w.paths()
+    h = BMO_SUITE_INTEGRANDS[name](paths[:, :-1, :])
+    mart = bmo.MartingalePathSet.from_integrand(h, w)
+    for conditioner in (None, paths, paths[:, :, 0]):
+        expected = estimate_bmo2_norm_reference(mart, conditioner)
+        assert bmo.estimate_bmo2_norm(mart, conditioner) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    declared = float(np.abs(h).max())
+    delta = 0.5 * declared**-2 if declared > 0.0 else 1.0
+    rep = bmo.john_nirenberg_report(mart, delta, declared)
+    passed, margin, detail = john_nirenberg_reference(mart, delta, declared)
+    assert rep.passed == passed
+    assert rep.worst_margin == pytest.approx(margin, rel=1e-12, abs=0.0)
+    assert rep.detail["node"] == detail["node"]
+    for key in ("estimate", "std_error", "bound"):
+        assert rep.detail[key] == pytest.approx(detail[key], rel=1e-12, abs=0.0)

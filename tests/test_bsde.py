@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from support import (
     assert_close_rel,
     driver_model,
+    node_basis,
     path_major,
     planar_candidate,
     random_linear_instance,
@@ -59,14 +60,14 @@ def _weighted_reference(data, w, degree=2):
     y = np.empty((m, n_steps + 1))
     y[:, n_steps] = data.xi
     for k in range(n_steps):
-        y[:, k] = conditional_expectation(feats[k], (terminal + suffix[:, k]) / gt[:, k], degree)
+        y[:, k] = conditional_expectation(node_basis(feats[k], degree), (terminal + suffix[:, k]) / gt[:, k])
     prefix = np.zeros((m, n_steps + 1))
     np.cumsum(weighted_phi, axis=1, out=prefix[:, 1:])
     g_mart = gt * y + prefix
     z = np.empty((m, n_steps, 1))
     for k in range(n_steps):
         incr = ((g_mart[:, k + 1] - g_mart[:, k]) / gt[:, k])[:, None] * w.increments[:, k] / dt
-        z[:, k] = conditional_expectation(feats[k], incr, degree) - y[:, k : k + 1] * data.mu[:, k]
+        z[:, k] = conditional_expectation(node_basis(feats[k], degree), incr) - y[:, k : k + 1] * data.mu[:, k]
     return y, z
 
 

@@ -181,6 +181,16 @@ class TestValidation:
         assert code == 1
         assert "run failed" in capsys.readouterr().err
 
+    def test_underflowed_weight_exits_1(self, tmp_path, capsys):
+        # mu = 45 drives the exponential weight to 0 on some paths, so its
+        # inverse is not finite
+        cfg = _write_config(
+            tmp_path, {"n_paths": 1000, "n_steps": 50, "horizon": 1.0, "seed": 1, "equation": "linear", "mu": 45.0}
+        )
+        code = cli.main(["solve-bsde", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "run failed" in capsys.readouterr().err
+
 
 NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 3)
 JSON_VALUES = st.recursive(
@@ -281,7 +291,32 @@ class TestArtifacts:
         code = cli.main(["solve-bsde", "--config", cfg, "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["checks"]["closed_form_within_1pct"] is True
+        assert report["checks"]["closed_form_within_tolerance"] is True
+
+    @pytest.mark.parametrize("mu,n_paths,passed", [(1.0, 2000, True), (30.0, 1000, False)])
+    def test_solve_bsde_linear_closed_form_for_any_mu(self, tmp_path, mu, n_paths, passed):
+        # phi = 0 with constant coefficients: Z = 0 and Y0 = xi e^(lam T) for
+        # every mu; at mu = 30 the weight is degenerate and Y0 reads ~1e-162
+        out = tmp_path / "run"
+        cfg = _write_config(
+            tmp_path,
+            {"n_paths": n_paths, "n_steps": 50, "horizon": 1.0, "seed": 1, "equation": "linear", "lam": 0.3, "mu": mu},
+        )
+        assert cli.main(["solve-bsde", "--config", cfg, "--out", str(out)]) == (0 if passed else 1)
+        report = json.loads((out / "report.json").read_text())
+        assert report["closed_form"] == pytest.approx(math.exp(0.3), rel=1e-15)
+        assert report["checks"]["closed_form_within_tolerance"] is passed
+
+    def test_bmo_suite_one_step_margins_are_finite(self, tmp_path):
+        # at one step the sine and indicator integrands are 0 at W_0 = 0, so
+        # their declared norm is 0
+        out = tmp_path / "run"
+        cfg = _write_config(tmp_path, {"n_paths": 200, "n_steps": 1, "horizon": 1.0, "seed": 1})
+        assert cli.main(["bmo-suite", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "bmo_checks.csv").read_text().splitlines()[1:]
+        margins = {tuple(row.split(",")[:2]): float(row.split(",")[3]) for row in rows}
+        assert len(margins) == 12
+        assert all(math.isfinite(v) for v in margins.values())
 
     def test_adjoint_constants_catch_p_below_one(self, tmp_path):
         # p = 1 but for one cell at 0.9: sup |p| stays 1, so the check must

@@ -119,14 +119,14 @@ class TestAdjoints:
         assert ExampleAdjointReport.of(solve_adjoints(linearize(model, traj))).within(TOLERANCE)
 
     def test_smp_confirmation(self, zero_candidate):
-        result = confirm_global_smp(*zero_candidate, tolerance=0.05)
+        result = confirm_global_smp(*zero_candidate)
         assert result["gap_at_zero"] == 0.0
         assert result["gap_at_one"] == 1.5
         assert result["violations"] == 0
         assert result["passed"]
 
     def test_convex_hull_counterexample(self, zero_candidate):
-        result = convex_hull_counterexample(*zero_candidate, tolerance=0.05)
+        result = convex_hull_counterexample(*zero_candidate)
         assert result["analytic_gradient_at_zero"] == -0.5
         assert result["pipeline_gradient_mean"] == pytest.approx(-0.5, abs=0.05)
         assert result["passed"]

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from support import conditional_expectation_reference, standardized_design_reference
+from support import conditional_expectation_reference, node_basis, standardized_design_reference
 
 from quadsmp import regression
 from quadsmp.regression import (
@@ -33,34 +33,37 @@ def test_design_terms_bivariate():
 def test_degenerate_features_collapse_to_mean():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(500)
-    fitted = conditional_expectation(np.ones((500, 1)), y)
+    fitted = conditional_expectation(node_basis(np.ones((500, 1))), y)
     assert fitted == pytest.approx(np.full(500, y.mean()), abs=1e-12)
 
 
-def test_exact_recovery_in_span():
+def test_exact_recovery_in_span(monkeypatch):
+    monkeypatch.setattr(regression, "_WINSOR", 0.0)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2000, 1))
     y = 2.0 + 3.0 * x[:, 0] - 0.5 * x[:, 0] ** 2
-    fitted = conditional_expectation(x, y, degree=2, winsor=0.0)
+    fitted = conditional_expectation(node_basis(x, 2), y)
     assert fitted == pytest.approx(y, abs=1e-8)
 
 
-def test_multicolumn_targets():
+def test_multicolumn_targets(monkeypatch):
+    monkeypatch.setattr(regression, "_WINSOR", 0.0)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1000, 1))
     y = np.column_stack([x[:, 0], 1.0 - x[:, 0]])
-    fitted = conditional_expectation(x, y, degree=1, winsor=0.0)
+    fitted = conditional_expectation(node_basis(x, 1), y)
     assert fitted.shape == (1000, 2)
     assert fitted == pytest.approx(y, abs=1e-8)
 
 
-def test_rank_deficiency_warns_and_recovers():
+def test_rank_deficiency_warns_and_recovers(monkeypatch):
+    monkeypatch.setattr(regression, "_WINSOR", 0.0)
     rng = np.random.default_rng(3)
     base = rng.standard_normal(400)
     x = np.column_stack([base, 2.0 * base])  # exactly collinear
     y = base + 0.01 * rng.standard_normal(400)
     with pytest.warns(RankDeficientRegression):
-        fitted = conditional_expectation(x, y, degree=1, winsor=0.0)
+        fitted = conditional_expectation(node_basis(x, 1), y)
     assert np.corrcoef(fitted, base)[0, 1] > 0.99
 
 
@@ -70,8 +73,9 @@ def test_target_scaling_is_exact():
     rng = np.random.default_rng(4)
     x = np.exp(rng.standard_normal((3000, 1)))
     y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(3000)
-    one = conditional_expectation(x, y)
-    two = conditional_expectation(x, 2.0 * y)
+    basis = node_basis(x)
+    one = conditional_expectation(basis, y)
+    two = conditional_expectation(basis, 2.0 * y)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -79,17 +83,16 @@ def test_pretest_flattens_pure_noise():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3000, 1))
     y = 1.0 + 0.5 * rng.standard_normal(3000)  # independent of x
-    fitted = conditional_expectation(x, y, degree=2)
-    assert np.ptp(fitted) <= np.ptp(
-        conditional_expectation(x, y, degree=2, t_min=0.0)
-    )
+    basis = node_basis(x, 2)
+    fitted = conditional_expectation(basis, y)
+    assert np.ptp(fitted) <= np.ptp(conditional_expectation(basis, y, t_min=0.0))
 
 
 def test_winsorization_caps_tail_leverage():
     rng = np.random.default_rng(6)
     x = np.exp(2.5 * rng.standard_normal((4000, 1)))  # heavy-tailed feature
     y = 1.0 + rng.standard_normal(4000)
-    fitted = conditional_expectation(x, y, degree=2, t_min=0.0)
+    fitted = conditional_expectation(node_basis(x, 2), y, t_min=0.0)
     assert np.abs(fitted - 1.0).max() < 0.5
 
 
@@ -102,7 +105,7 @@ def test_near_collinear_design_fits_at_reduced_rank():
     x = np.column_stack([base, base + 1e-9 * rng.standard_normal(50)])
     y = base + rng.standard_normal(50)
     with pytest.warns(RankDeficientRegression, match="2 < 3 columns"):
-        fitted = conditional_expectation(x, y, degree=1)
+        fitted = conditional_expectation(node_basis(x, 1), y)
     assert np.isfinite(fitted).all()
     assert np.corrcoef(fitted, base)[0, 1] > 0.99
 
@@ -130,13 +133,13 @@ def _random_problem(degree, n_features, n_targets, seed):
     return x, np.column_stack(cols)
 
 
-def _fit_both(x, y, **kwargs):
+def _fit_both(x, y, degree, t_min=4.0):
     with warnings.catch_warnings(record=True) as new_warnings:
         warnings.simplefilter("always", RankDeficientRegression)
-        fitted = conditional_expectation(x, y, **kwargs)
+        fitted = conditional_expectation(node_basis(x, degree), y, t_min=t_min)
     with warnings.catch_warnings(record=True) as ref_warnings:
         warnings.simplefilter("always", RankDeficientRegression)
-        reference, kept = conditional_expectation_reference(x, y, **kwargs)
+        reference, kept = conditional_expectation_reference(x, y, degree=degree, t_min=t_min)
     return fitted, reference, kept, len(new_warnings), len(ref_warnings)
 
 
@@ -182,7 +185,7 @@ def test_rank_deficient_design_matches_reference(make_x, degree, match):
     a = standardized_design_reference(x, degree)
     coef, *_ = np.linalg.lstsq(a, y, rcond=np.sqrt(a.shape[1] * np.finfo(float).eps))
     with pytest.warns(RankDeficientRegression, match=match):
-        fitted = conditional_expectation(x, y, degree=degree, t_min=0.0)
+        fitted = conditional_expectation(node_basis(x, degree), y, t_min=0.0)
     assert np.abs(fitted - a @ coef).max() <= 1e-10 * np.abs(a @ coef).max()
     # the default tests the same components as the reference does
     fitted, reference, _, n_new, n_ref = _fit_both(x, y, degree=degree)
@@ -199,7 +202,7 @@ def test_collinear_slope_survives_the_pretest(seed):
     x = rng.standard_normal(1500)
     twin = 0.999 * x + np.sqrt(1.0 - 0.999**2) * rng.standard_normal(1500)
     y = 0.3 * x + rng.standard_normal(1500)
-    fitted = conditional_expectation(np.column_stack([x, twin]), y, degree=1)
+    fitted = conditional_expectation(node_basis(np.column_stack([x, twin]), 1), y)
     assert np.ptp(fitted) > 0.0
     assert np.corrcoef(fitted, x)[0, 1] > 0.99
 
@@ -209,27 +212,21 @@ def test_shared_basis_equals_independent_calls():
     x = np.column_stack([rng.standard_normal(800), np.exp(rng.standard_normal(800))])
     y1 = x[:, 0] - 0.5 * x[:, 1] ** 2 + rng.standard_normal(800)
     y2 = rng.standard_normal((800, 3))
-    basis = NodeBases(x[:, None], degree=2)[0]  # a walk of one node
-    assert np.array_equal(conditional_expectation(basis, y1), conditional_expectation(x, y1))
-    assert np.array_equal(conditional_expectation(basis, y2, t_min=0.0), conditional_expectation(x, y2, t_min=0.0))
+    basis = node_basis(x)
+    assert np.array_equal(conditional_expectation(basis, y1), conditional_expectation(node_basis(x), y1))
+    fresh = conditional_expectation(node_basis(x), y2, t_min=0.0)
+    assert np.array_equal(conditional_expectation(basis, y2, t_min=0.0), fresh)
 
 
 def test_shared_deficient_basis_warns_once_per_fit():
     rng = np.random.default_rng(11)
     base = rng.standard_normal(300)
-    basis = NodeBases(np.column_stack([base, 2.0 * base])[:, None], degree=1)[0]
+    basis = node_basis(np.column_stack([base, 2.0 * base]), 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficientRegression)
         for _ in range(2):
-            conditional_expectation(basis, base + rng.standard_normal(300), degree=1)
+            conditional_expectation(basis, base + rng.standard_normal(300))
     assert len(caught) == 2
-
-
-@pytest.mark.parametrize("kwargs", [{"degree": 1}, {"winsor": 0.0}])
-def test_basis_rejects_other_degree_or_winsor(kwargs):
-    x = np.random.default_rng(12).standard_normal((100, 1))
-    with pytest.raises(ValueError, match="basis has degree 2"):
-        conditional_expectation(NodeBases(x[:, None], degree=2)[0], x[:, 0], **kwargs)
 
 
 # -- a block of nodes factored at once against the per-node reference --------
@@ -267,7 +264,7 @@ def test_block_fits_match_reference(monkeypatch, t_min):
     for k in range(3, -1, -1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RankDeficientRegression)
-            fitted = conditional_expectation(bases[k], y[:, k], degree=1, t_min=t_min)
+            fitted = conditional_expectation(bases[k], y[:, k], t_min=t_min)
         # each reduced-rank fit warns once, however many targets it fits
         assert [w.category for w in caught] == [RankDeficientRegression] * (k == 1)
         assert all("(2 < 3 columns)" in str(w.message) for w in caught)
