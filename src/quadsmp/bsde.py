@@ -140,6 +140,8 @@ def solve_bsde_lsmc(
     fails to shrink the gap (the map does not contract) and, as a guard, after
     100 updates. The regressions keep every basis term; both fits of node k
     read its basis in X_k, which NodeBases factors a block of nodes at a time.
+    A node whose Y_{k+1} is constant across paths is its own conditional
+    expectation: it sets Z_k = 0 and requests no basis.
     """
     grid = w.grid
     dt, times, n_steps = grid.dt, grid.times, grid.n_steps
@@ -155,15 +157,21 @@ def solve_bsde_lsmc(
     bases = NodeBases(x, degree=degree)
     for k in range(n_steps - 1, -1, -1):
         feats = x[:, k]
-        basis = bases[k]
         y_next = y[:, k + 1]
-        e_next = conditional_expectation(basis, y_next, t_min=0.0)
-        z_fit = conditional_expectation(basis, (y_next - e_next)[:, None] * w.increments[:, k] / dt, t_min=0.0)
-        z_norm = np.sqrt(np.sum(z_fit**2, axis=1))
-        over = z_norm > z_truncation
-        clip_hits += int(over.sum())
-        scale = np.where(over, z_truncation / np.maximum(z_norm, 1e-300), 1.0)
-        z[:, k] = z_fit * scale[:, None]
+        if np.all(y_next == y_next[0]):
+            # a constant target is its own conditional expectation; its
+            # residual, and so the Z target, is identically 0
+            e_next = y_next
+            z[:, k] = 0.0
+        else:
+            basis = bases[k]
+            e_next = conditional_expectation(basis, y_next, t_min=0.0)
+            z_fit = conditional_expectation(basis, (y_next - e_next)[:, None] * w.increments[:, k] / dt, t_min=0.0)
+            z_norm = np.sqrt(np.sum(z_fit**2, axis=1))
+            over = z_norm > z_truncation
+            clip_hits += int(over.sum())
+            scale = np.where(over, z_truncation / np.maximum(z_norm, 1e-300), 1.0)
+            z[:, k] = z_fit * scale[:, None]
         y_k, last_gap = e_next, np.inf
         for _ in range(_IMPLICIT_GUARD):
             y_new = e_next + model.f(times[k], feats, y_k, z[:, k], u[:, k]) * dt
@@ -301,9 +309,11 @@ def solve_linear_bsde_weighted(
     m, n_steps, d = w.increments.shape
     gt = exponential_weight(data.lam, data.mu, w)
     flow = gt[:, :, None, None]
+    with np.errstate(divide="ignore", over="ignore"):  # _represent rejects a non-finite inverse
+        inv = 1.0 / flow
     y, z, target0 = _represent(
         flow,
-        1.0 / flow,
+        inv,
         np.asarray(data.phi, dtype=float)[..., None],
         np.asarray(data.xi, dtype=float)[..., None],
         data.mu,

@@ -27,6 +27,7 @@ from .sde import simulate_forward_sde
 __all__ = [
     "g_running",
     "g_prime",
+    "g_chord_slope",
     "phi_prime",
     "phi_second",
     "example_model",
@@ -59,6 +60,22 @@ def g_prime(z):
 def g_second(z):
     z = np.asarray(z, dtype=float)
     return 2.0 * np.sign(z)
+
+
+def g_chord_slope(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The average of g' along the chord from a to z, elementwise.
+
+    g' = 2|s| - 1/2 is piecewise linear, so the average is exactly the chord
+    slope (g(z) - g(a))/(z - a): |z| + |a| - 1/2 where z a >= 0 (g'(a) at
+    z = a), and (z^2 + a^2)/(|z| + |a|) - 1/2 where the chord crosses 0.
+    Neither form cancels, so slope (z - a) = g(z) - g(a) to round-off.
+    z, a: float arrays of one shape.
+    """
+    slope = np.abs(z) + np.abs(a)
+    crossing = z * a < 0.0
+    slope[crossing] = (z[crossing] ** 2 + a[crossing] ** 2) / slope[crossing]
+    slope -= 0.5
+    return slope
 
 
 def phi_prime(x):
@@ -149,20 +166,15 @@ def girsanov_cost_estimate(traj: ControlledTrajectory) -> tuple[float, float]:
     expectation, under the tilted measure with density given by the
     stochastic exponential of the averaged slope alpha integrated against W,
     of int_0^T [g(phi'(X_s) u_s) + (1 + phi''(X_s)/2) u_s^2] ds. alpha is the
-    g' average along the chord from phi'(X)u to Z, by fixed Gauss-Legendre
-    quadrature (16 nodes) in the chord parameter.
+    g' average along the chord from phi'(X)u to Z, in closed form by
+    g_chord_slope.
     """
     dt = traj.w.grid.dt
     x_steps = traj.x[:, :-1, 0]
     u_steps = traj.u[:, :, 0]
     z_steps = traj.z[:, :, 0]
     anchor = phi_prime(x_steps) * u_steps
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    theta = 0.5 * (nodes + 1.0)
-    wq = 0.5 * weights
-    alpha = np.zeros_like(z_steps)
-    for th, wt in zip(theta, wq):
-        alpha += wt * g_prime(anchor + th * (z_steps - anchor))
+    alpha = g_chord_slope(z_steps, anchor)
     dw = traj.w.increments[:, :, 0]
     log_density = np.sum(alpha * dw, axis=1) - 0.5 * np.sum(alpha**2, axis=1) * dt
     density = np.exp(log_density)

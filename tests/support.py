@@ -4,7 +4,8 @@ estimate of the spike auxiliary value, the spike remainder estimator that
 re-evaluates the costs along both trajectories, the two-einsum Euler step of the
 matrix flow pair as an oracle for the flow kernel, and, as oracles for the
 shared regression basis, the component test restated call by call and the
-two-pass linear representation; a one-node regression basis for fits on raw
+two-pass linear representation; the example's reweighted cost with the
+chord slope by quadrature; a one-node regression basis for fits on raw
 features; the per-node BMO estimators as oracles for bmo's shared node walk;
 and, for the step-major storage, path-major copies of any solver input with
 the checks that compare them."""
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 
 from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc
+from quadsmp.example import g_prime, g_running, phi_prime, phi_second
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import ControlDomain, ModelSpec, scalar_model
 from quadsmp.regression import NodeBases, RankDeficientRegression, conditional_expectation, polynomial_design
@@ -84,6 +86,26 @@ def random_linear_instance(seed, n_paths=8000, n_steps=100):
         phi[:, k] = phi_fn(grid.times[k], x[:, k, 0])
     data = LinearBsdeData(lam=lam, mu=mu, phi=phi, xi=terminal_fn(x[:, -1, 0]), state=x)
     return model, data, x, u, w
+
+
+def girsanov_quadrature_reference(traj):
+    """The reweighted unit-control cost of example.girsanov_cost_estimate with
+    the chord slope alpha averaged by 16-node Gauss-Legendre quadrature in the
+    chord parameter instead of in closed form."""
+    dt = traj.w.grid.dt
+    x_steps = traj.x[:, :-1, 0]
+    u_steps = traj.u[:, :, 0]
+    z_steps = traj.z[:, :, 0]
+    anchor = phi_prime(x_steps) * u_steps
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    alpha = np.zeros_like(z_steps)
+    for th, wt in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        alpha += wt * g_prime(anchor + th * (z_steps - anchor))
+    dw = traj.w.increments[:, :, 0]
+    density = np.exp(np.sum(alpha * dw, axis=1) - 0.5 * np.sum(alpha**2, axis=1) * dt)
+    integrand = g_running(anchor) + (1.0 + 0.5 * phi_second(x_steps)) * u_steps**2
+    payoff = density * np.sum(integrand, axis=1) * dt
+    return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(payoff.shape[0]))
 
 
 def planar_model():

@@ -487,6 +487,25 @@ class TestBlockWalk:
         assert sum(factored) == K + 1  # nodes 0..K, each once
         assert np.all(y[:, K + 1 :] == 1.0) and np.all(z[:, K + 1 :] == 0.0)
 
+    def test_constant_lsmc_targets_request_no_basis(self, small_setup, monkeypatch):
+        # constant lam and xi, no source: every Y target is constant across
+        # paths, so Z = 0 and the implicit step is Y_k = Y_{k+1}/(1 - lam dt)
+        grid, w = small_setup
+        lam, xi = 0.5, 2.0
+        model = driver_model(
+            lambda t, x: lam + 0.0 * x, lambda t, x: 0.3 + 0.0 * x, lambda t, x: 0.0 * x,
+            lambda x: np.full_like(x, xi), lam, 0.3, 0.0, xi,
+        )
+        u = constant_control(0.0, w.n_paths, grid.n_steps)
+        x = simulate_forward_sde(model, 0.0, u, w)
+        factored = []
+        factor = regression._factor_block
+        monkeypatch.setattr(regression, "_factor_block", lambda *a: factored.append(1) or factor(*a))
+        _, z, rep = solve_bsde_lsmc(model, x, u, w)
+        assert not factored
+        assert np.all(z == 0.0)
+        assert rep.y0 == pytest.approx(xi * (1.0 - lam * grid.dt) ** -grid.n_steps, rel=1e-9)
+
     def test_released_block_is_freed(self, monkeypatch):
         monkeypatch.setattr(regression, "_BLOCK_BYTES", 4 * 8 * 200 * 3)  # four nodes of 200 paths, 3 terms
         bases = NodeBases(np.random.default_rng(0).standard_normal((200, 9, 1)), degree=2)

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,13 +184,16 @@ class TestValidation:
 
     def test_underflowed_weight_exits_1(self, tmp_path, capsys):
         # mu = 45 drives the exponential weight to 0 on some paths, so its
-        # inverse is not finite
+        # inverse is not finite; the solver reports that without a numpy warning
         cfg = _write_config(
             tmp_path, {"n_paths": 1000, "n_steps": 50, "horizon": 1.0, "seed": 1, "equation": "linear", "mu": 45.0}
         )
-        code = cli.main(["solve-bsde", "--config", cfg, "--out", str(tmp_path / "o")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["solve-bsde", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "run failed" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 3)

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from support import girsanov_quadrature_reference
 
+from quadsmp import regression
 from quadsmp.adjoint import linearize, solve_adjoints
 from quadsmp.bsde import ControlledTrajectory, solve_bsde_lsmc
 from quadsmp.example import (
@@ -12,6 +16,7 @@ from quadsmp.example import (
     convex_hull_counterexample,
     confirm_global_smp,
     example_model,
+    g_chord_slope,
     g_prime,
     g_running,
     girsanov_cost_estimate,
@@ -21,6 +26,15 @@ from quadsmp.example import (
 )
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.sde import simulate_forward_sde
+
+ENDS = st.floats(-1e6, 1e6, allow_nan=False)
+# (z, a) pairs: free, equal, one ulp apart, and on either side of 0
+CHORDS = (
+    st.tuples(ENDS, ENDS)
+    | ENDS.map(lambda a: (a, a))
+    | st.tuples(ENDS, ENDS).map(lambda p: (float(np.nextafter(p[1], p[0])), p[1]))
+    | st.tuples(ENDS, ENDS).map(lambda p: (abs(p[0]), -abs(p[1])))
+)
 
 
 class TestRunningCost:
@@ -61,21 +75,60 @@ class TestStructuralConditions:
         assert report["min_at_one"] > 0.0
 
 
+class TestChordSlope:
+    @settings(max_examples=300, deadline=None)
+    @given(CHORDS)
+    @example((0.0, 0.0))
+    @example((0.4, 0.4))
+    @example((-0.3, 0.7))
+    @example((float(np.nextafter(0.25, 1.0)), 0.25))
+    def test_slope_times_chord_is_the_rise(self, chord):
+        z, a = np.array([chord[0]]), np.array([chord[1]])
+        rise = g_running(z) - g_running(a)
+        scale = max(abs(float(g_running(z)[0])), abs(float(g_running(a)[0])), 1.0)
+        assert abs(float(g_chord_slope(z, a)[0] * (z - a)[0] - rise[0])) <= 1e-14 * scale
+
+    def test_equal_ends_give_the_derivative(self):
+        a = np.array([-1.5, -0.2, 0.0, 0.3, 2.0])
+        assert np.array_equal(g_chord_slope(a, a), g_prime(a))
+
+
+@pytest.fixture(scope="module")
+def unit_control_6000():
+    """The unit control solved on 6000 paths x 64 steps, seed 6."""
+    return _solve_for_control(example_model(), 1.0, generate_brownian(6000, TimeGrid(1.0, 64), 1, seed=6))
+
+
 class TestCosts:
     def test_zero_control_cost_is_exact_zero(self):
         _, rep = _solve_for_control(example_model(), 0.0, generate_brownian(1500, TimeGrid(1.0, 40), 1, seed=5))
-        assert abs(rep.y0) <= 1e-10
+        assert rep.y0 == 0.0
+
+    def test_zero_control_solve_fits_nothing(self, monkeypatch):
+        # X = Y = 0 on every path, so every LSMC target is constant
+        factored = []
+        factor = regression._factor_block
+        monkeypatch.setattr(regression, "_factor_block", lambda *a: factored.append(1) or factor(*a))
+        traj, _ = _solve_for_control(example_model(), 0.0, generate_brownian(1500, TimeGrid(1.0, 40), 1, seed=5))
+        assert not factored
+        assert np.all(traj.y == 0.0) and np.all(traj.z == 0.0)
 
     def test_unit_control_cost_positive(self):
         model = example_model()
         traj, rep = _solve_for_control(model, 1.0, generate_brownian(4000, TimeGrid(1.0, 64), 1, seed=5))
         assert rep.y0 > 3.0 * rep.y0_std_error
 
-    def test_reweighted_estimate_agrees(self):
-        model = example_model()
-        traj, rep = _solve_for_control(model, 1.0, generate_brownian(6000, TimeGrid(1.0, 64), 1, seed=6))
+    def test_reweighted_estimate_agrees(self, unit_control_6000):
+        traj, rep = unit_control_6000
         jg, seg = girsanov_cost_estimate(traj)
         assert abs(rep.y0 - jg) <= 3.0 * float(np.hypot(rep.y0_std_error, seg))
+
+    def test_reweighted_estimate_matches_quadrature(self, unit_control_6000):
+        traj, _ = unit_control_6000
+        jg, seg = girsanov_cost_estimate(traj)
+        jq, seq = girsanov_quadrature_reference(traj)
+        assert jg == pytest.approx(jq, rel=1e-6)
+        assert seg == pytest.approx(seq, rel=1e-6)
 
 
 @pytest.fixture(scope="module")
