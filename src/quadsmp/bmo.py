@@ -1,13 +1,13 @@
 """Closed-form BMO-martingale quantities and ensemble-based inequality checks.
 
 The closed forms: the decreasing function psi linking the BMO2 norm to the
-critical reverse-Holder exponent, the reverse-Holder constant, and the
-stochastic exponential. The ensemble side estimates BMO2 norms and tests the
-energy and exponential-moment inequalities on simulated martingales, with
-conditional expectations replaced by cross-path regression at grid times (a
-lower-biased surrogate: grid times stand in for stopping times and the
-per-path maximum of the regression stands in for the essential supremum).
-Both regression checks run one backward node walk on one NodeBases.
+critical reverse-Holder exponent, and the reverse-Holder constant. The
+ensemble side estimates BMO2 norms and tests the energy and
+exponential-moment inequalities on simulated martingales, with conditional
+expectations replaced by cross-path regression at grid times (a lower-biased
+surrogate: grid times stand in for stopping times and the per-path maximum of
+the regression stands in for the essential supremum). Both regression checks
+run one backward node walk on one NodeBases.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ __all__ = [
     "psi",
     "critical_exponent",
     "reverse_holder_constant",
-    "BmoProfile",
     "MartingalePathSet",
-    "doleans_exponential",
     "estimate_bmo2_norm",
     "energy_inequality_report",
     "john_nirenberg_report",
@@ -100,21 +98,6 @@ def reverse_holder_constant(p: float, bmo2_norm: float) -> float:
 
 
 @dataclass(frozen=True)
-class BmoProfile:
-    """BMO2 norm with its critical exponent and the conjugate exponent."""
-
-    bmo2_norm: float
-    p_critical: float
-    p_conjugate: float
-
-    @classmethod
-    def from_norm(cls, bmo2_norm: float) -> "BmoProfile":
-        p = critical_exponent(bmo2_norm)
-        p_star = 1.0 if math.isinf(p) else p / (p - 1.0)
-        return cls(bmo2_norm=bmo2_norm, p_critical=p, p_conjugate=p_star)
-
-
-@dataclass(frozen=True)
 class MartingalePathSet:
     """Grid samples of a real martingale M and its quadratic variation.
 
@@ -153,11 +136,6 @@ class MartingalePathSet:
         cumsum_steps(np.sum(hh * dw, axis=2), out=values[:, 1:])
         cumsum_steps(np.sum(hh * hh, axis=2) * w.grid.dt, out=bracket[:, 1:])
         return cls(grid=w.grid, values=values, bracket=bracket)
-
-
-def doleans_exponential(m: MartingalePathSet) -> np.ndarray:
-    """Pathwise exp(M_t - <M>_t / 2), shape (n_paths, n_steps+1)."""
-    return np.exp(m.values - 0.5 * m.bracket)
 
 
 def _regressed_maxima(m: MartingalePathSet, target_at, conditioner=None):

@@ -363,7 +363,10 @@ def run_bmo_suite(cfg: dict, out: Path) -> dict:
             rep = bmo.energy_inequality_report(mart, n, declared)
             checks[f"energy_{name}_n{n}"] = rep.passed
             rows.append([name, f"energy_n{n}", int(rep.passed), rep.worst_margin])
-        delta = 0.5 * declared**-2 if declared > 0.0 else 1.0  # any delta > 0 bounds a zero martingale by 1
+        with np.errstate(over="ignore"):
+            delta = 0.5 * declared**-2 if declared > 0.0 else 1.0  # any delta > 0 bounds a zero martingale by 1
+        if not np.isfinite(delta):
+            raise SimulationError(f"{name}: delta = 1/(2 norm^2) overflows at norm {declared:.3g}")
         jn = bmo.john_nirenberg_report(mart, delta, declared)
         checks[f"john_nirenberg_{name}"] = jn.passed
         rows.append([name, "john_nirenberg", int(jn.passed), jn.worst_margin])

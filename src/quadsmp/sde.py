@@ -26,7 +26,8 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """Non-finite values encountered during time stepping."""
+    """A simulated quantity left the float64 range: a non-finite value during
+    time stepping, or a statistic of the paths that overflowed or underflowed."""
 
 
 def _abort_if_nonfinite(x: np.ndarray, step: int, what: str) -> None:

@@ -29,7 +29,7 @@ from .bsde import (
 )
 from .grids import TimeGrid, constant_control, generate_brownian, step_major
 from .models import ModelSpec
-from .sde import simulate_forward_sde
+from .sde import SimulationError, simulate_forward_sde
 from .smp import hamiltonian_gap
 
 __all__ = [
@@ -394,7 +394,8 @@ def run_spike_study(
     Solves the candidate system once, the adjoints once, then for each window
     width in turn: the spiked system, both variational states, the backward
     relations and the residual ladder. eps_steps are step counts (dyadic by
-    convention).
+    convention). Raises SimulationError when a fitted functional underflows
+    to 0, as on a horizon near 1e-155.
     """
     w = generate_brownian(n_paths, grid, model.d, seed)
     u_bar = constant_control(u_bar_value, n_paths, grid.n_steps)
@@ -440,12 +441,15 @@ def run_spike_study(
     eps_values = [n_eps * dt for n_eps in eps_steps]
     window_results = [study_window(n_eps) for n_eps in eps_steps]
 
+    def fit(name: str) -> OrderFitReport:
+        errors = [res[name] for res in window_results]
+        if min(errors) <= 0.0:  # a sum of squares reads 0 only where it underflowed
+            raise SimulationError(f"spike functional {name} underflowed to 0; its order cannot be fitted")
+        return fit_convergence_order(eps_values, errors)
+
     return SpikeStudyResult(
         eps_values=tuple(eps_values),
-        fits={
-            name: fit_convergence_order(eps_values, [res[name] for res in window_results])
-            for name in FIT_TARGETS
-        },
+        fits={name: fit(name) for name in FIT_TARGETS},
         y2_at_zero=tuple(res["y2_at_zero"] for res in window_results),
         remainder_over_eps=tuple(res["value_remainder"] / e for res, e in zip(window_results, eps_values)),
         remainder_over_eps_se=tuple(res["value_remainder_se"] / e for res, e in zip(window_results, eps_values)),

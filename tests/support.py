@@ -1,5 +1,6 @@
 """Shared builders for solver tests: linear-generator models and instances,
-an n = d = k = 2 model with every derivative layout visible, an independent
+an n = d = k = 2 model with every derivative layout visible, the plain
+Hamiltonian as the reference for smp's shifted one, an independent
 estimate of the spike auxiliary value, the spike remainder estimator that
 re-evaluates the costs along both trajectories, the two-einsum Euler step of the
 matrix flow pair as an oracle for the flow kernel, and, as oracles for the
@@ -213,6 +214,18 @@ def planar_model():
         control_domain=ControlDomain("box", (-1.0, 1.0)),
         name="planar",
     )
+
+
+def plain_hamiltonian(model, t, x, y, z, u, p, q):
+    """p'b + sum_i (q^i)' sigma^i + f, without the z-slot shift or the P
+    term: smp.hamiltonian at u = u_ref, and the base of its control gradient.
+
+    x, p: (m, n); y: (m,); z: (m, d); u: (m, k); q: (m, n, d). Returns (m,).
+    """
+    value = np.einsum("mi,mi->m", p, model.b(t, x, u))
+    value += np.einsum("mid,mid->m", q, model.sigma(t, x, u))
+    value += model.f(t, x, y, z, u)
+    return value
 
 
 def yhat0_direct_estimate(lin, hats):

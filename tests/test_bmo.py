@@ -98,19 +98,6 @@ class TestReverseHolderConstant:
             bmo.reverse_holder_constant(1.5, 1.0)  # inner term far above 1
 
 
-class TestBmoProfile:
-    @pytest.mark.parametrize("norm", [0.01, 0.3, 1.5])
-    def test_invariants(self, norm):
-        prof = bmo.BmoProfile.from_norm(norm)
-        assert bmo.psi(prof.p_critical) == pytest.approx(norm, abs=1e-10)
-        assert 1.0 / prof.p_critical + 1.0 / prof.p_conjugate == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_norm(self):
-        prof = bmo.BmoProfile.from_norm(0.0)
-        assert prof.p_critical == math.inf
-        assert prof.p_conjugate == 1.0
-
-
 @pytest.fixture(scope="module")
 def ensemble():
     return generate_brownian(4000, TimeGrid(1.0, 64), 1, seed=42)
@@ -135,31 +122,6 @@ class TestMartingalePathSet:
     def test_from_integrand_bracket(self, ensemble):
         mart = _constant_martingale(ensemble, 2.0)
         assert mart.bracket[:, -1] == pytest.approx(4.0 * np.ones(mart.n_paths))
-
-
-class TestDoleansExponential:
-    def test_zero_martingale(self, ensemble):
-        m = _constant_martingale(ensemble, 0.0)
-        assert np.all(bmo.doleans_exponential(m) == 1.0)
-
-    def test_deterministic_drift_path(self):
-        grid = TimeGrid(1.0, 4)
-        values = np.broadcast_to(grid.times, (2, 5)).copy()  # M_t = t
-        bracket = np.zeros((2, 5))
-        m = bmo.MartingalePathSet(grid=grid, values=values, bracket=bracket)
-        np.testing.assert_allclose(bmo.doleans_exponential(m), np.exp(grid.times)[None, :].repeat(2, axis=0))
-
-    def test_martingale_mean_one(self, ensemble):
-        m = _constant_martingale(ensemble, 0.7)
-        terminal = bmo.doleans_exponential(m)[:, -1]
-        se = terminal.std(ddof=1) / np.sqrt(terminal.shape[0])
-        assert abs(terminal.mean() - 1.0) <= 3.0 * se
-
-    def test_product_identity(self, ensemble):
-        m = _constant_martingale(ensemble, 1.3)
-        flipped = bmo.MartingalePathSet(grid=m.grid, values=-m.values, bracket=m.bracket)
-        product = bmo.doleans_exponential(m) * bmo.doleans_exponential(flipped)
-        assert product == pytest.approx(np.exp(-m.bracket))
 
 
 class TestBmoNormEstimate:

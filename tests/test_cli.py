@@ -195,6 +195,25 @@ class TestValidation:
         assert "run failed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "experiment,fields",
+        [
+            # the sine integrand's declared norm is ~1e-155, so delta = 1/(2 norm^2) overflows
+            ("bmo-suite", {"n_steps": 4}),
+            # the spike's squared state gaps underflow to 0, which has no logarithm
+            ("spike", {"n_steps": 8, "t0": 0.0, "eps_steps": [1, 2, 3, 4]}),
+        ],
+    )
+    def test_tiny_horizon_exits_1(self, tmp_path, capsys, experiment, fields):
+        cfg = _write_config(tmp_path, {"seed": 1, "n_paths": 10, "horizon": 1e-155, **fields})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 3)
 JSON_VALUES = st.recursive(
@@ -204,8 +223,13 @@ JSON_VALUES = st.recursive(
 )
 # fields that size an allocation draw small numbers or non-numbers only
 SIZES = st.integers(-2, 8) | st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(-2, 8), max_size=5)
+# horizons of 1e-300 to 1e-150 and of 1e150 to 1e300, log-uniform: their squares
+# and inverse squares leave float64
+TINY_HORIZONS = st.floats(-300, -150).map(lambda e: 10.0**e)
+HUGE_HORIZONS = st.floats(150, 300).map(lambda e: 10.0**e)
 FIELD_VALUES = {
     "model": st.sampled_from(["benchmark", "example"]) | JSON_VALUES,
+    "horizon": TINY_HORIZONS | HUGE_HORIZONS | NUMBERS | JSON_VALUES,
     "equation": st.just("linear") | JSON_VALUES,
     "eps_steps": st.lists(st.integers(1, 6), min_size=4, max_size=5, unique=True).map(sorted) | SIZES,
     "test_controls": st.lists(st.lists(NUMBERS, min_size=1, max_size=2), max_size=3) | JSON_VALUES,

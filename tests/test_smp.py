@@ -1,11 +1,12 @@
-"""Hamiltonian evaluation, difference identity, necessary and sufficient checks."""
+"""Hamiltonian evaluation, the difference identity, and the global and local
+necessary checks."""
 
 from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from support import planar_model
+from support import plain_hamiltonian, planar_model
 
 from quadsmp import smp
 from quadsmp.adjoint import linearize, solve_adjoints
@@ -45,7 +46,7 @@ class TestHamiltonian:
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u_ref"],
             pts["p"], pts["q"], pts["big_p"], pts["u_ref"],
         )
-        plain = smp.auxiliary_hamiltonian(
+        plain = plain_hamiltonian(
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u_ref"], pts["p"], pts["q"]
         )
         np.testing.assert_allclose(h, plain, atol=1e-14)
@@ -91,20 +92,10 @@ class TestHamiltonian:
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u"],
             pts["p"], pts["q"], pts["big_p"], pts["u_ref"],
         )
-        aux = smp.auxiliary_hamiltonian(
+        aux = plain_hamiltonian(
             model, 0.3, pts["x"], pts["y"], pts["z"], pts["u"], pts["p"], pts["q"]
         )
         np.testing.assert_allclose(h, aux, atol=1e-14)
-
-    def test_example_auxiliary_value(self):
-        model = example_model()
-        u = np.array([[0.7]])
-        val = smp.auxiliary_hamiltonian(
-            model, 0.2, np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), u,
-            np.ones((1, 1)), np.zeros((1, 1, 1)),
-        )
-        assert val.shape == (1,)
-        assert val.item() == pytest.approx(0.49, abs=1e-14)
 
 
 class TestDifferenceIdentity:
@@ -178,9 +169,9 @@ class TestLocalSmp:
         rng = np.random.default_rng(0)
         p = rng.standard_normal((200, 9, 1))
         q = rng.standard_normal((200, 8, 1, 1))
-        grad, _ = smp.local_smp_gradient(linearize(model, traj), p, q)
+        grad, _ = smp.local_smp_gradient(linearize(model, traj), p, q, test_controls=[[1.0]], tolerance=0.0)
 
-        # directional derivative of the auxiliary Hamiltonian plus the
+        # directional derivative of the plain Hamiltonian plus the
         # linearized z-shift term, by central differences in the control
         h = 1e-5
         k = 3
@@ -190,7 +181,7 @@ class TestLocalSmp:
 
         def shifted(du):
             uu = traj.u[:, k] + du
-            base = smp.auxiliary_hamiltonian(model, t, traj.x[:, k], traj.y[:, k], traj.z[:, k], uu, p[:, k], q[:, k])
+            base = plain_hamiltonian(model, t, traj.x[:, k], traj.y[:, k], traj.z[:, k], uu, p[:, k], q[:, k])
             shift = np.einsum(
                 "md,mid,mi->m",
                 f_z,
@@ -239,7 +230,7 @@ class TestLocalSmp:
         lin, adj = example_candidate
         broken = replace(lin, model=replace(lin.model, b_u=None))
         with pytest.raises(ValueError, match="control derivatives"):
-            smp.local_smp_gradient(broken, adj.p, adj.q)
+            smp.local_smp_gradient(broken, adj.p, adj.q, test_controls=[[1.0]], tolerance=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -318,102 +309,5 @@ class TestGapAtPlanarCandidate:
         smp.check_global_smp(lin, adj, PLANAR_CONTROLS, tolerance=0.0)
         assert calls == {"b": 4 * 2, "sigma": 4 * 2, "f": 4 * 2}
         calls.clear()
-        smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=PLANAR_CONTROLS)
+        smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=PLANAR_CONTROLS, tolerance=0.0)
         assert calls == {"b_u": 4, "sigma_u": 4, "f_u": 4}
-
-
-def _lq_model(quadratic_f=True, concave_terminal=False):
-    sign = -1.0 if concave_terminal else 1.0
-    f = (
-        (lambda t, x, y, z, u: 0.05 * x**2 + 0.1 * y + 0.2 * z + u**2)
-        if quadratic_f
-        else (lambda t, x, y, z, u: 0.1 * y + 0.2 * z + 0.3 * u)
-    )
-    f_x = (
-        (lambda t, x, y, z, u: 0.1 * x)
-        if quadratic_f
-        else (lambda t, x, y, z, u: np.zeros_like(x))
-    )
-    f_u = (
-        (lambda t, x, y, z, u: 2.0 * u)
-        if quadratic_f
-        else (lambda t, x, y, z, u: np.full_like(u, 0.3))
-    )
-    return scalar_model(
-        b=lambda t, x, u: 0.1 * x + 0.2 * u,
-        b_x=lambda t, x, u: np.full_like(x, 0.1),
-        sigma=lambda t, x, u: 0.15 * x + 0.25 * u,
-        sigma_x=lambda t, x, u: np.full_like(x, 0.15),
-        f=f,
-        f_x=f_x,
-        f_y=lambda t, x, y, z, u: np.full_like(y, 0.1),
-        f_z=lambda t, x, y, z, u: np.full_like(z, 0.2),
-        f_xx=(lambda t, x, y, z, u: np.full_like(x, 0.1)) if quadratic_f else None,
-        phi=lambda x: sign * x**2,
-        phi_x=lambda x: sign * 2.0 * x,
-        phi_xx=lambda x: np.full_like(x, sign * 2.0),
-        b_u=lambda t, x, u: np.full_like(x, 0.2),
-        sigma_u=lambda t, x, u: np.full_like(x, 0.25),
-        f_u=f_u,
-        alpha=2.0, gamma=0.1, l1=1.0, l2=2.0, l3=0.2,
-        phi_bound=10.0, f_y_bound=0.1,
-        control_domain=ControlDomain("box", (-1.0, 1.0)),
-    )
-
-
-@pytest.fixture(scope="module")
-def lq_candidate():
-    model = _lq_model()
-    grid = TimeGrid(1.0, 32)
-    w = generate_brownian(1000, grid, 1, seed=12)
-    u = constant_control(0.0, 1000, 32)
-    x = simulate_forward_sde(model, 0.5, u, w)
-    y, z, _ = solve_bsde_lsmc(model, x, u, w)
-    traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-    adj = solve_adjoints(linearize(model, traj))
-    return model, traj, adj
-
-
-class TestSufficientConditions:
-    def test_convex_linear_sigma_passes(self, lq_candidate):
-        model, traj, adj = lq_candidate
-        report = smp.check_sufficient_conditions(
-            model, traj, adj.p, adj.q, 0.5,
-            comparison_controls=[[-0.5], [0.5], [1.0]],
-            n_samples=4096, seed=1, tolerance=1e-9,
-        )
-        assert report["terminal_worst_margin"] >= 0.0
-        assert report["convexity_worst_margin"] >= -1e-9
-        assert report["passed"]
-
-    def test_affine_auxiliary_is_equality(self):
-        model = _lq_model(quadratic_f=False)
-        grid = TimeGrid(1.0, 16)
-        w = generate_brownian(400, grid, 1, seed=13)
-        u = constant_control(0.0, 400, 16)
-        x = simulate_forward_sde(model, 0.5, u, w)
-        y, z, _ = solve_bsde_lsmc(model, x, u, w)
-        traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-        adj = solve_adjoints(linearize(model, traj))
-        # affine generator, linear sigma, but a convex terminal: the
-        # auxiliary-Hamiltonian inequality binds with equality
-        report = smp.check_sufficient_conditions(
-            model, traj, adj.p, adj.q, 0.5,
-            comparison_controls=[[1.0]], n_samples=2048, seed=2,
-        )
-        assert abs(report["convexity_worst_margin"]) <= 1e-10
-
-    def test_concave_terminal_fails(self):
-        model = _lq_model(concave_terminal=True)
-        grid = TimeGrid(1.0, 16)
-        w = generate_brownian(400, grid, 1, seed=14)
-        u = constant_control(0.0, 400, 16)
-        x = simulate_forward_sde(model, 0.5, u, w)
-        y, z, _ = solve_bsde_lsmc(model, x, u, w)
-        traj = ControlledTrajectory(w=w, x=x, y=y, z=z, u=u)
-        adj = solve_adjoints(linearize(model, traj))
-        report = smp.check_sufficient_conditions(
-            model, traj, adj.p, adj.q, 0.5, comparison_controls=[[1.0]], n_samples=1024, seed=3
-        )
-        assert report["terminal_worst_margin"] < 0.0
-        assert not report["passed"]
