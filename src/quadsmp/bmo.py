@@ -19,6 +19,7 @@ import numpy as np
 
 from .grids import BrownianEnsemble, TimeGrid, cumsum_steps, step_major
 from .regression import NodeBases, conditional_expectation
+from .sde import SimulationError
 
 __all__ = [
     "psi",
@@ -177,13 +178,16 @@ class InequalityReport:
 def energy_inequality_report(
     m: MartingalePathSet, n: int, bmo2_norm: float
 ) -> InequalityReport:
-    """Check E[<M>_T^n] <= n! * norm^(2n) up to 3 standard errors."""
+    """Check E[<M>_T^n] <= n! * norm^(2n) up to 3 standard errors, or raise SimulationError."""
     if not 1 <= n <= 6:
         raise ValueError(f"moment order n must be in 1..6, got {n}")
-    powered = m.bracket[:, -1] ** n
-    mean = float(powered.mean())
-    se = float(powered.std(ddof=1) / math.sqrt(m.n_paths)) if m.n_paths > 1 else 0.0
-    bound = math.factorial(n) * bmo2_norm ** (2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = m.bracket[:, -1] ** n
+        mean = float(powered.mean())
+        se = float(powered.std(ddof=1) / math.sqrt(m.n_paths)) if m.n_paths > 1 else 0.0
+        bound = math.factorial(n) * bmo2_norm ** (2 * n)
+    if not all(map(math.isfinite, (mean, se, bound))):
+        raise SimulationError(f"energy moment n={n} leaves float64: mean {mean:.3g}, se {se:.3g}, bound {bound:.3g}")
     passed = mean - 3.0 * se <= bound
     return InequalityReport(
         passed=passed,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import BrownianEnsemble, cumsum_steps, step_major
 from .regression import NodeBases, conditional_expectation
-from .sde import MatrixFlowPair, _diffusion_matrices, simulate_matrix_flow
+from .sde import MatrixFlowPair, SimulationError, _diffusion_matrices, simulate_matrix_flow
 
 __all__ = [
     "BsdeSolverError",
@@ -170,7 +170,7 @@ def solve_bsde_lsmc(
             z_norm = np.sqrt(np.sum(z_fit**2, axis=1))
             over = z_norm > z_truncation
             clip_hits += int(over.sum())
-            scale = np.where(over, z_truncation / np.maximum(z_norm, 1e-300), 1.0)
+            scale = np.divide(z_truncation, z_norm, out=np.ones_like(z_norm), where=over)
             z[:, k] = z_fit * scale[:, None]
         y_k, last_gap = e_next, np.inf
         for _ in range(_IMPLICIT_GUARD):
@@ -191,7 +191,10 @@ def solve_bsde_lsmc(
     rollout = y[:, n_steps].copy()
     for k in range(n_steps):
         rollout += model.f(times[k], x[:, k], y[:, k], z[:, k], u[:, k]) * dt
-    se = float(rollout.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    with np.errstate(over="ignore"):
+        se = float(rollout.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    if not np.isfinite(se):
+        raise SimulationError(f"Y0 standard error overflows at rollout costs up to {np.abs(rollout).max():.3g}")
     report = SolverReport(
         y0=float(y[:, 0].mean()),
         y0_std_error=se,

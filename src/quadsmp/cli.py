@@ -1,16 +1,20 @@
 """Experiment orchestration: seeded, configurable, reproducible runs.
 
 Subcommands: simulate, solve-bsde, adjoint, spike, check-smp, example,
-bmo-suite. Each run validates its configuration, writes manifest.json (the
-config echo plus a content hash), report.json and per-experiment CSV files
-into the output directory, and exits 0 iff every enabled check passed.
-Outputs are byte-identical across re-runs of the same configuration.
+bmo-suite. ``read_config`` checks a whole config against ``FIELDS`` (each
+subcommand's fields, in checking order, with their defaults) and
+``FIELD_TABLE`` (each field's type and least value) before anything is
+written. A valid run writes manifest.json (the config echo plus a content
+hash), report.json and per-experiment CSV files into the output directory,
+and exits 0 iff every enabled check passed. Outputs are byte-identical
+across re-runs of the same configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,17 +39,52 @@ from .spike import FIT_TARGETS, run_spike_study
 ORDER_BANDS = {1.0: (0.8, 1.2), 2.0: (1.7, 2.3)}
 DEFAULT_SLOPE_BANDS = {name: ORDER_BANDS[order] for name, order in FIT_TARGETS.items()}
 
-# the config fields each subcommand reads; solve-bsde also reads those of its equation
+REQUIRED = object()  # the default of a field that every config must give
+
+# each config field's default, and a scalar field's type and least value
+FIELD_TABLE = {
+    "seed": (REQUIRED, int, 0),  # no wall-clock seeding
+    "n_paths": (REQUIRED, int, 2),  # a standard error needs two paths
+    "n_steps": (REQUIRED, int, 1),
+    "horizon": (REQUIRED, float, math.ulp(0.0)),  # the least positive float: any horizon > 0
+    "equation": ("model", None, None),
+    "model": ("benchmark", str, None),
+    "x0": (lambda model: 0.0 if model.name == "arctan-example" else 1.0, float, None),  # the example's optimum
+    "control": (0.0, float, None),
+    "candidate": (0.0, float, None),
+    "replacement": (1.0, float, None),
+    "basis_degree": (2, int, 1),
+    "tolerance": (0.05, float, 0.0),  # a negative one would count positive gaps as violations
+    "csv_paths": (32, int, 0),
+    "n_norms": (100, int, 1),
+    "eps_steps": ([8, 16, 32, 64], None, None),
+    "t0": (0.25, float, None),
+    "slope_bands": ({}, None, None),
+    "test_controls": (None, None, None),  # None: the model's own probe set
+    **{key: (default, float, None) for key, default in (("lam", 0.0), ("mu", 0.0), ("phi", 0.0), ("xi", 1.0))},
+}
+CONTROLS = ("control", "candidate", "replacement")  # constant controls, inside the model's domain
+
+
+def _fields(*names) -> dict:
+    return {name: FIELD_TABLE[name][0] for name in names}
+
+
+# each subcommand's config fields in checking order, with their defaults;
+# solve-bsde also reads the fields of its equation
 SCALE = ("seed", "n_paths", "n_steps", "horizon")
 CANDIDATE = ("model", "x0", "control", "basis_degree")
 FIELDS = {
-    "simulate": (*SCALE, "model", "x0", "control", "csv_paths"),
-    "solve-bsde": (*SCALE, "equation"),
-    "adjoint": (*SCALE, *CANDIDATE, "tolerance"),
-    "spike": (*SCALE, "model", "eps_steps", "t0", "x0", "replacement", "candidate", "basis_degree", "slope_bands"),
-    "check-smp": (*SCALE, "model", "x0", "candidate", "basis_degree", "tolerance", "test_controls"),
-    "example": SCALE,
-    "bmo-suite": (*SCALE, "n_norms"),
+    "simulate": _fields(*SCALE, "model", "x0", "control", "csv_paths"),
+    "solve-bsde": _fields(*SCALE, "equation"),
+    "adjoint": _fields(*SCALE, *CANDIDATE, "tolerance"),
+    "spike": _fields(
+        *SCALE, "model", "eps_steps", "t0", "x0", "replacement", "candidate", "basis_degree", "slope_bands"
+    ),
+    "check-smp": _fields(*SCALE, "model", "x0", "candidate", "basis_degree", "tolerance", "test_controls"),
+    # the solvable example runs at its acceptance scale unless told otherwise
+    "example": {"seed": REQUIRED, "n_paths": 20000, "n_steps": 200, "horizon": 1.0},
+    "bmo-suite": _fields(*SCALE, "n_norms"),
 }
 EQUATION_FIELDS = {"model": CANDIDATE, "linear": ("lam", "mu", "phi", "xi")}
 
@@ -67,92 +106,101 @@ def _is_vector(val, length: int) -> bool:
     return isinstance(val, list) and len(val) == length and all(_is_number(v) for v in val)
 
 
-def _require(cfg: dict, key: str, kind, positive: bool = False, minimum=None):
-    if key not in cfg:
-        raise ConfigError(f"config field '{key}' is required")
-    val = cfg[key]
-    ok = _is_number(val) if kind is float else isinstance(val, kind) and not isinstance(val, bool)
-    if not ok:
-        raise ConfigError(f"config field '{key}': expected {kind.__name__}, got {val!r:.40}")
-    if kind is float:
-        val = float(val)
-    if positive and not val > 0:
-        raise ConfigError(f"config field '{key}' must be positive, got {val}")
-    if minimum is not None and not val >= minimum:
-        raise ConfigError(f"config field '{key}' must be at least {minimum}, got {val}")
-    return val
-
-
-def _control(cfg: dict, key: str, model) -> float:
-    """A constant control: a finite number inside the model's control domain."""
-    val = _require(cfg, key, float)
-    if not model.control_domain.contains(val):
-        raise ConfigError(f"config field '{key}': {val} lies outside the model's control domain")
-    return val
-
-
-def _check_fields(kind: str, cfg: dict) -> None:
-    """Reject the first config field that a run of this kind would not read."""
-    known = FIELDS[kind]
+def read_config(kind: str, cfg: dict) -> dict:
+    """The values a run of this kind reads: each field of FIELDS[kind], checked
+    in order with its default filled in ("model" becomes the built ModelSpec,
+    its derivatives checked), plus the "grid"; then the spike's and
+    check-smp's cross-field rules. Raises ConfigError at the first fault."""
+    fields = FIELDS[kind]
     if kind == "solve-bsde":
-        equation = cfg.get("equation", "model")
+        equation = cfg.get("equation", fields["equation"])
         if not isinstance(equation, str) or equation not in EQUATION_FIELDS:
             raise ConfigError(f"config field 'equation' must be 'model' or 'linear', got {equation!r:.40}")
-        known += EQUATION_FIELDS[equation]
-    unknown = next((key for key in cfg if key not in known), None)
+        fields = {**fields, **_fields(*EQUATION_FIELDS[equation])}
+    unknown = next((key for key in cfg if key not in fields), None)
     if unknown is not None:
-        raise ConfigError(f"config field '{unknown}' is not read by {kind} (fields: {', '.join(known)})")
+        raise ConfigError(f"config field '{unknown}' is not read by {kind} (fields: {', '.join(fields)})")
+    v = {}
+    for key, default in fields.items():
+        val = cfg.get(key, default(v["model"]) if callable(default) else default)
+        if val is REQUIRED:
+            raise ConfigError(f"config field '{key}' is required")
+        _, typ, least = FIELD_TABLE[key]
+        if typ is not None:
+            if not (_is_number(val) if typ is float else isinstance(val, typ) and not isinstance(val, bool)):
+                raise ConfigError(f"config field '{key}': expected {typ.__name__}, got {val!r:.40}")
+            val = float(val) if typ is float else val
+            if least is not None and not val >= least:
+                raise ConfigError(f"config field '{key}' must be at least {least!r}, got {val}")
+        if key == "model":
+            if val not in _models():
+                raise ConfigError(f"config field 'model': unknown model '{val}' (choose from {sorted(_models())})")
+            val = _models()[val]()
+            validate_derivatives(val, n_probes=32)
+        elif key in CONTROLS and not v["model"].control_domain.contains(val):
+            raise ConfigError(f"config field '{key}': {val} lies outside the model's control domain")
+        v[key] = val
+    v["grid"] = TimeGrid(v["horizon"], v["n_steps"])
+    if not v["grid"].dt > 0.0:
+        raise ConfigError(f"config field 'horizon': {v['horizon']} / {v['n_steps']} steps underflows to 0")
+    if kind == "spike":
+        _check_spike(v)
+    if kind == "check-smp":
+        model, controls = v["model"], v["test_controls"]
+        if controls is None:
+            v["test_controls"] = model.control_domain.test_controls(model.k).tolist()
+        elif not (isinstance(controls, list) and controls) or not all(
+            _is_vector(c, model.k) and model.control_domain.contains(c) for c in controls
+        ):
+            raise ConfigError(f"config field 'test_controls' must list {model.k}-number controls in its domain")
+    return v
 
 
-def _common(cfg: dict):
-    n_paths = _require(cfg, "n_paths", int, minimum=2)  # a standard error needs two paths
-    n_steps = _require(cfg, "n_steps", int, positive=True)
-    horizon = _require(cfg, "horizon", float, positive=True)
-    seed = _require(cfg, "seed", int, minimum=0)
-    return n_paths, TimeGrid(horizon, n_steps), seed
+def _check_spike(v: dict) -> None:
+    """The spike's cross-field rules; fills in the slope bands the config leaves out."""
+    if v["model"].name == "arctan-example":  # b = 0 and sigma = u: X2 vanishes, no order-2 fit exists
+        raise ConfigError("config field 'model': the spike study needs a second variation; use 'benchmark'")
+    eps_steps, grid = v["eps_steps"], v["grid"]
+    if not isinstance(eps_steps, list) or not eps_steps or not all(
+        isinstance(e, int) and not isinstance(e, bool) and e > 0 for e in eps_steps
+    ):
+        raise ConfigError("config field 'eps_steps' must be a non-empty list of positive integers")
+    if any(a >= b for a, b in zip(eps_steps, eps_steps[1:])):  # the remainder check reads list order as width order
+        raise ConfigError(f"config field 'eps_steps' must be strictly increasing, got {eps_steps}")
+    if max(eps_steps) > grid.n_steps:
+        raise ConfigError("config field 'eps_steps': window exceeds the horizon")
+    k0 = v["t0"] / grid.dt
+    if not 0 <= k0 <= grid.n_steps or abs(k0 - round(k0)) > 1e-9:
+        raise ConfigError(f"config field 't0': {v['t0']} is not on the grid (dt={grid.dt})")
+    if round(k0) + max(eps_steps) > grid.n_steps:
+        raise ConfigError("config field 't0': largest window leaves the horizon")
+    if v["replacement"] == v["candidate"]:
+        raise ConfigError("config field 'replacement' must differ from 'candidate'")
+    if len(eps_steps) < 4:
+        raise ConfigError("config field 'eps_steps' needs at least 4 distinct widths to fit orders")
+    bands = v["slope_bands"]
+    if not isinstance(bands, dict) or not all(
+        name in DEFAULT_SLOPE_BANDS and _is_vector(band, 2) and band[0] <= band[1] for name, band in bands.items()
+    ):
+        raise ConfigError(f"config field 'slope_bands' must map {sorted(DEFAULT_SLOPE_BANDS)} to [lo, hi], lo <= hi")
+    v["eps_steps"], v["slope_bands"] = tuple(eps_steps), {**DEFAULT_SLOPE_BANDS, **bands}
 
 
-def _model_from(cfg: dict):
-    name = _require({"model": "benchmark", **cfg}, "model", str)
-    factory = _models().get(name)
-    if factory is None:
-        raise ConfigError(f"config field 'model': unknown model '{name}' (choose from {sorted(_models())})")
-    model = factory()
-    validate_derivatives(model, n_probes=32)
-    return model
+def _solve_candidate(v: dict, control_key: str = "control"):
+    """The constant control v[control_key] from x0, solved by LSMC: the trajectory and the solver report."""
+    model, grid, n_paths = v["model"], v["grid"], v["n_paths"]
+    w = generate_brownian(n_paths, grid, model.d, v["seed"])
+    u = constant_control(v[control_key], n_paths, grid.n_steps)
+    x = simulate_forward_sde(model, v["x0"], u, w)
+    y, z, report = solve_bsde_lsmc(model, x, u, w, degree=v["basis_degree"])
+    return ControlledTrajectory(w=w, x=x, y=y, z=z, u=u), report
 
 
-def _simulate_candidate(cfg: dict, model, control_key: str = "control"):
-    """Brownian ensemble -> constant control -> forward SDE: (w, u, x).
-
-    x0 defaults to 0 for the arctan example (its optimal state) and to 1
-    otherwise; the control to 0.
-    """
-    n_paths, grid, seed = _common(cfg)
-    x0_default = 0.0 if model.name == "arctan-example" else 1.0
-    cfg = {"x0": x0_default, control_key: 0.0, **cfg}
-    x0 = _require(cfg, "x0", float)
-    control = _control(cfg, control_key, model)
-    w = generate_brownian(n_paths, grid, model.d, seed)
-    u = constant_control(control, n_paths, grid.n_steps)
-    return w, u, simulate_forward_sde(model, x0, u, w)
-
-
-def _solve_candidate(cfg: dict, model, control_key: str = "control"):
-    """The simulated candidate solved by LSMC, with the basis degree
-    defaulting to 2. Returns the candidate trajectory, the solver report and
-    the basis degree."""
-    degree = _require({"basis_degree": 2, **cfg}, "basis_degree", int, positive=True)
-    w, u, x = _simulate_candidate(cfg, model, control_key)
-    y, z, report = solve_bsde_lsmc(model, x, u, w, degree=degree)
-    return ControlledTrajectory(w=w, x=x, y=y, z=z, u=u), report, degree
-
-
-def run_simulate(cfg: dict, out: Path) -> dict:
-    model = _model_from(cfg)
-    snap = _require({"csv_paths": 32, **cfg}, "csv_paths", int, minimum=0)
-    _, _, x = _simulate_candidate(cfg, model)
-    rows = [[*index, value] for index, value in np.ndenumerate(x[:snap])]
+def run_simulate(v: dict, out: Path) -> dict:
+    model, grid, n_paths = v["model"], v["grid"], v["n_paths"]
+    w = generate_brownian(n_paths, grid, model.d, v["seed"])
+    x = simulate_forward_sde(model, v["x0"], constant_control(v["control"], n_paths, grid.n_steps), w)
+    rows = [[*index, value] for index, value in np.ndenumerate(x[: v["csv_paths"]])]
     write_csv(out / "state.csv", ["path", "step", "coordinate", "value"], rows)
     terminal = x[:, -1]
     return {
@@ -162,12 +210,10 @@ def run_simulate(cfg: dict, out: Path) -> dict:
     }
 
 
-def run_solve_bsde(cfg: dict, out: Path) -> dict:
-    n_paths, grid, seed = _common(cfg)
-    if cfg.get("equation") == "linear":
-        cfg = {"lam": 0.0, "mu": 0.0, "phi": 0.0, "xi": 1.0, **cfg}
-        lam, mu, phi, xi = (_require(cfg, key, float) for key in ("lam", "mu", "phi", "xi"))
-        w = generate_brownian(n_paths, grid, 1, seed)
+def run_solve_bsde(v: dict, out: Path) -> dict:
+    if v["equation"] == "linear":
+        n_paths, grid, lam, mu, phi, xi = (v[key] for key in ("n_paths", "grid", "lam", "mu", "phi", "xi"))
+        w = generate_brownian(n_paths, grid, 1, v["seed"])
         data = LinearBsdeData(
             lam=np.full((n_paths, grid.n_steps), lam),
             mu=np.full((n_paths, grid.n_steps, 1), mu),
@@ -186,7 +232,7 @@ def run_solve_bsde(cfg: dict, out: Path) -> dict:
             checks["closed_form_within_tolerance"] = bool(gap <= tolerance)
         (out / "solver.json").write_text(report.to_json() + "\n")
         return {"checks": checks, **payload}
-    traj, report, _ = _solve_candidate(cfg, _model_from(cfg))
+    traj, report = _solve_candidate(v)
     (out / "solver.json").write_text(report.to_json() + "\n")
     return {
         "checks": {"finite": bool(np.isfinite(traj.y).all() and np.isfinite(traj.z).all())},
@@ -196,11 +242,10 @@ def run_solve_bsde(cfg: dict, out: Path) -> dict:
     }
 
 
-def run_adjoint(cfg: dict, out: Path) -> dict:
-    model = _model_from(cfg)
-    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float, minimum=0.0)
-    traj, _, degree = _solve_candidate(cfg, model)
-    adj = solve_adjoints(linearize(model, traj), degree=degree)
+def run_adjoint(v: dict, out: Path) -> dict:
+    model = v["model"]
+    traj, _ = _solve_candidate(v)
+    adj = solve_adjoints(linearize(model, traj), degree=v["basis_degree"])
     rows = [
         [k, float(np.abs(adj.p[:, k]).mean()), float(np.abs(adj.big_p[:, k]).mean())]
         for k in range(traj.w.grid.n_steps + 1)
@@ -217,63 +262,23 @@ def run_adjoint(cfg: dict, out: Path) -> dict:
     if model.name == "arctan-example" and not traj.u.any() and not traj.x[:, 0].any():
         deviations = example.ExampleAdjointReport.of(adj)
         payload["sup_p_minus_one"] = deviations.sup_p_minus_one
-        checks["adjoint_constants"] = deviations.within(tol)
+        checks["adjoint_constants"] = deviations.within(v["tolerance"])
     return {"checks": checks, **payload}
 
 
-def run_spike(cfg: dict, out: Path) -> dict:
-    n_paths, grid, seed = _common(cfg)
-    model = _model_from(cfg)
-    if model.name == "arctan-example":  # b = 0 and sigma = u: X2 vanishes, no order-2 fit exists
-        raise ConfigError("config field 'model': the spike study needs a second variation; use 'benchmark'")
-    eps_steps = cfg.get("eps_steps", [8, 16, 32, 64])
-    if not isinstance(eps_steps, list) or not eps_steps or not all(
-        isinstance(e, int) and not isinstance(e, bool) and e > 0 for e in eps_steps
-    ):
-        raise ConfigError("config field 'eps_steps' must be a non-empty list of positive integers")
-    if any(a >= b for a, b in zip(eps_steps, eps_steps[1:])):  # the remainder check reads list order as width order
-        raise ConfigError(f"config field 'eps_steps' must be strictly increasing, got {eps_steps}")
-    if max(eps_steps) > grid.n_steps:
-        raise ConfigError("config field 'eps_steps': window exceeds the horizon")
-    cfg = {"t0": 0.25, "x0": 1.0, "replacement": 1.0, "candidate": 0.0, "basis_degree": 2, **cfg}
-    t0 = _require(cfg, "t0", float)
-    k0 = t0 / grid.dt
-    if abs(k0 - round(k0)) > 1e-9 or k0 < 0:
-        raise ConfigError(f"config field 't0': {t0} is not on the grid (dt={grid.dt})")
-    if round(k0) + max(eps_steps) > grid.n_steps:
-        raise ConfigError("config field 't0': largest window leaves the horizon")
-    x0 = _require(cfg, "x0", float)
-    replacement = _control(cfg, "replacement", model)
-    candidate = _control(cfg, "candidate", model)
-    degree = _require(cfg, "basis_degree", int, positive=True)
-    if replacement == candidate:
-        raise ConfigError("config field 'replacement' must differ from 'candidate'")
-    if len(eps_steps) < 4:
-        raise ConfigError("config field 'eps_steps' needs at least 4 distinct widths to fit orders")
-    bands = cfg.get("slope_bands", {})
-    if not isinstance(bands, dict) or not all(
-        name in DEFAULT_SLOPE_BANDS and _is_vector(band, 2) and band[0] <= band[1] for name, band in bands.items()
-    ):
-        raise ConfigError(
-            f"config field 'slope_bands' must map names from {sorted(DEFAULT_SLOPE_BANDS)} to [lo, hi] with lo <= hi"
-        )
+def run_spike(v: dict, out: Path) -> dict:
     result = run_spike_study(
-        model, x0, grid, n_paths, seed, t0, tuple(eps_steps),
-        replacement=replacement, u_bar_value=candidate, degree=degree,
+        v["model"], v["x0"], v["grid"], v["n_paths"], v["seed"], v["t0"], v["eps_steps"],
+        replacement=v["replacement"], u_bar_value=v["candidate"], degree=v["basis_degree"],
     )
     rows = []
     for name, fit in result.fits.items():
         for eps, err in zip(fit.eps_values, fit.errors):
             rows.append([name, eps, err, fit.slope, fit.ci_low, fit.ci_high])
-    write_csv(
-        out / "order_fits.csv",
-        ["functional", "eps", "error", "slope", "ci_low", "ci_high"],
-        rows,
-    )
-    bands = {**DEFAULT_SLOPE_BANDS, **bands}
+    write_csv(out / "order_fits.csv", ["functional", "eps", "error", "slope", "ci_low", "ci_high"], rows)
     checks = {}
     for name, fit in result.fits.items():
-        lo, hi = bands[name]
+        lo, hi = v["slope_bands"][name]
         checks[f"slope_{name}"] = bool(lo <= fit.slope <= hi)
     ratios = np.asarray(result.y2_at_zero) / np.asarray(result.eps_values)
     spread = float((ratios.max() - ratios.min()) / np.abs(ratios).max())
@@ -296,22 +301,11 @@ def run_spike(cfg: dict, out: Path) -> dict:
     }
 
 
-def run_check_smp(cfg: dict, out: Path) -> dict:
-    model = _model_from(cfg)
-    tol = _require({"tolerance": 0.05, **cfg}, "tolerance", float, minimum=0.0)
-    test_controls = cfg.get("test_controls")
-    if test_controls is None:
-        test_controls = model.control_domain.test_controls(model.k).tolist()
-    elif not (isinstance(test_controls, list) and test_controls) or not all(
-        _is_vector(c, model.k) and model.control_domain.contains(c) for c in test_controls
-    ):
-        raise ConfigError(
-            f"config field 'test_controls' must be a non-empty list of {model.k}-number lists"
-            " inside the model's control domain"
-        )
-    traj, _, degree = _solve_candidate(cfg, model, control_key="candidate")
-    lin = linearize(model, traj)
-    adj = solve_adjoints(lin, degree=degree)
+def run_check_smp(v: dict, out: Path) -> dict:
+    tol, test_controls = v["tolerance"], v["test_controls"]
+    traj, _ = _solve_candidate(v, control_key="candidate")
+    lin = linearize(v["model"], traj)
+    adj = solve_adjoints(lin, degree=v["basis_degree"])
     report = smp.check_global_smp(lin, adj, test_controls, tolerance=tol)
     write_json(out / "smp_violations.json", report.to_dict())
     worst_rows = [[e[0], e[1], json.dumps(e[2]), e[3]] for e in report.entries[:100]]
@@ -323,32 +317,26 @@ def run_check_smp(cfg: dict, out: Path) -> dict:
     }
     # the local (variational) necessary condition presumes a convex control
     # domain, so it is only checked on box domains
-    if model.b_u is not None and model.control_domain.kind == "box":
+    if v["model"].b_u is not None and v["model"].control_domain.kind == "box":
         _, local_report = smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=test_controls, tolerance=tol)
         payload["local"] = local_report
         payload["checks"]["local_smp_no_violation"] = bool(local_report["passed"])
     return payload
 
 
-def run_example(cfg: dict, out: Path) -> dict:
-    n_paths, grid, seed = _common({"n_paths": 20000, "n_steps": 200, "horizon": 1.0, **cfg})
-    detail = example.run_example_experiment(n_paths, grid.n_steps, grid.horizon, seed)
+def run_example(v: dict, out: Path) -> dict:
+    detail = example.run_example_experiment(v["n_paths"], v["n_steps"], v["horizon"], v["seed"])
     checks = {name: bool(c["passed"]) for name, c in detail.items()}
     write_csv(out / "verdict.csv", ["check", "passed"], [[name, int(ok)] for name, ok in sorted(checks.items())])
     return {"checks": checks, "detail": detail}
 
 
-def run_bmo_suite(cfg: dict, out: Path) -> dict:
-    n_paths, grid, seed = _common(cfg)
-    norms = np.logspace(-6, 0.4, _require({"n_norms": 100, **cfg}, "n_norms", int, positive=True))
-    worst_roundtrip = max(
-        abs(bmo.psi(bmo.critical_exponent(v)) - v) for v in norms
-    )
+def run_bmo_suite(v: dict, out: Path) -> dict:
+    norms = np.logspace(-6, 0.4, v["n_norms"])
+    worst_roundtrip = max(abs(bmo.psi(bmo.critical_exponent(norm)) - norm) for norm in norms)
     checks = {"psi_roundtrip_1e_10": bool(worst_roundtrip <= 1e-10)}
-    checks["reverse_holder_value"] = bool(
-        abs(bmo.reverse_holder_constant(1.5, 0.0) - 4.0) <= 1e-12
-    )
-    w = generate_brownian(n_paths, grid, 1, seed)
+    checks["reverse_holder_value"] = bool(abs(bmo.reverse_holder_constant(1.5, 0.0) - 4.0) <= 1e-12)
+    w = generate_brownian(v["n_paths"], v["grid"], 1, v["seed"])
     paths = w.paths()[:, :-1, :]
     integrands = {
         "constant": np.ones_like(w.increments),
@@ -358,7 +346,7 @@ def run_bmo_suite(cfg: dict, out: Path) -> dict:
     rows = []
     for name, h in integrands.items():
         mart = bmo.MartingalePathSet.from_integrand(h, w)
-        declared = float(np.abs(h).max()) * np.sqrt(grid.horizon)
+        declared = float(np.abs(h).max()) * np.sqrt(v["horizon"])
         for n in (1, 2, 3):
             rep = bmo.energy_inequality_report(mart, n, declared)
             checks[f"energy_{name}_n{n}"] = rep.passed
@@ -387,15 +375,13 @@ RUNNERS = {
 
 def run(kind: str, cfg: dict, out_dir) -> int:
     """Validate, execute and report one experiment; returns the exit status."""
-    _check_fields(kind, cfg)
+    values = read_config(kind, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     echo = json.dumps({"experiment": kind, "config": cfg}, sort_keys=True, indent=2)
-    write_json(
-        out / "manifest.json",
-        {"experiment": kind, "config": cfg, "config_hash": content_hash(echo.encode())},
-    )
-    payload = RUNNERS[kind](cfg, out)
+    manifest = {"experiment": kind, "config": cfg, "config_hash": content_hash(echo.encode())}
+    write_json(out / "manifest.json", manifest)
+    payload = RUNNERS[kind](values, out)
     write_json(out / "report.json", payload)
     return 0 if all(payload.get("checks", {}).values()) else 1
 
@@ -427,9 +413,6 @@ def main(argv=None) -> int:
             return 2
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if "seed" not in cfg:
-        print("config error: field 'seed' is required (no wall-clock seeding)", file=sys.stderr)
-        return 2
     try:
         return run(args.experiment, cfg, args.out)
     except ConfigError as exc:

@@ -98,8 +98,9 @@ class ModelSpec:
         clip far above that scale does not bias the limit; the surrogate below
         grows the terminal/driver bound by the generator's Lipschitz factors.
         """
-        y_bound = (self.phi_bound + self.alpha * horizon) * np.exp(self.f_y_bound * horizon)
-        return 2.0 * (1.0 + self.l3 + self.gamma * y_bound) * max(1.0, y_bound)
+        with np.errstate(over="ignore"):  # an infinite level clips nothing
+            y_bound = (self.phi_bound + self.alpha * horizon) * np.exp(self.f_y_bound * horizon)
+            return 2.0 * (1.0 + self.l3 + self.gamma * y_bound) * max(1.0, y_bound)
 
 
 class Coefficient(NamedTuple):

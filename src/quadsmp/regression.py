@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .sde import SimulationError
+
 __all__ = ["polynomial_design", "RegressionBasis", "NodeBases", "conditional_expectation", "RankDeficientRegression"]
 
 _BLOCK_BYTES = 1 << 20  # design bytes a NodeBases block factors at once
@@ -59,6 +61,7 @@ class RegressionBasis(NamedTuple):
     columns: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a design that leaves float64 is caught before its SVD
 def _factor_block(features: np.ndarray, degree: int) -> list[RegressionBasis]:
     """Factor the bases of a block of nodes at once.
 
@@ -69,7 +72,7 @@ def _factor_block(features: np.ndarray, degree: int) -> list[RegressionBasis]:
     unconditional mean and the block keeps one shape. Each node's components
     are cut at lstsq's rule on the Gram matrix of its p kept columns,
     s^2 > eps p s[0]^2 (the intercept's singular value sqrt(m) is <= s[0]).
-    """
+    A design that is not finite raises SimulationError."""
     x = features
     m = x.shape[-1]
     if _WINSOR > 0.0 and m > 20:
@@ -90,6 +93,8 @@ def _factor_block(features: np.ndarray, degree: int) -> list[RegressionBasis]:
     keep = scale > 1e-10 * (1.0 + np.abs(mean))
     columns /= np.where(keep, scale, np.inf)[..., None]
     kept = np.count_nonzero(keep, axis=1)
+    if not np.isfinite(design).all():
+        raise SimulationError(f"regression design leaves float64 at features of magnitude {np.abs(x).max():.3g}")
     u, s, _ = np.linalg.svd(design[..., 1:], full_matrices=False)
     ranks = np.count_nonzero(s * s > np.finfo(float).eps * kept[:, None] * s[:, :1] ** 2, axis=1)
     return [RegressionBasis(u[i, :, :rank], int(p)) for i, (rank, p) in enumerate(zip(ranks, kept))]

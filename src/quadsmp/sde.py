@@ -55,12 +55,13 @@ def simulate_forward_sde(model, x0, u: np.ndarray, w: BrownianEnsemble) -> np.nd
 
     x = step_major((n_paths, grid.n_steps + 1, n))
     x[:, 0] = x0
-    for k in range(grid.n_steps):
-        xk = x[:, k]
-        drift = model.b(times[k], xk, u[:, k])
-        diff = model.sigma(times[k], xk, u[:, k])  # (m, n, d)
-        x[:, k + 1] = xk + drift * dt + np.einsum("mnd,md->mn", diff, w.increments[:, k])
-        _abort_if_nonfinite(x[:, k + 1], k + 1, "state")
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that leaves float64 aborts the run
+        for k in range(grid.n_steps):
+            xk = x[:, k]
+            drift = model.b(times[k], xk, u[:, k])
+            diff = model.sigma(times[k], xk, u[:, k])  # (m, n, d)
+            x[:, k + 1] = xk + drift * dt + np.einsum("mnd,md->mn", diff, w.increments[:, k])
+            _abort_if_nonfinite(x[:, k + 1], k + 1, "state")
     return x
 
 
@@ -142,10 +143,11 @@ def simulate_matrix_flow(a, beta, c, w: BrownianEnsemble) -> MatrixFlowPair:
     eye = np.eye(n)
     x = step_major((n_paths, n_steps + 1, n, n))
     x[:, 0] = eye
-    for k in range(n_steps):
-        step = _noise_term(dw[:, k], _diffusion_matrices(beta[:, k], c[:, k], eye))
-        step += a[:, k] * w.grid.dt
-        step += eye
-        np.matmul(step, x[:, k], out=x[:, k + 1])
-        _abort_if_nonfinite(x[:, k + 1], k + 1, "matrix flow")
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that leaves float64 aborts the run
+        for k in range(n_steps):
+            step = _noise_term(dw[:, k], _diffusion_matrices(beta[:, k], c[:, k], eye))
+            step += a[:, k] * w.grid.dt
+            step += eye
+            np.matmul(step, x[:, k], out=x[:, k + 1])
+            _abort_if_nonfinite(x[:, k + 1], k + 1, "matrix flow")
     return MatrixFlowPair(w=w, flow=x, a=a, beta=beta, c=c)

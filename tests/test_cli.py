@@ -152,6 +152,10 @@ class TestValidation:
             ("adjoint", {"tolerance": -0.5}, "tolerance"),
             ("check-smp", {"tolerance": -0.5}, "tolerance"),
             ("spike", {"slope_bands": {"x1_sup_sq": [1.2, 0.8]}, "t0": 0.0, "eps_steps": [1, 2, 3, 4]}, "slope_bands"),
+            # the step horizon / n_steps underflows to 0: t0 / dt and every 1/dt divide by zero
+            ("simulate", {"horizon": 5e-324}, "horizon"),
+            # t0 / dt overflows to inf, which has no nearest grid node
+            ("spike", {"horizon": 1e-310, "eps_steps": [1, 2, 3, 4]}, "t0"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, capsys, experiment, fields, bad_key):
@@ -162,6 +166,7 @@ class TestValidation:
         code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert bad_key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # the whole config is checked before anything is written
 
 
     @pytest.mark.parametrize("experiment,jobs", [("spike", "-3"), ("simulate", "0"), ("spike", "2")])
@@ -205,14 +210,60 @@ class TestValidation:
         ],
     )
     def test_tiny_horizon_exits_1(self, tmp_path, capsys, experiment, fields):
-        cfg = _write_config(tmp_path, {"seed": 1, "n_paths": 10, "horizon": 1e-155, **fields})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("run failed: ") and err.count("\n") == 1
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        code, err = _run_quietly(tmp_path, capsys, experiment, {"seed": 1, "n_paths": 10, "horizon": 1e-155, **fields})
+        assert code == 1 and _one_failure_line(err)
+
+    @pytest.mark.parametrize(
+        "experiment,fields",
+        [
+            # features of order 1e50 overflow the standardized regression design (SVD did not converge)
+            ("example", {"horizon": 1e50}),
+            ("adjoint", {"horizon": 1e50, "model": "example"}),
+            ("check-smp", {"horizon": 1e50, "model": "example"}),
+            # an energy moment's standard error overflows: an infinite one passed any mean, a nan margin failed
+            ("bmo-suite", {"horizon": 1e100}),
+            ("bmo-suite", {"horizon": 1e150}),
+        ],
+    )
+    def test_huge_horizon_exits_1(self, tmp_path, capsys, experiment, fields):
+        code, err = _run_quietly(tmp_path, capsys, experiment, {"seed": 1, "n_paths": 10, "n_steps": 8, **fields})
+        assert code == 1 and _one_failure_line(err)
+
+
+def _run_quietly(tmp_path, capsys, experiment, cfg):
+    """Exit status and stderr of a run that must print no RuntimeWarning."""
+    path = _write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([experiment, "--config", path, "--out", str(tmp_path / "o")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, capsys.readouterr().err
+
+
+def _one_failure_line(err):
+    return err.startswith("run failed: ") and err.count("\n") == 1
+
+
+# every subcommand, on both models where it takes one
+EVERY_RUN = [
+    ("simulate", {}), ("simulate", {"model": "example"}),
+    ("solve-bsde", {}), ("solve-bsde", {"model": "example"}),
+    ("adjoint", {}), ("adjoint", {"model": "example"}),
+    ("spike", {"t0": 0.0, "eps_steps": [1, 2, 3, 4]}),
+    ("check-smp", {}), ("check-smp", {"model": "example"}),
+    ("example", {}), ("bmo-suite", {}),
+]
+
+
+@pytest.mark.parametrize("horizon", [1e20, 1e50, 1e100, 1e150, 1e200, 1e300])
+@pytest.mark.parametrize("experiment,fields", EVERY_RUN)
+def test_huge_horizon_fails_quietly(tmp_path, capsys, experiment, fields, horizon):
+    # each overflow is followed by a check that decides the run: exit 0, or 1
+    # with one line, and no RuntimeWarning on the way
+    cfg = {"seed": 1, "n_paths": 10, "n_steps": 8, "horizon": horizon, **fields}
+    code, err = _run_quietly(tmp_path, capsys, experiment, cfg)
+    assert code in (0, 1)
+    assert err == "" or _one_failure_line(err), err
 
 
 NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 3)
@@ -253,8 +304,11 @@ class TestAnyConfig:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), experiment=st.sampled_from(sorted(cli.FIELDS)))
     def test_exit_status_never_a_traceback(self, data, experiment):
-        # 10 paths x 8 steps: every run is small, whatever the drawn fields say
+        # 10 paths x 8 steps: every run is small, whatever the drawn fields say;
+        # the spike's default windows do not fit in 8 steps, these do
         cfg = {"n_paths": 10, "n_steps": 8, "horizon": 1.0, "seed": 1}
+        if experiment == "spike":
+            cfg.update(t0=0.0, eps_steps=[1, 2, 3, 4])
         fields = st.lists(st.sampled_from(_field_names(experiment)), unique=True, min_size=1, max_size=3)
         for key in data.draw(fields):
             cfg[key] = data.draw(FIELD_VALUES.get(key, NUMBERS | JSON_VALUES), label=key)
