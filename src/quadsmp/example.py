@@ -287,6 +287,7 @@ def run_example_experiment(n_paths: int, n_steps: int, horizon: float, seed: int
     traj1, report1 = _solve_for_control(model, 1.0, w)
     j1, se1 = report1.y0, report1.y0_std_error
     jg, seg = girsanov_cost_estimate(traj1)
+    del traj1  # nothing below reads the unit-control paths
     combined_se = float(np.hypot(se1, seg))
 
     lin = linearize(model, traj0)

@@ -7,9 +7,11 @@ pieces slice [k0, k1) of the step arrays. The first/second-order variational
 states (X1, X2) are 0 up to k0 and are simulated from there by linearized
 dynamics with window sources; the backward values Y1 and Y2 are evaluated
 through the adjoint processes, with the auxiliary value Yhat solved as a
-weighted scalar linear equation. Order fits quantify how the error
-functionals scale across a dyadic ladder of window widths, on one common
-Brownian ensemble so pathwise differences are meaningful.
+weighted scalar linear equation on [0, t_k1], past which it is exactly 0.
+Order fits quantify how the error functionals scale across a dyadic ladder
+of window widths, on one common Brownian ensemble so pathwise differences
+are meaningful; each window releases its full-horizon arrays after their
+last read, so a window holds at most nine of them at once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bsde import (
     solve_bsde_lsmc,
     solve_linear_bsde_weighted,
 )
-from .grids import TimeGrid, constant_control, generate_brownian, step_major
+from .grids import BrownianEnsemble, TimeGrid, constant_control, generate_brownian, step_major
 from .models import ModelSpec
 from .sde import SimulationError, simulate_forward_sde
 from .smp import hamiltonian_gap
@@ -172,25 +174,53 @@ def compute_y1z1(adj: AdjointBundle, x1: np.ndarray) -> np.ndarray:
 
 
 def _yhat_driver(hats: HattedCoefficients, n_steps: int) -> np.ndarray:
-    """The window's Hamiltonian gap on every step, 0 off the window. Shape (m, N)."""
+    """The window's Hamiltonian gap on each of the first n_steps >= k1 steps,
+    0 off the window. Shape (m, n_steps)."""
     out = step_major((hats.gap.shape[0], n_steps), 0.0)
     out[:, hats.k0 : hats.k1] = hats.gap
     return out
 
 
+@dataclass(frozen=True)
+class _HeadGrid(TimeGrid):
+    """The first n_steps cells of a grid, stepping with its dt: horizon /
+    n_steps can miss that dt in the last bit."""
+
+    step: float
+
+    @property
+    def dt(self) -> float:
+        return self.step
+
+
 def solve_yhat(lin: Linearization, hats: HattedCoefficients, degree: int = 2) -> np.ndarray:
     """Auxiliary value Yhat on nodes, (m, N+1): scalar linear equation with the
     window Hamiltonian-gap driver, generator slopes (f_y, f_z) and zero
-    terminal value. The name stays while the benchmark's traced sites pin it."""
-    traj = lin.traj
-    data = LinearBsdeData(
-        lam=lin.f_y,
-        mu=lin.f_z,
-        phi=_yhat_driver(hats, traj.w.grid.n_steps),
-        xi=np.zeros(traj.n_paths),
-        state=traj.x,
+    terminal value.
+
+    The driver is 0 from t_k1 on, so Yhat and Zhat are exactly 0 on
+    [t_k1, T], and so are the representation's targets there: the equation
+    is solved on the ensemble's first k1 steps (one for an empty window at
+    0) and padded with zeros, with the same fits as on the whole grid. The
+    name stays while the benchmark's traced sites pin it."""
+    traj, w = lin.traj, lin.traj.w
+    m, k1 = traj.n_paths, max(hats.k1, 1)
+    head = BrownianEnsemble(
+        grid=_HeadGrid(horizon=float(w.grid.times[k1]), n_steps=k1, step=w.grid.dt),
+        dim=w.dim,
+        seed=w.seed,
+        increments=w.increments[:, :k1],
     )
-    y_hat, _, _ = solve_linear_bsde_weighted(data, traj.w, degree=degree)
+    data = LinearBsdeData(
+        lam=lin.f_y[:, :k1],
+        mu=lin.f_z[:, :k1],
+        phi=_yhat_driver(hats, k1),
+        xi=np.zeros(m),
+        state=traj.x[:, : k1 + 1],
+    )
+    y_head, _, _ = solve_linear_bsde_weighted(data, head, degree=degree)
+    y_hat = step_major((m, w.grid.n_steps + 1), 0.0)
+    y_hat[:, : k1 + 1] = y_head
     return y_hat
 
 
@@ -243,7 +273,8 @@ def value_remainder_estimate(
     minus the candidate ``SolverReport.rollout``, minus the weighted rollouts
     of the two variational values (whose means are exactly Y1(0) = 0 and
     Y2(0)); with common random numbers the leading fluctuations cancel
-    pathwise. Returns (estimate, std error).
+    pathwise. The second rollout is the window's gap against the weight
+    gamma_tilde on the window's cells. Returns (estimate, std error).
     """
     model, base = lin.model, lin.traj
     dt, n_steps = base.w.grid.dt, base.w.grid.n_steps
@@ -261,7 +292,7 @@ def value_remainder_estimate(
             drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k - hats.k0])
         r1 += gamma_tilde[:, k] * drv * dt
 
-    r2 = np.sum(gamma_tilde[:, :n_steps] * _yhat_driver(hats, n_steps), axis=1) * dt
+    r2 = np.sum(gamma_tilde[:, hats.k0 : hats.k1] * hats.gap, axis=1) * dt
 
     samples = cost_gap - r1 - r2
     m = samples.shape[0]
@@ -406,36 +437,47 @@ def run_spike_study(
     gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
     dt = grid.dt
 
+    # each helper's full-horizon arrays die when it returns, so a window holds
+    # X1, the spiked system and its four gaps at most (in expansion_residuals)
+    def spiked_residuals(spike: SpikePerturbation, x1: np.ndarray) -> tuple[ExpansionResiduals, np.ndarray]:
+        """The spiked system's gaps to the candidate and its cost-difference rollout."""
+        u_eps = build_spiked_control(u_bar, spike, grid)
+        x_eps = simulate_forward_sde(model, x0, u_eps, w)
+        y_eps, z_eps, spiked_report = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
+        spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
+        return expansion_residuals(lin.traj, spiked, x1), spiked_report.rollout - base_report.rollout
+
+    def spiked_functionals(spike: SpikePerturbation, hats: HattedCoefficients, x1: np.ndarray) -> dict:
+        """The functionals that read the spiked system: its gaps' and the value remainder."""
+        res, cost_gap = spiked_residuals(spike, x1)
+        rem_cv, rem_se = value_remainder_estimate(lin, cost_gap, x1, adj, hats, gamma_tilde)
+        return {
+            "state_gap_sup_sq": sup_square(res.xi1),
+            "state_gap_minus_x1_sup_sq": sup_square(res.xi2),
+            "value_gap_sup_sq_plus_int_z": sup_square(res.eta1) + integrated_square(res.zeta1, dt),
+            "value_remainder": abs(rem_cv),
+            "value_remainder_se": rem_se,
+        }
+
+    def second_order(hats: HattedCoefficients, x1: np.ndarray) -> dict:
+        """X2's functional and Y2(0)."""
+        x2 = solve_x2(lin, x1, hats)
+        y2 = compute_y2z2(adj, x1, x2, solve_yhat(lin, hats, degree=degree))
+        return {"x2_sup_sq": sup_square(x2), "y2_at_zero": float(y2[:, 0].mean())}
+
     def study_window(n_eps: int) -> dict:
         spike = SpikePerturbation(
             t0=grid.times[grid.index_of(t0)],
             eps=n_eps * dt,
             replacement=np.atleast_1d(replacement),
         )
-        u_eps = build_spiked_control(u_bar, spike, grid)
-        x_eps = simulate_forward_sde(model, x0, u_eps, w)
-        y_eps, z_eps, spiked_report = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
-        spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
-
         hats = hatted_coefficients(lin, spike, adj)
         x1 = solve_x1(lin, hats)
-        x2 = solve_x2(lin, x1, hats)
-        y1 = compute_y1z1(adj, x1)
-        y2 = compute_y2z2(adj, x1, x2, solve_yhat(lin, hats, degree=degree))
-        res = expansion_residuals(lin.traj, spiked, x1)
-        cost_gap = spiked_report.rollout - base_report.rollout
-        rem_cv, rem_se = value_remainder_estimate(lin, cost_gap, x1, adj, hats, gamma_tilde)
         return {
-            "state_gap_sup_sq": sup_square(res.xi1),
             "x1_sup_sq": sup_square(x1),
-            "state_gap_minus_x1_sup_sq": sup_square(res.xi2),
-            "x2_sup_sq": sup_square(x2),
-            "value_gap_sup_sq_plus_int_z": sup_square(res.eta1)
-            + integrated_square(res.zeta1, dt),
-            "y1_sup_sq": sup_square(y1),
-            "y2_at_zero": float(y2[:, 0].mean()),
-            "value_remainder": abs(rem_cv),
-            "value_remainder_se": rem_se,
+            "y1_sup_sq": sup_square(compute_y1z1(adj, x1)),
+            **spiked_functionals(spike, hats, x1),
+            **second_order(hats, x1),
         }
 
     eps_values = [n_eps * dt for n_eps in eps_steps]

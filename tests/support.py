@@ -1,11 +1,12 @@
 """Shared builders for solver tests: linear-generator models and instances,
 an n = d = k = 2 model with every derivative layout visible, the plain
 Hamiltonian as the reference for smp's shifted one, an independent
-estimate of the spike auxiliary value, the spike remainder estimator that
-re-evaluates the costs along both trajectories, the two-einsum Euler step of the
-matrix flow pair as an oracle for the flow kernel, and, as oracles for the
-shared regression basis, the component test restated call by call and the
-two-pass linear representation; the example's reweighted cost with the
+estimate of the spike auxiliary value, its solve on the whole grid as the
+reference for the solve up to the window's end, the spike remainder
+estimator that re-evaluates the costs along both trajectories, the
+two-einsum Euler step of the matrix flow pair as an oracle for the flow
+kernel, and, as oracles for the shared regression basis, the component
+test restated call by call and the two-pass linear representation; the example's reweighted cost with the
 chord slope by quadrature; a one-node regression basis for fits on raw
 features; the per-node BMO estimators as oracles for bmo's shared node walk;
 and, for the step-major storage, path-major copies of any solver input with
@@ -16,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc
+from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
 from quadsmp.example import g_prime, g_running, phi_prime, phi_second
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import ControlDomain, ModelSpec, scalar_model
@@ -246,6 +247,21 @@ def yhat0_direct_estimate(lin, hats):
         growth = lin.f_y[:, k] * dt + np.einsum("md,md->m", lin.f_z[:, k], traj.w.increments[:, k])
         weight = weight * (1.0 + growth)
     return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(m))
+
+
+def solve_yhat_full_reference(lin, hats, degree=2):
+    """spike.solve_yhat on the whole grid: the window's gap driver padded
+    with zeros to every step, solved to the horizon. Returns (m, N+1)."""
+    traj = lin.traj
+    data = LinearBsdeData(
+        lam=lin.f_y,
+        mu=lin.f_z,
+        phi=_yhat_driver(hats, traj.w.grid.n_steps),
+        xi=np.zeros(traj.n_paths),
+        state=traj.x,
+    )
+    y_hat, _, _ = solve_linear_bsde_weighted(data, traj.w, degree=degree)
+    return y_hat
 
 
 def value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde):

@@ -7,6 +7,7 @@ from support import (
     assert_close_rel,
     path_major,
     planar_candidate,
+    solve_yhat_full_reference,
     steps_contiguous,
     value_remainder_reference,
     yhat0_direct_estimate,
@@ -288,6 +289,32 @@ class TestBackwardRelations:
         assert base.w.seed == spiked.w.seed and not np.array_equal(base.w.increments, spiked.w.increments)
         with pytest.raises(ValueError, match="one Brownian ensemble"):
             expansion_residuals(base, spiked, np.zeros_like(base.x))
+
+
+class TestYhatToTheWindowEnd:
+    """solve_yhat solves on the first k1 steps and pads with zeros; the solve
+    on the whole grid is the reference, bit for bit."""
+
+    # (first step, steps): interior, an empty window at 0, ending at the horizon
+    @pytest.mark.parametrize("k0, n_eps", [(32, 16), (0, 0), (112, 16)])
+    def test_benchmark_candidate(self, base_pipeline, k0, n_eps):
+        model, grid, traj, adj, lin = base_pipeline
+        spike = SpikePerturbation(t0=grid.times[k0], eps=n_eps * grid.dt, replacement=np.array([1.0]))
+        hats = hatted_coefficients(lin, spike, adj)
+        assert np.array_equal(solve_yhat(lin, hats), solve_yhat_full_reference(lin, hats))
+
+    def test_planar_candidate(self):
+        # on 20 steps, times[6] / 6 misses dt in the last bit: the solve
+        # must step with the grid's own dt
+        model, traj = planar_candidate(400, 20, seed=6)
+        lin = linearize(model, traj)
+        adj = solve_adjoints(lin)
+        spike = SpikePerturbation(t0=0.15, eps=0.15, replacement=np.array([0.8, -0.6]))
+        hats = hatted_coefficients(lin, spike, adj)
+        assert hats.k1 == 6 and TimeGrid(traj.w.grid.times[6], 6).dt != traj.w.grid.dt
+        y_hat = solve_yhat(lin, hats)
+        assert np.any(y_hat[:, 0] != 0.0)
+        assert np.array_equal(y_hat, solve_yhat_full_reference(lin, hats))
 
 
 class TestValueRemainder:
