@@ -64,9 +64,10 @@ class Linearization:
     """Coefficients and their derivatives along one candidate trajectory, per step.
 
     Each array field is the model callable of that name at every step, shaped
-    (m, N) followed by its value axes in ``models.COEFFICIENTS``. Built once by
-    ``linearize`` and shared read-only by the adjoint equations and every spike
-    window.
+    (m, N) followed by its value axes in ``models.COEFFICIENTS``: step-major
+    storage, or, for a field that holds one value at every path and step, a
+    broadcast view of that value. Built once by ``linearize`` and shared
+    read-only by the adjoint equations and every spike window.
     """
 
     model: ModelSpec
@@ -96,8 +97,12 @@ def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
         point = {"t": times[k], "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
         for name, arr in steps.items():
             arr[:, k] = evaluate(model, name, point)
-    for arr in steps.values():  # shared, read-only, by every spike window
-        arr.flags.writeable = False
+    for name, arr in steps.items():  # shared, read-only, by every spike window
+        bits = arr.view(np.uint64)  # bit-exact: keeps -0.0 apart from +0.0, NaN equal to itself
+        if (bits == bits[0, 0]).all():  # one value along the candidate: store it once
+            steps[name] = np.broadcast_to(arr[0, 0].copy(), arr.shape)  # a view of arr would keep it alive
+        else:
+            arr.flags.writeable = False
     return Linearization(model=model, traj=traj, **steps)
 
 

@@ -336,7 +336,8 @@ def _flow_inverse(flow: np.ndarray) -> np.ndarray:
     n = flow.shape[-1]
     if n > 2:
         return np.linalg.inv(flow)
-    det = flow[..., 0, 0] if n == 1 else flow[..., 0, 0] * flow[..., 1, 1] - flow[..., 0, 1] * flow[..., 1, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a determinant that leaves float64 is rejected below
+        det = flow[..., 0, 0] if n == 1 else flow[..., 0, 0] * flow[..., 1, 1] - flow[..., 0, 1] * flow[..., 1, 0]
     if not np.all(np.isfinite(det) & (det != 0.0)):
         raise BsdeSolverError("simulated flow has a zero or non-finite determinant; cannot invert")
     adj = np.ones_like(flow) if n == 1 else (flow[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]).swapaxes(-1, -2)

@@ -14,6 +14,8 @@ Every node and step process the package allocates is stored step-major:
 the transposed ``(n_paths, n_steps, ...)`` view, so the per-step slice
 ``a[:, k]`` that every recursion reads is one contiguous block. Functions
 accept inputs in any layout; only their own allocations follow this order.
+A coefficient that is constant along the candidate is stored once instead:
+``adjoint.linearize`` hands it out as a broadcast view of its one value.
 """
 
 from __future__ import annotations

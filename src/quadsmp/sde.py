@@ -92,13 +92,14 @@ class MatrixFlowPair:
         eye = np.eye(self.dim)
         lam = step_major(self.flow.shape)
         lam[:, 0] = eye
-        for k in range(dw.shape[1]):
-            dk = _diffusion_matrices(self.beta[:, k], self.c[:, k], eye)
-            step = (np.matmul(dk, dk).sum(axis=1) - self.a[:, k]) * dt
-            step -= _noise_term(dw[:, k], dk)
-            step += eye
-            np.matmul(lam[:, k], step, out=lam[:, k + 1])
-            _abort_if_nonfinite(lam[:, k + 1], k + 1, "inverse flow")
+        with np.errstate(over="ignore", invalid="ignore"):  # a step that leaves float64 aborts the read
+            for k in range(dw.shape[1]):
+                dk = _diffusion_matrices(self.beta[:, k], self.c[:, k], eye)
+                step = (np.matmul(dk, dk).sum(axis=1) - self.a[:, k]) * dt
+                step -= _noise_term(dw[:, k], dk)
+                step += eye
+                np.matmul(lam[:, k], step, out=lam[:, k + 1])
+                _abort_if_nonfinite(lam[:, k + 1], k + 1, "inverse flow")
         return lam
 
     def inverse_identity_error(self) -> float:

@@ -10,17 +10,19 @@ test restated call by call and the two-pass linear representation; the example's
 chord slope by quadrature; a one-node regression basis for fits on raw
 features; the per-node BMO estimators as oracles for bmo's shared node walk;
 and, for the step-major storage, path-major copies of any solver input with
-the checks that compare them."""
+the checks that compare them, and the linearization with every field stored
+as the reference for the one that stores a constant field once."""
 
 import dataclasses
 import warnings
 
 import numpy as np
 
+from quadsmp.adjoint import Linearization
 from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
 from quadsmp.example import g_prime, g_running, phi_prime, phi_second
-from quadsmp.grids import TimeGrid, constant_control, generate_brownian
-from quadsmp.models import ControlDomain, ModelSpec, scalar_model
+from quadsmp.grids import TimeGrid, constant_control, generate_brownian, step_major
+from quadsmp.models import COEFFICIENTS, ControlDomain, ModelSpec, coefficient_shape, evaluate, scalar_model
 from quadsmp.regression import NodeBases, RankDeficientRegression, conditional_expectation, polynomial_design
 from quadsmp.sde import _diffusion_matrices, simulate_forward_sde
 from quadsmp.spike import _yhat_driver
@@ -264,6 +266,24 @@ def solve_yhat_full_reference(lin, hats, degree=2):
     return y_hat
 
 
+def linearize_stored_reference(model, traj):
+    """adjoint.linearize with every field stored step-major, a constant one
+    too: the layout that storing a constant field once replaced."""
+    grid = traj.w.grid
+    steps = {
+        f.name: step_major((traj.n_paths, grid.n_steps) + coefficient_shape(model, f.name))
+        for f in dataclasses.fields(Linearization)
+        if f.name in COEFFICIENTS
+    }
+    for k in range(grid.n_steps):
+        point = {"t": grid.times[k], "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
+        for name, arr in steps.items():
+            arr[:, k] = evaluate(model, name, point)
+    for arr in steps.values():
+        arr.flags.writeable = False
+    return Linearization(model=model, traj=traj, **steps)
+
+
 def value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde):
     """spike.value_remainder_estimate with its cost-difference rollout formed
     from the two trajectories: phi at both terminal states, and f along the
@@ -488,6 +508,13 @@ def path_major(obj):
 def steps_contiguous(a) -> bool:
     """Every per-step slice a[:, k] of a node or step process is one C-contiguous block."""
     return all(a[:, k].flags.c_contiguous for k in range(a.shape[1]))
+
+
+def same_bits(a, b) -> bool:
+    """a and b have one shape and equal float64 bit patterns: -0.0 differs
+    from +0.0, and a NaN equals a NaN with the same bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def assert_close_rel(actual, expected, rel=1e-12):

@@ -1,9 +1,21 @@
-"""Adjoint equations: assembly, closed-form oracles, symmetry."""
+"""Adjoint equations: assembly, closed-form oracles, symmetry, and the
+storage of the linearization they read."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from support import assert_close_rel, driver_model, path_major, planar_candidate, planar_model, steps_contiguous
+from support import (
+    assert_close_rel,
+    driver_model,
+    linearize_stored_reference,
+    path_major,
+    planar_candidate,
+    planar_model,
+    same_bits,
+    steps_contiguous,
+)
 
 from quadsmp.adjoint import (
     _second_order_operators,
@@ -18,10 +30,18 @@ from quadsmp.adjoint import (
     upsilon_process,
 )
 from quadsmp.bsde import ControlledTrajectory, solve_bsde_lsmc
-from quadsmp.example import example_model
+from quadsmp.example import _solve_for_control, example_model
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.models import benchmark_model, scalar_model
 from quadsmp.sde import simulate_forward_sde
+from quadsmp.spike import SpikePerturbation, hatted_coefficients, solve_x1, solve_x2
+
+FIELDS = ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z")
+
+
+def broadcast(a) -> bool:
+    """a holds one value, read at every path and step through stride 0."""
+    return a.strides[:2] == (0, 0)
 
 
 class TestSvec:
@@ -110,7 +130,7 @@ def _assert_equals_per_step_evaluation(model, traj):
         for name in ("f", "f_x", "f_y", "f_z"):
             expected = getattr(model, name)(t, xk, yk, zk, uk)
             assert np.array_equal(getattr(lin, name)[:, k], expected), name
-    for name in ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
+    for name in FIELDS:
         assert not getattr(lin, name).flags.writeable, name
 
 
@@ -327,13 +347,42 @@ class TestStepMajorStorage:
         return lin, solve_adjoints(lin)
 
     def test_linearization(self, planar):
+        # each field is step-major, or one value broadcast over the path and
+        # step axes that equals the stored evaluation bit for bit
         lin, _ = planar
         lin_pm = linearize(lin.model, path_major(lin.traj))
+        stored = linearize_stored_reference(lin.model, lin.traj)
         assert not steps_contiguous(lin_pm.traj.x)
-        for name in ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z"):
-            assert steps_contiguous(getattr(lin, name)), name
-            assert steps_contiguous(getattr(lin_pm, name)), name
+        for name in FIELDS:
+            for arr in (getattr(lin, name), getattr(lin_pm, name)):
+                assert steps_contiguous(arr) or (broadcast(arr) and same_bits(arr, getattr(stored, name))), name
             assert_close_rel(getattr(lin_pm, name), getattr(lin, name))
+
+    @pytest.mark.parametrize("inside, outside", [(-0.0, 0.0), (np.nan, 1.0)])
+    def test_two_bit_patterns_stay_stored(self, inside, outside):
+        # one entry, at the last path and step, differs from the rest; -0.0 ==
+        # 0.0, and NaN drops out of nan-aware ranges: only the bit patterns
+        # tell these fields from a constant one
+        def f_x(t, x, y, z, u):
+            last = (np.arange(x.shape[0]) == x.shape[0] - 1)[:, None] & (t > 0.8)
+            return np.where(last, inside, outside)
+
+        base = benchmark_model()
+        model = dataclasses.replace(base, f_x=f_x)
+        traj = _trajectory(base, 1.0, n_paths=50, n_steps=8, seed=3)
+        lin, stored = linearize(model, traj), linearize_stored_reference(model, traj)
+        assert np.unique(stored.f_x.view(np.uint64)).size == 2
+        assert steps_contiguous(lin.f_x) and not lin.f_x.flags.writeable
+        assert same_bits(lin.f_x, stored.f_x)
+
+    @pytest.mark.parametrize("value", [-0.0, np.nan])
+    def test_one_bit_pattern_is_stored_once(self, value):
+        base = benchmark_model()
+        model = dataclasses.replace(base, f_x=lambda t, x, y, z, u: np.full_like(x, value))
+        traj = _trajectory(base, 1.0, n_paths=50, n_steps=8, seed=3)
+        lin = linearize(model, traj)
+        assert broadcast(lin.f_x) and not lin.f_x.flags.writeable
+        assert same_bits(lin.f_x, linearize_stored_reference(model, traj).f_x)
 
     def test_adjoints(self, planar):
         lin, adj = planar
@@ -349,3 +398,54 @@ class TestStepMajorStorage:
         assert steps_contiguous(source)
         source_pm = assemble_second_order_source(path_major(lin), path_major(adj.p), path_major(adj.q))
         assert_close_rel(source_pm, source)
+
+
+def _benchmark_candidate():
+    model = benchmark_model()
+    return model, _trajectory(model, 1.0, n_paths=400, n_steps=32, seed=21)
+
+
+def _example_zero_candidate():
+    model = example_model()
+    traj, _ = _solve_for_control(model, 0.0, generate_brownian(400, TimeGrid(1.0, 32), 1, seed=1))
+    return model, traj
+
+
+# name -> (candidate, the fields that hold one value along it, spike replacement)
+CANDIDATES = {
+    "benchmark": (_benchmark_candidate, {"b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y"}, [1.0]),
+    "example": (_example_zero_candidate, set(FIELDS), [1.0]),
+    "planar": (lambda: planar_candidate(300, 16, seed=5), {"b_xx", "sigma_xx"}, [0.8, -0.6]),
+}
+
+
+class TestConstantFieldsStoredOnce:
+    """linearize stores a field that holds one value along the candidate once,
+    broadcast; the linearization with every field stored is the reference,
+    bit for bit, for the adjoints and the spike pieces that read it."""
+
+    @pytest.fixture(scope="class", params=list(CANDIDATES))
+    def pair(self, request):
+        make, constant, replacement = CANDIDATES[request.param]
+        model, traj = make()
+        return linearize(model, traj), linearize_stored_reference(model, traj), constant, replacement
+
+    def test_which_fields_are_broadcast(self, pair):
+        lin, stored, constant, _ = pair
+        assert {name for name in FIELDS if broadcast(getattr(lin, name))} == constant
+        for name in FIELDS:
+            assert same_bits(getattr(lin, name), getattr(stored, name)), name
+            assert broadcast(getattr(lin, name)) or steps_contiguous(getattr(lin, name)), name
+
+    def test_readers_bit_identical(self, pair):
+        lin, stored, _, replacement = pair
+        adj, adj_ref = solve_adjoints(lin), solve_adjoints(stored)
+        for name in ("p", "q", "big_p", "big_q"):
+            assert same_bits(getattr(adj, name), getattr(adj_ref, name)), name
+        spike = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array(replacement))
+        hats, hats_ref = hatted_coefficients(lin, spike, adj), hatted_coefficients(stored, spike, adj_ref)
+        for name in ("b_hat", "sigma_hat", "sigma_x_hat", "delta", "gap"):
+            assert same_bits(getattr(hats, name), getattr(hats_ref, name)), name
+        x1, x1_ref = solve_x1(lin, hats), solve_x1(stored, hats_ref)
+        assert same_bits(x1, x1_ref)
+        assert same_bits(solve_x2(lin, x1, hats), solve_x2(stored, x1_ref, hats_ref))

@@ -2,9 +2,12 @@
 (m, N+1) float64 node arrays, stays under a bound.
 
 Each bound sits about midway between two readings of this file run alone:
-the peak when every spike window's arrays, and the example's unit-control
-paths, stayed alive to the end (spike 39.95, example 30.70), and the peak
-now that they are released after their last read (31.94 and 26.74)."""
+the peak when the linearization stored every coefficient at every path and
+step (spike 31.98, example 26.73), and the peak now that a coefficient that
+is constant along the candidate is stored once and broadcast (26.03 and
+16.93). Before those, releasing every spike window's arrays, and the
+example's unit-control paths, after their last read had lowered the
+readings from 39.95 and 30.70."""
 
 import tracemalloc
 
@@ -20,10 +23,10 @@ RUNS = {
     "spike": (
         600,
         128,
-        36.0,
+        29.0,
         lambda: run_spike_study(benchmark_model(), 1.0, TimeGrid(1.0, 128), 600, 3, 0.25, (2, 4, 8, 16), 1.0),
     ),
-    "example": (2000, 50, 28.7, lambda: run_example_experiment(2000, 50, 1.0, 1)),
+    "example": (2000, 50, 21.8, lambda: run_example_experiment(2000, 50, 1.0, 1)),
 }
 
 
