@@ -87,22 +87,23 @@ class Linearization:
 def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
     """Evaluate the model coefficients and derivatives along the candidate (x, y, z, u)."""
     grid = traj.w.grid
-    steps = {
-        f.name: step_major((traj.n_paths, grid.n_steps) + coefficient_shape(model, f.name))
-        for f in fields(Linearization)
-        if f.name in COEFFICIENTS
-    }
-    times = grid.times
-    for k in range(grid.n_steps):
-        point = {"t": times[k], "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
-        for name, arr in steps.items():
-            arr[:, k] = evaluate(model, name, point)
-    for name, arr in steps.items():  # shared, read-only, by every spike window
+    points = [
+        {"t": t, "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
+        for k, t in enumerate(grid.times[: grid.n_steps])
+    ]
+    steps = {}
+    for f in fields(Linearization):  # one field at a time: it is collapsed before the next is allocated
+        if f.name not in COEFFICIENTS:
+            continue
+        arr = step_major((traj.n_paths, grid.n_steps) + coefficient_shape(model, f.name))
+        for k, point in enumerate(points):
+            arr[:, k] = evaluate(model, f.name, point)
         bits = arr.view(np.uint64)  # bit-exact: keeps -0.0 apart from +0.0, NaN equal to itself
         if (bits == bits[0, 0]).all():  # one value along the candidate: store it once
-            steps[name] = np.broadcast_to(arr[0, 0].copy(), arr.shape)  # a view of arr would keep it alive
+            arr = np.broadcast_to(arr[0, 0].copy(), arr.shape)  # a view of arr would keep it alive
         else:
-            arr.flags.writeable = False
+            arr.flags.writeable = False  # shared, read-only, by every spike window
+        steps[f.name] = arr
     return Linearization(model=model, traj=traj, **steps)
 
 
@@ -120,21 +121,25 @@ class AdjointBundle:
     big_q: np.ndarray = field(repr=False)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """a with its path and step axes cut to length 1 where its stride there is 0:
+    each value of a broadcast field once, for the result to be broadcast back."""
+    return a[tuple(slice(None, 1) if s == 0 else slice(None) for s in a.strides[:2])]
+
+
 def assemble_first_order(lin: Linearization) -> MultiLinearBsdeData:
     """Linear data of the first-order adjoint equation.
 
     Y-coefficient transpose: sum_i f_{z_i} (sigma_x^i)' + f_y I + b_x';
     Z^i-coefficient transpose: f_{z_i} I + (sigma_x^i)'; driver f_x; terminal
-    phi_x at the trajectory endpoint.
+    phi_x at the trajectory endpoint. The Y-coefficient is a broadcast view
+    wherever all of its inputs are.
     """
     eye = np.eye(lin.model.n)
-    a = (
-        np.einsum("mtd,mtdij->mtij", lin.f_z, lin.sigma_x)
-        + lin.f_y[:, :, None, None] * eye
-        + lin.b_x
-    )
+    f_z, sigma_x, f_y, b_x = (_distinct(x) for x in (lin.f_z, lin.sigma_x, lin.f_y, lin.b_x))
+    a = np.einsum("mtd,mtdij->mtij", f_z, sigma_x) + f_y[:, :, None, None] * eye + b_x
     return MultiLinearBsdeData(
-        a=a,
+        a=np.broadcast_to(a, lin.b_x.shape),
         beta=lin.f_z,
         c=lin.sigma_x,
         driver=lin.f_x,
@@ -194,9 +199,12 @@ def _second_order_operators(
     beyond f_{z_i} S, the Q^i-term S -> (sigma_x^i)' S + S sigma_x^i has
     K_Q^i = (sigma_x^i)' (x) I + I (x) (sigma_x^i)'. In svec coordinates a map
     with Kronecker matrix K is U'KU; the solver takes the transposes.
-    Returns a: (..., s, s) and c: (..., d, s, s) with s = n(n+1)/2.
+    Returns a: (..., s, s) and c: (..., d, s, s) with s = n(n+1)/2, each a
+    broadcast view on the leading (path and step) axes where all inputs are.
     """
     n = b_x.shape[-1]
+    batch = np.broadcast_shapes(f_y.shape, f_z.shape[:-1], b_x.shape[:-2], sigma_x.shape[:-3])
+    f_y, f_z, b_x, sigma_x = (_distinct(x) for x in (f_y, f_z, b_x, sigma_x))
     u = _svec_basis(n)
     eye = np.eye(n)
     sig_t = np.swapaxes(sigma_x, -1, -2)
@@ -209,7 +217,8 @@ def _second_order_operators(
 
     k_p = kron(big_m, eye) + kron(eye, big_m) + kron(sig_t, sig_t).sum(axis=-3)
     k_q = kron(sig_t, eye) + kron(eye, sig_t)
-    return tuple(np.swapaxes(u.T @ k @ u, -1, -2) for k in (k_p, k_q))
+    a, c = (np.swapaxes(u.T @ k @ u, -1, -2) for k in (k_p, k_q))
+    return np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(c, batch + c.shape[-3:])
 
 
 def solve_second_order(
@@ -234,11 +243,15 @@ def solve_second_order(
         xi=svec(model.phi_xx(traj.x[:, -1])),
         state=traj.x,
     )
-    del driver  # the step-major copy is the one the solve reads
-    pv, qv, _, _ = solve_multidim_linear_bsde(data, traj.w, degree=degree)
+    del a, c, driver  # the step-major copy is the one the solve reads
+    pv, qv = solve_multidim_linear_bsde(data, traj.w, degree=degree)[:2]
+    del data
+    # one at a time into step-major storage: pv is released before Q is built
     big_p = unsvec(pv, n)
+    big_p = step_major(big_p.shape, big_p)
+    del pv
     big_q = np.moveaxis(unsvec(np.swapaxes(qv, 2, 3), n), 2, -1)
-    return step_major(big_p.shape, big_p), step_major(big_q.shape, big_q)
+    return big_p, step_major(big_q.shape, big_q)
 
 
 def solve_adjoints(lin: Linearization, degree: int = 2) -> AdjointBundle:

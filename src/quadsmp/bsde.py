@@ -340,7 +340,9 @@ def _flow_inverse(flow: np.ndarray) -> np.ndarray:
         det = flow[..., 0, 0] if n == 1 else flow[..., 0, 0] * flow[..., 1, 1] - flow[..., 0, 1] * flow[..., 1, 0]
     if not np.all(np.isfinite(det) & (det != 0.0)):
         raise BsdeSolverError("simulated flow has a zero or non-finite determinant; cannot invert")
-    adj = np.ones_like(flow) if n == 1 else (flow[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]).swapaxes(-1, -2)
+    if n == 1:
+        return 1.0 / flow
+    adj = (flow[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]).swapaxes(-1, -2)
     return adj / det[..., None, None]
 
 

@@ -168,19 +168,19 @@ def girsanov_cost_estimate(traj: ControlledTrajectory) -> tuple[float, float]:
     stochastic exponential of the averaged slope alpha integrated against W,
     of int_0^T [g(phi'(X_s) u_s) + (1 + phi''(X_s)/2) u_s^2] ds. alpha is the
     g' average along the chord from phi'(X)u to Z, in closed form by
-    g_chord_slope.
+    g_chord_slope. The three path sums are accumulated one step at a time.
     """
     dt = traj.w.grid.dt
-    x_steps = traj.x[:, :-1, 0]
-    u_steps = traj.u[:, :, 0]
-    z_steps = traj.z[:, :, 0]
-    anchor = phi_prime(x_steps) * u_steps
-    alpha = g_chord_slope(z_steps, anchor)
-    dw = traj.w.increments[:, :, 0]
-    log_density = np.sum(alpha * dw, axis=1) - 0.5 * np.sum(alpha**2, axis=1) * dt
-    density = np.exp(log_density)
-    integrand = g_running(anchor) + (1.0 + 0.5 * phi_second(x_steps)) * u_steps**2
-    payoff = density * np.sum(integrand, axis=1) * dt
+    sums = np.zeros((3, traj.n_paths))  # of alpha dW, of alpha^2 and of the integrand
+    for k in range(traj.w.grid.n_steps):
+        x_k, u_k = traj.x[:, k, 0], traj.u[:, k, 0]
+        anchor = phi_prime(x_k) * u_k
+        alpha = g_chord_slope(traj.z[:, k, 0], anchor)
+        sums[0] += alpha * traj.w.increments[:, k, 0]
+        sums[1] += alpha**2
+        sums[2] += g_running(anchor) + (1.0 + 0.5 * phi_second(x_k)) * u_k**2
+    density = np.exp(sums[0] - 0.5 * sums[1] * dt)
+    payoff = density * sums[2] * dt
     return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(payoff.shape[0]))
 
 

@@ -6,9 +6,11 @@ reference for the solve up to the window's end, the spike remainder
 estimator that re-evaluates the costs along both trajectories, the
 two-einsum Euler step of the matrix flow pair as an oracle for the flow
 kernel, and, as oracles for the shared regression basis, the component
-test restated call by call and the two-pass linear representation; the example's reweighted cost with the
-chord slope by quadrature; a one-node regression basis for fits on raw
-features; the per-node BMO estimators as oracles for bmo's shared node walk;
+test restated call by call and the two-pass linear representation; the
+example's reweighted cost with the chord slope by quadrature, and on whole
+arrays as the reference for its per-step sums; a one-node regression basis
+for fits on raw features; the per-node BMO estimators as oracles for bmo's
+shared node walk;
 and, for the step-major storage, path-major copies of any solver input with
 the checks that compare them, and the linearization with every field stored
 as the reference for the one that stores a constant field once."""
@@ -20,7 +22,7 @@ import numpy as np
 
 from quadsmp.adjoint import Linearization
 from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
-from quadsmp.example import g_prime, g_running, phi_prime, phi_second
+from quadsmp.example import g_chord_slope, g_prime, g_running, phi_prime, phi_second
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian, step_major
 from quadsmp.models import COEFFICIENTS, ControlDomain, ModelSpec, coefficient_shape, evaluate, scalar_model
 from quadsmp.regression import NodeBases, RankDeficientRegression, conditional_expectation, polynomial_design
@@ -90,6 +92,24 @@ def random_linear_instance(seed, n_paths=8000, n_steps=100):
         phi[:, k] = phi_fn(grid.times[k], x[:, k, 0])
     data = LinearBsdeData(lam=lam, mu=mu, phi=phi, xi=terminal_fn(x[:, -1, 0]), state=x)
     return model, data, x, u, w
+
+
+def girsanov_whole_array_reference(traj):
+    """example.girsanov_cost_estimate on whole (m, N) arrays, summing each of
+    its three path sums over the step axis at once: the reference for the
+    estimate that accumulates them one step at a time."""
+    dt = traj.w.grid.dt
+    x_steps = traj.x[:, :-1, 0]
+    u_steps = traj.u[:, :, 0]
+    z_steps = traj.z[:, :, 0]
+    anchor = phi_prime(x_steps) * u_steps
+    alpha = g_chord_slope(z_steps, anchor)
+    dw = traj.w.increments[:, :, 0]
+    log_density = np.sum(alpha * dw, axis=1) - 0.5 * np.sum(alpha**2, axis=1) * dt
+    density = np.exp(log_density)
+    integrand = g_running(anchor) + (1.0 + 0.5 * phi_second(x_steps)) * u_steps**2
+    payoff = density * np.sum(integrand, axis=1) * dt
+    return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(payoff.shape[0]))
 
 
 def girsanov_quadrature_reference(traj):

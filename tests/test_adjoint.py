@@ -437,6 +437,21 @@ class TestConstantFieldsStoredOnce:
             assert same_bits(getattr(lin, name), getattr(stored, name)), name
             assert broadcast(getattr(lin, name)) or steps_contiguous(getattr(lin, name)), name
 
+    def test_operators_broadcast_where_their_inputs_are(self, pair):
+        # an operator is computed once where every field it reads holds one
+        # value: all three on the example's zero candidate, the second-order
+        # c, which reads sigma_x alone, on the benchmark candidate too
+        lin, stored, constant, _ = pair
+        ops = (assemble_first_order(lin).a, *_second_order_operators(lin.f_y, lin.f_z, lin.b_x, lin.sigma_x))
+        refs = (
+            assemble_first_order(stored).a,
+            *_second_order_operators(stored.f_y, stored.f_z, stored.b_x, stored.sigma_x),
+        )
+        reads = ({"f_y", "f_z", "b_x", "sigma_x"}, {"f_y", "f_z", "b_x", "sigma_x"}, {"sigma_x"})
+        for op, ref, fields_read in zip(ops, refs, reads):
+            assert same_bits(op, ref)
+            assert broadcast(op) == (fields_read <= constant)
+
     def test_readers_bit_identical(self, pair):
         lin, stored, _, replacement = pair
         adj, adj_ref = solve_adjoints(lin), solve_adjoints(stored)

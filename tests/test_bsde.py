@@ -337,6 +337,13 @@ class TestFlowInverse:
         assert np.abs(inv - np.linalg.inv(flow)).max() <= 1e-12 * np.abs(inv).max()
         assert np.abs(inv @ flow - np.eye(n)).max() <= 1e-12
 
+    def test_scalar_inverse_is_the_adjugate_over_the_determinant(self):
+        # 1/X is the n = 1 adjugate, ones, over the determinant X, bit for bit
+        rng = np.random.default_rng(4)
+        flow = np.exp(rng.standard_normal((300, 17, 1, 1)) * 30.0)
+        flow[::2] *= -1.0
+        assert np.array_equal(_flow_inverse(flow), np.ones_like(flow) / flow[..., 0, 0][..., None, None])
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_zero_or_nonfinite_determinant_raises(self, n, bad):

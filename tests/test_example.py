@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import girsanov_quadrature_reference
+from support import girsanov_quadrature_reference, girsanov_whole_array_reference
 
 from quadsmp import regression
 from quadsmp.adjoint import linearize, solve_adjoints
@@ -122,6 +122,14 @@ class TestCosts:
         traj, rep = unit_control_6000
         jg, seg = girsanov_cost_estimate(traj)
         assert abs(rep.y0 - jg) <= 3.0 * float(np.hypot(rep.y0_std_error, seg))
+
+    def test_reweighted_estimate_matches_whole_array_sums(self, unit_control_6000):
+        # the per-step sums add the steps in the order np.sum adds them across
+        # the step axis of step-major storage
+        traj, _ = unit_control_6000
+        jg, seg = girsanov_cost_estimate(traj)
+        jw, sew = girsanov_whole_array_reference(traj)
+        assert np.array_equal([jg, seg], [jw, sew])
 
     def test_reweighted_estimate_matches_quadrature(self, unit_control_6000):
         traj, _ = unit_control_6000
