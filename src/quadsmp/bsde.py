@@ -9,7 +9,9 @@ One quadratic solver and one linear representation:
   A'Y + sum_i (beta^i I + C^i)' Z^i + f, one kernel with two entry points:
   ``solve_multidim_linear_bsde`` (n-dimensional, on the matrix flow pair) and
   ``solve_linear_bsde_weighted`` (scalar, driver lam Y + mu'Z + phi, where the
-  flow is the exponential weight).
+  flow is the exponential weight). The kernel is one backward pass that
+  builds each node from that node's slices alone, and ``_flow_inverse`` is
+  its one inverse rule for both entries.
 """
 
 from __future__ import annotations
@@ -224,16 +226,19 @@ def exponential_weight(lam: np.ndarray, mu: np.ndarray, w: BrownianEnsemble) -> 
     return np.exp(log_weight)
 
 
-def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degree: int):
+def _represent(flow, driver, xi, beta, c, state, w: BrownianEnsemble, degree: int):
     """Fundamental-solution representation of the linear equation with driver
     A'Y + sum_i (beta^i I + C^i)' Z^i + f.
 
-    flow: (m, N+1, n, n) the fundamental solution X of the coefficients and
-    inv its pathwise inverse Lambda; driver, xi, beta, c and state as in
-    MultiLinearBsdeData. Y_t = Lambda_t' E[X_T' xi + int_t^T X_s' f_s ds | F_t];
+    flow: (m, N+1, n, n) the fundamental solution X of the coefficients;
+    driver, xi, beta, c and state as in MultiLinearBsdeData. With Lambda the
+    pathwise inverse of X, Y_t = Lambda_t' E[X_T' xi + int_t^T X_s' f_s ds | F_t];
     Z^i is recovered from the one-step martingale increments of
-    X'Y + int X'f ds as Lambda_t' psi^i_t - (beta^i I + C^i)' Y_t. The flattened
-    flow (and state) are the regression features; each fit keeps the SVD
+    X'Y + int X'f ds as Lambda_t' psi^i_t - (beta^i I + C^i)' Y_t. One backward
+    pass builds node k from its own slices: Lambda_k by _flow_inverse, the
+    tail sum of X'f dt, and the increment X_{k+1}'Y_{k+1} - X_k'Y_k + X_k'f_k dt;
+    no full-horizon array is allocated besides y and z. The flattened flow
+    (and state) are the regression features; each fit keeps the SVD
     components of the node's basis that pass the default test, |alpha| >= 4
     sigma-hat, so a flow collinear with the state keeps its real slope.
     NodeBases factors the bases a block of nodes at a time, from the highest
@@ -242,8 +247,6 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
 
     Returns y: (m, N+1, n), z: (m, N, n, d) and the pathwise Y0 targets (m, n).
     """
-    if not np.isfinite(inv).all():
-        raise BsdeSolverError("flow or weight is numerically singular: its inverse is not finite")
     grid = w.grid
     dt, n_steps, m = grid.dt, grid.n_steps, w.n_paths
     n = flow.shape[-1]
@@ -252,40 +255,32 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
     xi = np.broadcast_to(np.asarray(xi, dtype=float), (m, n))
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (m, n_steps, d))
     c = np.broadcast_to(np.asarray(c, dtype=float), (m, n_steps, d, n, n))
+    _flow_inverse(flow[:, n_steps])  # the pass never reads Lambda_N; it only has to exist
 
-    weighted_f = np.einsum("mtij,mti->mtj", flow[:, :n_steps], driver, out=step_major((m, n_steps, n)))
-    weighted_f *= dt
-    # pathwise X_T' xi + int_t^T X_s' f_s ds
-    bracket = step_major((m, n_steps + 1, n), 0.0)
-    cumsum_steps(weighted_f[:, ::-1], out=bracket[:, n_steps - 1 :: -1])
-    bracket += np.einsum("mij,mi->mj", flow[:, n_steps], xi)[:, None]
-
-    # the inverse flow at the conditioning time is known per path, so it goes
-    # inside the regression target; regressing Lambda'(bracket) keeps the
-    # noise level uniform instead of amplifying it where the flow is small.
-    # y holds each node's target until its regression replaces it; a constant
-    # target is its own conditional expectation and stays
     y = step_major((m, n_steps + 1, n))
-    np.einsum("mtji,mtj->mti", inv[:, :n_steps], bracket[:, :n_steps], out=y[:, :n_steps])
     y[:, n_steps] = xi
-    flat_flow = flow.reshape(m, n_steps + 1, n * n)
-    prefix = step_major((m, n_steps + 1, n), 0.0)
-    cumsum_steps(weighted_f, out=prefix[:, 1:])
-    target0 = bracket[:, 0].copy()
-    del weighted_f, bracket  # the backward pass reads only y's targets and the prefix
     z = step_major((m, n_steps, n, d))
     eye = np.eye(n)
-    # one backward pass: node k's basis serves its Y fit and then its Z fit,
-    # which regresses the martingale increment of X'Y + int X'f ds on (k, k+1]
-    g_next = np.einsum("mji,mj->mi", flow[:, n_steps], y[:, n_steps]) + prefix[:, n_steps]
-    bases = NodeBases(flat_flow, *(() if state is None else (state,)), degree=degree)
+    terminal = np.einsum("mji,mj->mi", flow[:, n_steps], xi)  # X_T' xi
+    tail = np.full((m, n), -0.0)  # int_t^T X_s' f_s ds, pathwise; -0.0 is the exact zero of +
+    xy_next = terminal  # X_{k+1}' Y_{k+1}
+    bases = NodeBases(flow.reshape(m, n_steps + 1, n * n), *(() if state is None else (state,)), degree=degree)
     for k in range(n_steps - 1, -1, -1):
-        target = y[:, k]
-        if not np.all(target == target[0]):
-            y[:, k] = conditional_expectation(bases[k], target)
-        g_k = np.einsum("mji,mj->mi", flow[:, k], y[:, k]) + prefix[:, k]
-        incr = np.einsum("mji,mj->mi", inv[:, k], g_next - g_k)
-        g_next = g_k
+        inv = _flow_inverse(flow[:, k])
+        weighted_f = np.einsum("mji,mj->mi", flow[:, k], driver[:, k]) * dt
+        tail += weighted_f
+        bracket = tail + terminal
+        # the inverse flow at the conditioning time is known per path, so it
+        # goes inside the regression target; regressing Lambda'(bracket) keeps
+        # the noise level uniform instead of amplifying it where the flow is
+        # small. A constant target is its own conditional expectation
+        target = np.einsum("mji,mj->mi", inv, bracket)
+        y[:, k] = target if np.all(target == target[0]) else conditional_expectation(bases[k], target)
+        # node k's basis serves its Y fit and then its Z fit, which regresses
+        # the martingale increment of X'Y + int X'f ds on (k, k+1]
+        xy_k = np.einsum("mji,mj->mi", flow[:, k], y[:, k])
+        incr = np.einsum("mji,mj->mi", inv, xy_next - xy_k + weighted_f)
+        xy_next = xy_k
         tgt = (incr[:, :, None] * w.increments[:, k][:, None, :] / dt).reshape(m, n * d)
         if np.all(tgt == 0.0):
             psi_scaled = np.zeros((m, n, d))
@@ -294,7 +289,7 @@ def _represent(flow, inv, driver, xi, beta, c, state, w: BrownianEnsemble, degre
         # (D^i)' Y for every i: (m, d, n)
         d_y = np.matmul(y[:, k, None, None, :], _diffusion_matrices(beta[:, k], c[:, k], eye))[:, :, 0]
         z[:, k] = psi_scaled - d_y.swapaxes(1, 2)
-    return y, z, target0
+    return y, z, bracket  # node 0's, where Lambda_0 = I
 
 
 def solve_linear_bsde_weighted(
@@ -309,22 +304,10 @@ def solve_linear_bsde_weighted(
     phi_s ds; Z = psi - Y mu with psi from the one-step martingale increment
     of G~ Y + int G~ phi ds against dW. Returns y: (m, N+1), z: (m, N, d).
     """
-    m, n_steps, d = w.increments.shape
     gt = exponential_weight(data.lam, data.mu, w)
-    flow = gt[:, :, None, None]
-    with np.errstate(divide="ignore", over="ignore"):  # _represent rejects a non-finite inverse
-        inv = 1.0 / flow
-    y, z, target0 = _represent(
-        flow,
-        inv,
-        np.asarray(data.phi, dtype=float)[..., None],
-        np.asarray(data.xi, dtype=float)[..., None],
-        data.mu,
-        np.broadcast_to(0.0, (m, n_steps, d, 1, 1)),
-        data.state,
-        w,
-        degree,
-    )
+    phi, xi = (np.asarray(v, dtype=float)[..., None] for v in (data.phi, data.xi))
+    y, z, target0 = _represent(gt[:, :, None, None], phi, xi, data.mu, 0.0, data.state, w, degree)
+    m = w.n_paths
     se = float(target0[:, 0].std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     report = SolverReport(y0=float(y[:, 0, 0].mean()), y0_std_error=se, extras={"solver": "weighted"})
     return y[:, :, 0], z[:, :, 0], report
@@ -332,18 +315,28 @@ def solve_linear_bsde_weighted(
 
 def _flow_inverse(flow: np.ndarray) -> np.ndarray:
     """Pathwise inverse of a (..., n, n) flow; at n <= 2 it is 1/X or the adjugate
-    over the determinant, which skip LAPACK's per-matrix overhead."""
+    over the determinant, which skip LAPACK's per-matrix overhead. The one
+    inverse rule of the representation: a zero or non-finite determinant, or
+    an inverse that leaves float64, raises BsdeSolverError."""
     n = flow.shape[-1]
-    if n > 2:
-        return np.linalg.inv(flow)
-    with np.errstate(over="ignore", invalid="ignore"):  # a determinant that leaves float64 is rejected below
-        det = flow[..., 0, 0] if n == 1 else flow[..., 0, 0] * flow[..., 1, 1] - flow[..., 0, 1] * flow[..., 1, 0]
-    if not np.all(np.isfinite(det) & (det != 0.0)):
-        raise BsdeSolverError("simulated flow has a zero or non-finite determinant; cannot invert")
-    if n == 1:
-        return 1.0 / flow
-    adj = (flow[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]).swapaxes(-1, -2)
-    return adj / det[..., None, None]
+    singular = "flow or weight has a zero or non-finite determinant; cannot invert"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # what leaves float64 is rejected below
+        if n > 2:
+            try:
+                inv = np.linalg.inv(flow)
+            except np.linalg.LinAlgError as err:  # a zero pivot or a non-finite entry
+                raise BsdeSolverError(singular) from err
+        else:
+            det = flow[..., 0, 0] if n == 1 else flow[..., 0, 0] * flow[..., 1, 1] - flow[..., 0, 1] * flow[..., 1, 0]
+            if not np.all(np.isfinite(det) & (det != 0.0)):
+                raise BsdeSolverError(singular)
+            if n == 1:
+                inv = 1.0 / flow
+            else:
+                inv = (flow[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]).swapaxes(-1, -2) / det[..., None, None]
+    if not np.isfinite(inv).all():
+        raise BsdeSolverError("flow or weight is numerically singular: its inverse is not finite")
+    return inv
 
 
 def solve_multidim_linear_bsde(
@@ -360,8 +353,7 @@ def solve_multidim_linear_bsde(
     Returns y: (m, N+1, n), z: (m, N, n, d), the report and the flow pair.
     """
     pair = simulate_matrix_flow(data.a, data.beta, data.c, w)
-    inv = _flow_inverse(pair.flow)
-    y, z, target0 = _represent(pair.flow, inv, data.driver, data.xi, data.beta, data.c, data.state, w, degree)
+    y, z, target0 = _represent(pair.flow, data.driver, data.xi, data.beta, data.c, data.state, w, degree)
     m = w.n_paths
     se_vec = target0.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(y.shape[2])
     y0_vec = y[:, 0].mean(axis=0)

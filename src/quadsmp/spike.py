@@ -276,15 +276,13 @@ def value_remainder_estimate(
     pathwise. The second rollout is the window's gap against the weight
     gamma_tilde on the window's cells. Returns (estimate, std error).
     """
-    model, base = lin.model, lin.traj
+    base = lin.traj
     dt, n_steps = base.w.grid.dt, base.w.grid.n_steps
 
-    # first-variation rollout: terminal phi_x'X1 plus driver f_x'X1 minus the
-    # window coupling through (p, q); X1 is 0 up to the window, and the
-    # weighted mean of the rollout is Y1(0) = 0
-    r1 = gamma_tilde[:, n_steps] * np.einsum(
-        "mi,mi->m", model.phi_x(base.x[:, -1]), x1[:, n_steps]
-    )
+    # first-variation rollout: terminal phi_x'X1 (p_T is phi_x(X_T) exactly)
+    # plus driver f_x'X1 minus the window coupling through (p, q); X1 is 0 up
+    # to the window, and the weighted mean of the rollout is Y1(0) = 0
+    r1 = gamma_tilde[:, n_steps] * np.einsum("mi,mi->m", adj.p[:, n_steps], x1[:, n_steps])
     for k in range(hats.k0, n_steps):
         drv = np.einsum("mi,mi->m", lin.f_x[:, k], x1[:, k])
         if k < hats.k1:

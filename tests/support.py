@@ -1,6 +1,7 @@
 """Shared builders for solver tests: linear-generator models and instances,
-an n = d = k = 2 model with every derivative layout visible, the plain
-Hamiltonian as the reference for smp's shifted one, an independent
+n = d = 2 matrix-flow linear data, an n = d = k = 2 model with every
+derivative layout visible, the plain Hamiltonian as the reference for smp's
+shifted one, an independent
 estimate of the spike auxiliary value, its solve on the whole grid as the
 reference for the solve up to the window's end, the spike remainder
 estimator that re-evaluates the costs along both trajectories, the
@@ -21,7 +22,7 @@ import warnings
 import numpy as np
 
 from quadsmp.adjoint import Linearization
-from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
+from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, MultiLinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
 from quadsmp.example import g_chord_slope, g_prime, g_running, phi_prime, phi_second
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian, step_major
 from quadsmp.models import COEFFICIENTS, ControlDomain, ModelSpec, coefficient_shape, evaluate, scalar_model
@@ -542,6 +543,23 @@ def assert_close_rel(actual, expected, rel=1e-12):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape
     assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def planar_flow_data(m, n_steps):
+    """n = d = 2 data with path- and step-dependent coefficients on a
+    Brownian state; returns (data, w)."""
+    w = generate_brownian(m, TimeGrid(1.0, n_steps), 2, seed=17)
+    rng = np.random.default_rng(17)
+    state = w.paths()[:, :, :1]
+    data = MultiLinearBsdeData(
+        a=rng.uniform(-0.5, 0.5, (n_steps, 2, 2)) + 0.2 * np.tanh(state[:, :n_steps, :, None]) * [[0.0, 1.0], [-1.0, 0.5]],
+        beta=rng.uniform(-0.2, 0.2, (n_steps, 2)),
+        c=rng.uniform(-0.3, 0.3, (n_steps, 2, 2, 2)),
+        driver=np.concatenate([np.sin(state[:, :n_steps]), np.cos(2.0 * state[:, :n_steps])], axis=2),
+        xi=np.column_stack([np.tanh(state[:, -1, 0]), state[:, -1, 0] ** 2]),
+        state=state,
+    )
+    return data, w
 
 
 def planar_candidate(n_paths, n_steps, seed, control=(0.2, -0.4), x0=(0.3, -0.2)):

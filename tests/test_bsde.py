@@ -13,6 +13,7 @@ from support import (
     node_basis,
     path_major,
     planar_candidate,
+    planar_flow_data,
     random_linear_instance,
     represent_two_pass_reference,
     steps_contiguous,
@@ -33,7 +34,7 @@ from quadsmp.bsde import (
 from quadsmp.example import example_model
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian
 from quadsmp.regression import NodeBases, conditional_expectation
-from quadsmp.sde import simulate_forward_sde
+from quadsmp.sde import simulate_forward_sde, simulate_matrix_flow
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +235,36 @@ class TestWeightedSolver:
         slack = 2.0 * float(np.hypot(rep_a.y0_std_error, rep_b.y0_std_error))
         assert rep_b.y0 >= rep_a.y0 - slack
 
+    def test_fused_pass_matches_two_pass_reference(self):
+        # the scalar entry with a non-zero driver that depends on the state
+        _, data, _, _, w = random_linear_instance(seed=5, n_paths=3000, n_steps=16)
+        m, n_steps = w.n_paths, w.grid.n_steps
+        assert np.ptp(data.phi) > 0.0
+        y, z, _ = solve_linear_bsde_weighted(data, w)
+        flow = exponential_weight(data.lam, data.mu, w)[:, :, None, None]
+        y_ref, z_ref = represent_two_pass_reference(
+            flow, 1.0 / flow, data.phi[:, :, None], data.xi[:, None], data.mu,
+            np.zeros((m, n_steps, 1, 1, 1)), data.state, w,
+        )
+        assert np.abs(y - y_ref[:, :, 0]).max() <= 1e-10 * np.abs(y_ref).max()
+        assert np.abs(z - z_ref[:, :, 0]).max() <= 1e-10 * np.abs(z_ref).max()
+
+    @pytest.mark.parametrize("log_terminal", [-800.0, -720.0])
+    def test_weight_singular_only_at_the_terminal_node_raises(self, log_terminal):
+        # lam is 0 but on the last step, where it drives the log weight to
+        # log_terminal: at -800 the weight underflows to 0, at -720 it is
+        # subnormal and its inverse overflows. The pass never reads the
+        # terminal inverse, and the solver still refuses the weight
+        m, n_steps = 200, 8
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), 1, seed=5)
+        lam = np.zeros((m, n_steps))
+        lam[:, -1] = log_terminal / w.grid.dt
+        data = LinearBsdeData(lam=lam, mu=np.zeros((m, n_steps, 1)), phi=np.ones((m, n_steps)), xi=np.ones(m))
+        gt = exponential_weight(data.lam, data.mu, w)
+        assert np.all(gt[:, :n_steps] == 1.0) and np.all(gt[:, n_steps] < 1e-300)
+        with pytest.raises(BsdeSolverError):
+            solve_linear_bsde_weighted(data, w)
+
     def test_weight_overflow_advises(self, small_setup):
         grid, w = small_setup
         m, n = w.n_paths, grid.n_steps
@@ -366,6 +397,23 @@ class TestFlowInverse:
         with pytest.raises(BsdeSolverError, match="determinant"):
             solve_multidim_linear_bsde(data, w)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flow_singular_only_at_the_terminal_node_raises(self, n):
+        # A = -I/dt on the last step alone: X_N = X_{N-1} (I + A dt) = 0
+        m, n_steps = 50, 8
+        w = generate_brownian(m, TimeGrid(1.0, n_steps), 1, seed=3)
+        a = np.zeros((m, n_steps, n, n))
+        a[:, -1] = -np.eye(n) / w.grid.dt
+        data = MultiLinearBsdeData(
+            a=a, beta=np.zeros((m, n_steps, 1)), c=np.zeros((m, n_steps, 1, n, n)),
+            driver=np.ones((m, n_steps, n)), xi=np.ones((m, n)),
+        )
+        flow = simulate_matrix_flow(data.a, data.beta, data.c, w).flow
+        assert np.all(flow[:, n_steps] == 0.0)
+        assert np.all(np.abs(np.linalg.det(flow[:, :n_steps])) > 0.5)
+        with pytest.raises(BsdeSolverError, match="determinant"):
+            solve_multidim_linear_bsde(data, w)
+
 
 class TestSolverAgreement:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -409,23 +457,6 @@ class TestAprioriBounds:
         assert float((np.abs(y) > 1.05).mean()) <= 0.05
 
 
-def _planar_flow_data(m, n_steps):
-    """n = d = 2 data with path- and step-dependent coefficients on a
-    Brownian state; returns (data, w)."""
-    w = generate_brownian(m, TimeGrid(1.0, n_steps), 2, seed=17)
-    rng = np.random.default_rng(17)
-    state = w.paths()[:, :, :1]
-    data = MultiLinearBsdeData(
-        a=rng.uniform(-0.5, 0.5, (n_steps, 2, 2)) + 0.2 * np.tanh(state[:, :n_steps, :, None]) * [[0.0, 1.0], [-1.0, 0.5]],
-        beta=rng.uniform(-0.2, 0.2, (n_steps, 2)),
-        c=rng.uniform(-0.3, 0.3, (n_steps, 2, 2, 2)),
-        driver=np.concatenate([np.sin(state[:, :n_steps]), np.cos(2.0 * state[:, :n_steps])], axis=2),
-        xi=np.column_stack([np.tanh(state[:, -1, 0]), state[:, -1, 0] ** 2]),
-        state=state,
-    )
-    return data, w
-
-
 class TestStepMajorStorage:
     """Step-major outputs, and the same values from path-major inputs."""
 
@@ -450,7 +481,7 @@ class TestStepMajorStorage:
         assert_close_rel(exponential_weight(data.lam, np.ascontiguousarray(data.mu), path_major(w)), gt)
 
     def test_multidim_representation(self):
-        data, w = _planar_flow_data(400, 12)
+        data, w = planar_flow_data(400, 12)
         y, z, _, pair = solve_multidim_linear_bsde(data, w)
         assert steps_contiguous(y) and steps_contiguous(z) and steps_contiguous(pair.flow)
         y_pm, z_pm, _, _ = solve_multidim_linear_bsde(path_major(data), path_major(w))
@@ -463,7 +494,7 @@ class TestBlockWalk:
 
     def test_one_node_blocks_give_the_same_solutions(self, monkeypatch):
         model, data, x, u, w = random_linear_instance(seed=4, n_paths=1500, n_steps=64)
-        flow_data, flow_w = _planar_flow_data(1500, 64)
+        flow_data, flow_w = planar_flow_data(1500, 64)
         solves = [
             lambda: solve_bsde_lsmc(model, x, u, w)[:2],
             lambda: solve_linear_bsde_weighted(data, w)[:2],
