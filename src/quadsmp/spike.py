@@ -10,14 +10,17 @@ through the adjoint processes, with the auxiliary value Yhat solved as a
 weighted scalar linear equation on [0, t_k1], past which it is exactly 0.
 Order fits quantify how the error functionals scale across a dyadic ladder
 of window widths, on one common Brownian ensemble so pathwise differences
-are meaningful; each window releases its full-horizon arrays after their
-last read, so a window holds at most nine of them at once.
+are meaningful. Each window releases its full-horizon arrays after their
+last read, and every functional squares and reduces its process a block of
+nodes at a time. So the four gaps between the spiked and candidate systems
+are never held whole: their functionals read five full-horizon arrays, X1
+and the spiked x, y, z and u.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -235,27 +238,32 @@ def compute_y2z2(adj: AdjointBundle, x1: np.ndarray, x2: np.ndarray, y_hat: np.n
 
 @dataclass(frozen=True)
 class ExpansionResiduals:
-    """Gaps between the spiked and candidate systems that the order fits read.
+    """The gap functionals between the spiked and candidate systems that the
+    order fits read, named as in FIT_TARGETS.
 
-    xi1 = X^eps - X and xi2 = xi1 - X1 on nodes, (m, N+1, n);
-    eta1 = Y^eps - Y on nodes, (m, N+1); zeta1 = Z^eps - Z on steps, (m, N, d).
+    With xi1 = X^eps - X and xi2 = xi1 - X1 on nodes, eta1 = Y^eps - Y on
+    nodes and zeta1 = Z^eps - Z on steps: state_gap_sup_sq = E sup |xi1|^2,
+    state_gap_minus_x1_sup_sq = E sup |xi2|^2 and
+    value_gap_sup_sq_plus_int_z = E sup |eta1|^2 + E int |zeta1|^2 dt.
     """
 
-    xi1: np.ndarray = field(repr=False)
-    xi2: np.ndarray = field(repr=False)
-    eta1: np.ndarray = field(repr=False)
-    zeta1: np.ndarray = field(repr=False)
+    state_gap_sup_sq: float
+    state_gap_minus_x1_sup_sq: float
+    value_gap_sup_sq_plus_int_z: float
 
 
 def expansion_residuals(
     base: ControlledTrajectory, spiked: ControlledTrajectory, x1: np.ndarray
 ) -> ExpansionResiduals:
-    """Pathwise gaps of two systems driven by the same BrownianEnsemble object."""
+    """Gap functionals of two systems driven by the same BrownianEnsemble
+    object, reduced a block of nodes at a time: no gap is held whole."""
     if base.w is not spiked.w:
         raise ValueError("residuals need the two systems on one Brownian ensemble")
-    xi1 = spiked.x - base.x
     return ExpansionResiduals(
-        xi1=xi1, xi2=xi1 - x1, eta1=spiked.y - base.y, zeta1=spiked.z - base.z
+        state_gap_sup_sq=sup_square(spiked.x, base.x),
+        state_gap_minus_x1_sup_sq=sup_square(spiked.x, base.x, x1),
+        value_gap_sup_sq_plus_int_z=sup_square(spiked.y, base.y)
+        + integrated_square(spiked.z, base.w.grid.dt, base.z),
     )
 
 
@@ -297,16 +305,47 @@ def value_remainder_estimate(
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(m))
 
 
-def sup_square(nodes: np.ndarray) -> float:
-    """E[sup_t |v_t|^2] for a node process (m, N+1) or (m, N+1, n)."""
-    v = nodes if nodes.ndim == 3 else nodes[:, :, None]
-    return float(np.sum(v**2, axis=2).max(axis=1).mean())
+_BLOCK_NODES = 64  # nodes, or steps, of a process that a functional squares at once
 
 
-def integrated_square(steps: np.ndarray, dt: float) -> float:
-    """E[int |v_t|^2 dt] for a step process (m, N) or (m, N, d)."""
-    v = steps if steps.ndim == 3 else steps[:, :, None]
-    return float((np.sum(v**2, axis=(1, 2)) * dt).mean())
+def _blocks(a: np.ndarray, *minus: np.ndarray):
+    """The blocks of a node (or step) process a, less each of minus, in
+    order: runs of at most _BLOCK_NODES nodes, each one contiguous block of
+    step-major storage."""
+    for lo in range(0, a.shape[1], _BLOCK_NODES):
+        block = a[:, lo : lo + _BLOCK_NODES]
+        for b in minus:
+            block = block - b[:, lo : lo + _BLOCK_NODES]
+        yield block
+
+
+def _squared_norms(block: np.ndarray) -> np.ndarray:
+    """|v_t|^2 of each node (or step) of a block (m, B) or (m, B, n): (m, B)."""
+    return np.sum((block if block.ndim == 3 else block[:, :, None]) ** 2, axis=2)
+
+
+def sup_square(nodes: np.ndarray, *minus: np.ndarray) -> float:
+    """E[sup_t |v_t|^2] for the node process v = nodes less each of minus,
+    (m, N+1) or (m, N+1, n), squared a block of nodes at a time: a per-path
+    running maximum, exact in any order."""
+    top = None
+    for block in _blocks(nodes, *minus):
+        peak = _squared_norms(block).max(axis=1)
+        top = peak if top is None else np.maximum(top, peak, out=top)
+    return float(top.mean())
+
+
+def integrated_square(steps: np.ndarray, dt: float, *minus: np.ndarray) -> float:
+    """E[int |v_t|^2 dt] for the step process v = steps less each of minus,
+    (m, N) or (m, N, d), squared a block of steps at a time: a per-path
+    running sum that adds each step's |v_t|^2 in turn, the adds of
+    np.sum(v**2, axis=(1, 2)) over step-major storage of two or more paths,
+    so bit for bit the whole-array sum there."""
+    total = 0.0
+    for block in _blocks(steps, *minus):
+        for step in _squared_norms(block).T:
+            total = total + step
+    return float(np.mean(total * dt))
 
 
 @dataclass(frozen=True)
@@ -435,10 +474,12 @@ def run_spike_study(
     gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
     dt = grid.dt
 
-    # each helper's full-horizon arrays die when it returns, so a window holds
-    # X1, the spiked system and its four gaps at most (in expansion_residuals)
+    # each helper's full-horizon arrays die when it returns, and the spiked
+    # system's gaps are reduced a block of nodes at a time, so the spiked
+    # branch holds X1 and the spiked system at most (with the LSMC solve's
+    # own arrays), which die once its functionals and rollout are read
     def spiked_residuals(spike: SpikePerturbation, x1: np.ndarray) -> tuple[ExpansionResiduals, np.ndarray]:
-        """The spiked system's gaps to the candidate and its cost-difference rollout."""
+        """The spiked system's gap functionals and its cost-difference rollout."""
         u_eps = build_spiked_control(u_bar, spike, grid)
         x_eps = simulate_forward_sde(model, x0, u_eps, w)
         y_eps, z_eps, spiked_report = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
@@ -449,13 +490,7 @@ def run_spike_study(
         """The functionals that read the spiked system: its gaps' and the value remainder."""
         res, cost_gap = spiked_residuals(spike, x1)
         rem_cv, rem_se = value_remainder_estimate(lin, cost_gap, x1, adj, hats, gamma_tilde)
-        return {
-            "state_gap_sup_sq": sup_square(res.xi1),
-            "state_gap_minus_x1_sup_sq": sup_square(res.xi2),
-            "value_gap_sup_sq_plus_int_z": sup_square(res.eta1) + integrated_square(res.zeta1, dt),
-            "value_remainder": abs(rem_cv),
-            "value_remainder_se": rem_se,
-        }
+        return {**asdict(res), "value_remainder": abs(rem_cv), "value_remainder_se": rem_se}
 
     def second_order(hats: HattedCoefficients, x1: np.ndarray) -> dict:
         """X2's functional and Y2(0)."""

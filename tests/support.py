@@ -14,9 +14,17 @@ for fits on raw features; the per-node BMO estimators as oracles for bmo's
 shared node walk;
 and, for the step-major storage, path-major copies of any solver input with
 the checks that compare them, and the linearization with every field stored
-as the reference for the one that stores a constant field once."""
+as the reference for the one that stores a constant field once; the spike
+gaps as whole arrays (expansion_residuals_reference) with the whole-array
+functionals sup_square_reference and integrated_square_reference, as the
+reference for the functionals reduced a block of nodes at a time; and
+peak_call_stack, a probe that finds the call stack where a run's traced
+memory peaked."""
 
 import dataclasses
+import sys
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -338,6 +346,28 @@ def value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde):
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(m))
 
 
+def expansion_residuals_reference(base, spiked, x1):
+    """spike.expansion_residuals as it stood before its block reducers: the
+    four gaps as whole arrays, xi1 = X^eps - X and xi2 = xi1 - X1 on nodes,
+    eta1 = Y^eps - Y on nodes and zeta1 = Z^eps - Z on steps."""
+    if base.w is not spiked.w:
+        raise ValueError("residuals need the two systems on one Brownian ensemble")
+    xi1 = spiked.x - base.x
+    return types.SimpleNamespace(xi1=xi1, xi2=xi1 - x1, eta1=spiked.y - base.y, zeta1=spiked.z - base.z)
+
+
+def sup_square_reference(nodes):
+    """E[sup_t |v_t|^2] for a node process (m, N+1) or (m, N+1, n), squared whole."""
+    v = nodes if nodes.ndim == 3 else nodes[:, :, None]
+    return float(np.sum(v**2, axis=2).max(axis=1).mean())
+
+
+def integrated_square_reference(steps, dt):
+    """E[int |v_t|^2 dt] for a step process (m, N) or (m, N, d), squared whole."""
+    v = steps if steps.ndim == 3 else steps[:, :, None]
+    return float((np.sum(v**2, axis=(1, 2)) * dt).mean())
+
+
 def euler_flow_pair_reference(a, beta, c, w):
     """The matrix flow X and its inverse flow Lambda, stepped together with the
     unregrouped Euler-Maruyama increments (two einsums per flow and step).
@@ -560,6 +590,49 @@ def planar_flow_data(m, n_steps):
         state=state,
     )
     return data, w
+
+
+def peak_call_stack(run, package="quadsmp"):
+    """Run run() under tracemalloc and a sys.setprofile hook, and find where
+    its traced peak was reached.
+
+    At each profile event the hook reads the peak since the previous event
+    and resets it, so the peak is pinned to the frame that ran between two
+    events. A rise of at most 64 KiB over the best so far does not move
+    it, so neither the hook's own bookkeeping nor a small temporary after a
+    plateau does. Returns (peak bytes, stack): the stack lists that frame's
+    chain of the package's frames as "module.function:line", outermost
+    first. tracemalloc must not be running already."""
+    top, best, where = 0, -1, []
+
+    def hook(frame, event, arg):
+        nonlocal top, best, where
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        top = max(top, peak)
+        if peak > best + (1 << 16):
+            # after a call event the new frame has not run yet: its caller has
+            best, where = peak, [
+                f"{f.f_globals.get('__name__')}.{getattr(f.f_code, 'co_qualname', f.f_code.co_name)}:{f.f_lineno}"
+                for f in _frame_chain(frame.f_back if event == "call" else frame)
+                if str(f.f_globals.get("__name__", "")).startswith(package)
+            ][::-1]
+
+    tracemalloc.start()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        top = max(top, tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    return top, where
+
+
+def _frame_chain(frame):
+    while frame is not None:
+        yield frame
+        frame = frame.f_back
 
 
 def planar_candidate(n_paths, n_steps, seed, control=(0.2, -0.4), x0=(0.3, -0.2)):

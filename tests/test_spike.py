@@ -1,14 +1,20 @@
 """Spike windows, variational solutions, residual ladders and order fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import stdtrit
 from support import (
     assert_close_rel,
+    expansion_residuals_reference,
+    integrated_square_reference,
     path_major,
     planar_candidate,
+    same_bits,
     solve_yhat_full_reference,
     steps_contiguous,
+    sup_square_reference,
     value_remainder_reference,
     yhat0_direct_estimate,
 )
@@ -21,10 +27,11 @@ from quadsmp.bsde import (
     solve_bsde_lsmc,
     solve_linear_bsde_weighted,
 )
-from quadsmp.grids import TimeGrid, constant_control, generate_brownian
+from quadsmp.grids import TimeGrid, constant_control, generate_brownian, step_major
 from quadsmp.models import benchmark_model
 from quadsmp.sde import simulate_forward_sde
 from quadsmp.spike import (
+    ExpansionResiduals,
     SpikePerturbation,
     build_spiked_control,
     compute_y1z1,
@@ -32,10 +39,12 @@ from quadsmp.spike import (
     expansion_residuals,
     fit_convergence_order,
     hatted_coefficients,
+    integrated_square,
     run_spike_study,
     solve_x1,
     solve_x2,
     solve_yhat,
+    sup_square,
     value_remainder_estimate,
     _t_quantile,
 )
@@ -109,9 +118,9 @@ class TestVariationalStates:
         y1 = compute_y1z1(adj, x1)
         y_hat = solve_yhat(lin, hats)
         y2 = compute_y2z2(adj, x1, x2, y_hat)
-        res = expansion_residuals(traj, traj, x1)
-        for arr in (x1, x2, y1, y_hat, y2, res.xi1, res.xi2, res.eta1, res.zeta1):
+        for arr in (x1, x2, y1, y_hat, y2):
             assert np.all(arr == 0.0)
+        assert expansion_residuals(traj, traj, x1) == ExpansionResiduals(0.0, 0.0, 0.0)
         gamma_tilde = exponential_weight(lin.f_y, lin.f_z, traj.w)
         no_cost_gap = np.zeros(traj.n_paths)
         assert value_remainder_estimate(lin, no_cost_gap, x1, adj, hats, gamma_tilde) == (0.0, 0.0)
@@ -272,7 +281,7 @@ class TestBackwardRelations:
         x_eps = simulate_forward_sde(model, 1.0, u_eps, traj.w)
         y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, traj.w)
         spiked_traj = ControlledTrajectory(w=traj.w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
-        res = expansion_residuals(traj, spiked_traj, x1)
+        res = expansion_residuals_reference(traj, spiked_traj, x1)
         assert np.array_equal(res.xi2, res.xi1 - x1)
 
     def test_residuals_reject_another_ensemble_with_the_same_seed(self):
@@ -289,6 +298,73 @@ class TestBackwardRelations:
         assert base.w.seed == spiked.w.seed and not np.array_equal(base.w.increments, spiked.w.increments)
         with pytest.raises(ValueError, match="one Brownian ensemble"):
             expansion_residuals(base, spiked, np.zeros_like(base.x))
+
+
+def _spiked_system(lin, spike, x0):
+    """The spiked system on the candidate's ensemble."""
+    model, w = lin.model, lin.traj.w
+    u_eps = build_spiked_control(lin.traj.u, spike, w.grid)
+    x_eps = simulate_forward_sde(model, x0, u_eps, w)
+    y_eps, z_eps, _ = solve_bsde_lsmc(model, x_eps, u_eps, w)
+    return ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
+
+
+def _assert_reducers_match_reference(lin, adj, spike, x0):
+    """Every functional of the window, reduced a block of nodes at a time,
+    has the bits of the whole-array reference."""
+    hats = hatted_coefficients(lin, spike, adj)
+    x1 = solve_x1(lin, hats)
+    x2 = solve_x2(lin, x1, hats)
+    for nodes in (x1, x2, compute_y1z1(adj, x1)):
+        assert same_bits(sup_square(nodes), sup_square_reference(nodes))
+    base, spiked = lin.traj, _spiked_system(lin, spike, x0)
+    gaps = expansion_residuals_reference(base, spiked, x1)
+    dt = base.w.grid.dt
+    reference = ExpansionResiduals(
+        state_gap_sup_sq=sup_square_reference(gaps.xi1),
+        state_gap_minus_x1_sup_sq=sup_square_reference(gaps.xi2),
+        value_gap_sup_sq_plus_int_z=sup_square_reference(gaps.eta1) + integrated_square_reference(gaps.zeta1, dt),
+    )
+    res = expansion_residuals(base, spiked, x1)
+    assert same_bits(dataclasses.astuple(res), dataclasses.astuple(reference))
+    assert same_bits(integrated_square(gaps.zeta1, dt), integrated_square_reference(gaps.zeta1, dt))
+    return res
+
+
+class TestBlockReducers:
+    """The gap functionals and sup_square / integrated_square reduce a block
+    of nodes at a time; the whole-array reductions are the reference, bit for
+    bit, over node and step counts that end in a partial block."""
+
+    @pytest.mark.parametrize("t0,eps", WINDOWS + [(0.25, 0.0)], ids=["start", "interior", "end", "empty"])
+    def test_benchmark_candidate(self, base_pipeline, t0, eps):
+        model, grid, traj, adj, lin = base_pipeline
+        spike = SpikePerturbation(t0=t0, eps=eps, replacement=np.array([1.0]))
+        res = _assert_reducers_match_reference(lin, adj, spike, 1.0)
+        assert (res.state_gap_sup_sq > 0.0) == (eps > 0.0)
+
+    def test_planar_candidate(self):
+        # n = d = 2 on 160 steps: each step adds |zeta1|^2 summed over d to
+        # the running sum, the order of the whole-array sum over (N, d)
+        model, traj = planar_candidate(400, 160, seed=6)
+        lin = linearize(model, traj)
+        spike = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array([0.8, -0.6]))
+        res = _assert_reducers_match_reference(lin, solve_adjoints(lin), spike, [0.3, -0.2])
+        assert res.value_gap_sup_sq_plus_int_z > 0.0
+
+    @pytest.mark.parametrize("shape", [(8, 1000), (8, 1000, 2)], ids=["scalar", "planar"])
+    def test_each_path_adds_its_steps_in_order(self, shape):
+        # a mean over many paths hides a last-bit change in one path's sum;
+        # with every path but one at zero, and 8 paths, the mean is that
+        # path's sum times dt / 8 exactly, so any other order of its adds
+        # shows (summing by blocks, or each of the d components in turn)
+        rng = np.random.default_rng(2)
+        other = step_major(shape, rng.standard_normal(shape))
+        for j in range(shape[0]):
+            values = np.zeros(shape)
+            values[j] = rng.standard_normal(shape[1:]) * np.exp(rng.uniform(-3.0, 3.0, shape[1:]))
+            steps = step_major(shape, values + other)
+            assert same_bits(integrated_square(steps, 0.01, other), integrated_square_reference(steps - other, 0.01))
 
 
 class TestYhatToTheWindowEnd:
