@@ -2,7 +2,8 @@
 
 ``linearize`` evaluates the derivatives of the system along the candidate once;
 the adjoint equations here and the spike pieces read them from that one
-Linearization. The first-order pair (p, q) solves an n-dimensional linear
+Linearization; the Hamiltonian-gap readers evaluate b, sigma and f on the
+cells they read. The first-order pair (p, q) solves an n-dimensional linear
 backward equation whose coefficients are those derivatives; the second-order
 pair (P, Q) solves the matrix-valued analogue, vectorized on the symmetric
 subspace with sqrt(2)-scaled off-diagonal coordinates so Frobenius inner
@@ -61,7 +62,7 @@ def unsvec(v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Linearization:
-    """Coefficients and their derivatives along one candidate trajectory, per step.
+    """Derivatives of the coefficients along one candidate trajectory, per step.
 
     Each array field is the model callable of that name at every step, shaped
     (m, N) followed by its value axes in ``models.COEFFICIENTS``: step-major
@@ -72,9 +73,6 @@ class Linearization:
 
     model: ModelSpec
     traj: ControlledTrajectory
-    b: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    f: np.ndarray = field(repr=False)
     b_x: np.ndarray = field(repr=False)
     sigma_x: np.ndarray = field(repr=False)
     b_xx: np.ndarray = field(repr=False)
@@ -85,7 +83,7 @@ class Linearization:
 
 
 def linearize(model: ModelSpec, traj: ControlledTrajectory) -> Linearization:
-    """Evaluate the model coefficients and derivatives along the candidate (x, y, z, u)."""
+    """Evaluate the model's derivatives along the candidate (x, y, z, u)."""
     grid = traj.w.grid
     points = [
         {"t": t, "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
@@ -112,7 +110,7 @@ class AdjointBundle:
     """Adjoint processes along one candidate trajectory.
 
     p: (m, N+1, n); q: (m, N, n, d); big_p: (m, N+1, n, n) symmetric;
-    big_q: (m, N, n, n, d).
+    big_q: (m, N, n, n, d); a reader may set what it does not read to None.
     """
 
     p: np.ndarray = field(repr=False)

@@ -7,7 +7,7 @@ necessary condition checked here, together with its local (convex-domain)
 version. ``hamiltonian`` evaluates H itself and is the reference that
 ``hamiltonian_difference_identity`` holds the gap to. ``hamiltonian_gap`` writes
 H(u) - H(u_ref) once; the global check and the spike's auxiliary driver read
-it, with the reference's coefficients taken from the linearization.
+it, with the reference's coefficients evaluated at the candidate.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ def check_global_smp(
 ) -> SmpViolationReport:
     """Hamiltonian gap H(u) - H(u_bar) over every (path, step, test control).
 
-    The candidate's coefficients are read from lin. A cell violates when its
-    gap is below -tolerance; the check passes (``empty``) only when no cell
-    violates. The first MAX_ENTRIES violating cells are listed.
+    The candidate's b, sigma and f are evaluated once a step. A cell violates
+    when its gap is below -tolerance; the check passes (``empty``) only when
+    no cell violates. The first MAX_ENTRIES violating cells are listed.
     """
     model, traj = lin.model, lin.traj
     grid = traj.w.grid
@@ -165,13 +165,11 @@ def check_global_smp(
     n_viol = 0
     worst = np.inf
     for k in range(n_steps):
-        xk, yk, zk = traj.x[:, k], traj.y[:, k], traj.z[:, k]
-        ref = (lin.b[:, k], lin.sigma[:, k], lin.f[:, k])
+        t, xk, yk, zk, uk = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
+        ref = (model.b(t, xk, uk), model.sigma(t, xk, uk), model.f(t, xk, yk, zk, uk))
         for c in controls:
             u_test = np.broadcast_to(c, (m, model.k))
-            gap, *_ = hamiltonian_gap(
-                model, grid.times[k], xk, yk, zk, u_test, adj.p[:, k], adj.q[:, k], adj.big_p[:, k], ref
-            )
+            gap, *_ = hamiltonian_gap(model, t, xk, yk, zk, u_test, adj.p[:, k], adj.q[:, k], adj.big_p[:, k], ref)
             worst = min(worst, float(gap.min()))
             bad = np.nonzero(gap < -tolerance)[0]
             n_viol += bad.size

@@ -10,17 +10,18 @@ through the adjoint processes, with the auxiliary value Yhat solved as a
 weighted scalar linear equation on [0, t_k1], past which it is exactly 0.
 Order fits quantify how the error functionals scale across a dyadic ladder
 of window widths, on one common Brownian ensemble so pathwise differences
-are meaningful. Each window releases its full-horizon arrays after their
-last read, and every functional squares and reduces its process a block of
-nodes at a time. So the four gaps between the spiked and candidate systems
-are never held whole: their functionals read five full-horizon arrays, X1
-and the spiked x, y, z and u.
+are meaningful. Every window reads the first cells of the widest window's hat
+set, and past it the study keeps no q or Q, and P at node 0 alone. Each window
+releases its full-horizon arrays after their last read, and every functional
+squares and reduces its process a block of nodes at a time, so the four gaps
+between the spiked and candidate systems are never held whole: their
+functionals read five full-horizon arrays, X1 and the spiked x, y, z and u.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,7 +92,8 @@ class HattedCoefficients:
     b_hat: (m, n_eps, n); sigma_hat: (m, n_eps, n, d);
     sigma_x_hat: (m, n_eps, d, n, n); delta: (m, n_eps, d) with
     delta^i = (sigma_hat^i)' p; gap: (m, n_eps) the Hamiltonian gap
-    ``smp.hamiltonian_gap``, which drives the auxiliary value.
+    ``smp.hamiltonian_gap``, which drives the auxiliary value, and
+    q_sigma_hat: (m, n_eps) its term sum_i (q^i)' sigma_hat^i.
     """
 
     k0: int
@@ -100,15 +102,20 @@ class HattedCoefficients:
     sigma_x_hat: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
     gap: np.ndarray = field(repr=False)
+    q_sigma_hat: np.ndarray = field(repr=False)
 
     @property
     def k1(self) -> int:
         """One past the window's last step."""
         return self.k0 + self.b_hat.shape[1]
 
+    def head(self, n_eps: int) -> HattedCoefficients:
+        """The first n_eps cells, as views: a cell's gaps do not depend on the window's width."""
+        return replace(self, **{f.name: getattr(self, f.name)[:, :n_eps] for f in fields(self)[1:]})
+
 
 def hatted_coefficients(lin: Linearization, spike: SpikePerturbation, adj: AdjointBundle) -> HattedCoefficients:
-    """Evaluate the model at the spike's replacement on the window's cells."""
+    """Evaluate the model at the replacement and at the candidate on the window's cells."""
     model, traj = lin.model, lin.traj
     grid = traj.w.grid
     k0, n_eps = spike.window(grid)
@@ -119,15 +126,17 @@ def hatted_coefficients(lin: Linearization, spike: SpikePerturbation, adj: Adjoi
     sigma_x_hat = step_major((m, n_eps, model.d, model.n, model.n))
     delta = step_major((m, n_eps, model.d))
     gap = step_major((m, n_eps))
+    q_sigma_hat = step_major((m, n_eps))
     for j, k in enumerate(range(k0, k0 + n_eps)):
-        t, xk = grid.times[k], traj.x[:, k]
+        t, xk, yk, zk, uk = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
+        ref = (model.b(t, xk, uk), model.sigma(t, xk, uk), model.f(t, xk, yk, zk, uk))
         gap[:, j], b_hat[:, j], sigma_hat[:, j], delta[:, j] = hamiltonian_gap(
-            model, t, xk, traj.y[:, k], traj.z[:, k], ur, adj.p[:, k], adj.q[:, k], adj.big_p[:, k],
-            (lin.b[:, k], lin.sigma[:, k], lin.f[:, k]),
+            model, t, xk, yk, zk, ur, adj.p[:, k], adj.q[:, k], adj.big_p[:, k], ref
         )
+        q_sigma_hat[:, j] = np.einsum("mid,mid->m", adj.q[:, k], sigma_hat[:, j])
         sigma_x_hat[:, j] = model.sigma_x(t, xk, ur) - lin.sigma_x[:, k]
     return HattedCoefficients(
-        k0=k0, b_hat=b_hat, sigma_hat=sigma_hat, sigma_x_hat=sigma_x_hat, delta=delta, gap=gap
+        k0=k0, b_hat=b_hat, sigma_hat=sigma_hat, sigma_x_hat=sigma_x_hat, delta=delta, gap=gap, q_sigma_hat=q_sigma_hat
     )
 
 
@@ -229,8 +238,8 @@ def solve_yhat(lin: Linearization, hats: HattedCoefficients, degree: int = 2) ->
 
 def compute_y2z2(adj: AdjointBundle, x1: np.ndarray, x2: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     """Second backward variation via the adjoint relation:
-    Y2 = Yhat + p'X2 + X1'P X1 / 2 on nodes, shape (m, N+1). The name stays
-    while the benchmark's traced sites pin it."""
+    Y2 = Yhat + p'X2 + X1'P X1 / 2 on the nodes given, shape (m, nodes).
+    The name stays while the benchmark's traced sites pin it."""
     y2 = y_hat + np.einsum("mti,mti->mt", adj.p, x2)
     y2 += 0.5 * np.einsum("mti,mtij,mtj->mt", x1, adj.big_p, x1)
     return y2
@@ -295,7 +304,7 @@ def value_remainder_estimate(
         drv = np.einsum("mi,mi->m", lin.f_x[:, k], x1[:, k])
         if k < hats.k1:
             drv -= np.einsum("md,md->m", lin.f_z[:, k], hats.delta[:, k - hats.k0])
-            drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k - hats.k0])
+            drv -= hats.q_sigma_hat[:, k - hats.k0]
         r1 += gamma_tilde[:, k] * drv * dt
 
     r2 = np.sum(gamma_tilde[:, hats.k0 : hats.k1] * hats.gap, axis=1) * dt
@@ -459,20 +468,26 @@ def run_spike_study(
 ) -> SpikeStudyResult:
     """Full spike-order study on one common ensemble.
 
-    Solves the candidate system once, the adjoints once, then for each window
-    width in turn: the spiked system, both variational states, the backward
-    relations and the residual ladder. eps_steps are step counts (dyadic by
-    convention). Raises SimulationError when a fitted functional underflows
-    to 0, as on a horizon near 1e-155.
+    Solves the candidate system, the adjoints and the widest window's hat
+    set once, then for each window width in turn: the spiked system, both
+    variational states, the backward relations and the residual ladder.
+    eps_steps are step counts (dyadic by convention). Raises SimulationError
+    when a fitted functional underflows to 0, as on a horizon near 1e-155.
     """
     w = generate_brownian(n_paths, grid, model.d, seed)
     u_bar = constant_control(u_bar_value, n_paths, grid.n_steps)
     x_bar = simulate_forward_sde(model, x0, u_bar, w)
     y_bar, z_bar, base_report = solve_bsde_lsmc(model, x_bar, u_bar, w, degree=degree)
     lin = linearize(model, ControlledTrajectory(w=w, x=x_bar, y=y_bar, z=z_bar, u=u_bar))
-    adj = solve_adjoints(lin, degree=degree)
-    gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
+    adj = replace(solve_adjoints(lin, degree=degree), big_q=None)  # no window reads Q
     dt = grid.dt
+    widest = SpikePerturbation(grid.times[grid.index_of(t0)], max(eps_steps) * dt, np.atleast_1d(replacement))
+    # every window starts at one step, so each reads the first cells of one
+    # hat set; past it q is read nowhere and P at node 0 alone (Y2's node)
+    widest_hats = hatted_coefficients(lin, widest, adj)
+    at_zero = replace(adj, p=adj.p[:, :1], q=None, big_p=adj.big_p[:, :1].copy())
+    adj = replace(adj, q=None, big_p=None)
+    gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
 
     # each helper's full-horizon arrays die when it returns, and the spiked
     # system's gaps are reduced a block of nodes at a time, so the spiked
@@ -495,21 +510,16 @@ def run_spike_study(
     def second_order(hats: HattedCoefficients, x1: np.ndarray) -> dict:
         """X2's functional and Y2(0)."""
         x2 = solve_x2(lin, x1, hats)
-        y2 = compute_y2z2(adj, x1, x2, solve_yhat(lin, hats, degree=degree))
+        y2 = compute_y2z2(at_zero, x1[:, :1], x2[:, :1], solve_yhat(lin, hats, degree=degree)[:, :1])
         return {"x2_sup_sq": sup_square(x2), "y2_at_zero": float(y2[:, 0].mean())}
 
     def study_window(n_eps: int) -> dict:
-        spike = SpikePerturbation(
-            t0=grid.times[grid.index_of(t0)],
-            eps=n_eps * dt,
-            replacement=np.atleast_1d(replacement),
-        )
-        hats = hatted_coefficients(lin, spike, adj)
+        hats = widest_hats.head(n_eps)
         x1 = solve_x1(lin, hats)
         return {
             "x1_sup_sq": sup_square(x1),
             "y1_sup_sq": sup_square(compute_y1z1(adj, x1)),
-            **spiked_functionals(spike, hats, x1),
+            **spiked_functionals(replace(widest, eps=n_eps * dt), hats, x1),
             **second_order(hats, x1),
         }
 

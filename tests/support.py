@@ -17,9 +17,12 @@ the checks that compare them, and the linearization with every field stored
 as the reference for the one that stores a constant field once; the spike
 gaps as whole arrays (expansion_residuals_reference) with the whole-array
 functionals sup_square_reference and integrated_square_reference, as the
-reference for the functionals reduced a block of nodes at a time; and
-peak_call_stack, a probe that finds the call stack where a run's traced
-memory peaked."""
+reference for the functionals reduced a block of nodes at a time; the
+candidate's coefficients stored at every step (coefficients_along), and the
+spike study composed window by window from them, as the reference for the
+study that evaluates one hat set for its widest window
+(run_spike_study_reference); and peak_call_stack, a probe that finds the
+call stack where a run's traced memory peaked."""
 
 import dataclasses
 import sys
@@ -29,13 +32,22 @@ import warnings
 
 import numpy as np
 
-from quadsmp.adjoint import Linearization
-from quadsmp.bsde import ControlledTrajectory, LinearBsdeData, MultiLinearBsdeData, solve_bsde_lsmc, solve_linear_bsde_weighted
+from quadsmp import spike
+from quadsmp.adjoint import Linearization, linearize, solve_adjoints
+from quadsmp.bsde import (
+    ControlledTrajectory,
+    LinearBsdeData,
+    MultiLinearBsdeData,
+    exponential_weight,
+    solve_bsde_lsmc,
+    solve_linear_bsde_weighted,
+)
 from quadsmp.example import g_chord_slope, g_prime, g_running, phi_prime, phi_second
 from quadsmp.grids import TimeGrid, constant_control, generate_brownian, step_major
 from quadsmp.models import COEFFICIENTS, ControlDomain, ModelSpec, coefficient_shape, evaluate, scalar_model
 from quadsmp.regression import NodeBases, RankDeficientRegression, conditional_expectation, polynomial_design
 from quadsmp.sde import _diffusion_matrices, simulate_forward_sde
+from quadsmp.smp import hamiltonian_gap
 from quadsmp.spike import _yhat_driver
 
 
@@ -295,22 +307,25 @@ def solve_yhat_full_reference(lin, hats, degree=2):
     return y_hat
 
 
-def linearize_stored_reference(model, traj):
-    """adjoint.linearize with every field stored step-major, a constant one
-    too: the layout that storing a constant field once replaced."""
+def coefficients_along(model, traj, names):
+    """The named model callables at every step of the candidate, each stored
+    step-major and read-only: name -> (m, N, ...)."""
     grid = traj.w.grid
-    steps = {
-        f.name: step_major((traj.n_paths, grid.n_steps) + coefficient_shape(model, f.name))
-        for f in dataclasses.fields(Linearization)
-        if f.name in COEFFICIENTS
-    }
+    steps = {name: step_major((traj.n_paths, grid.n_steps) + coefficient_shape(model, name)) for name in names}
     for k in range(grid.n_steps):
         point = {"t": grid.times[k], "x": traj.x[:, k], "y": traj.y[:, k], "z": traj.z[:, k], "u": traj.u[:, k]}
         for name, arr in steps.items():
             arr[:, k] = evaluate(model, name, point)
     for arr in steps.values():
         arr.flags.writeable = False
-    return Linearization(model=model, traj=traj, **steps)
+    return steps
+
+
+def linearize_stored_reference(model, traj):
+    """adjoint.linearize with every field stored step-major, a constant one
+    too: the layout that storing a constant field once replaced."""
+    names = [f.name for f in dataclasses.fields(Linearization) if f.name in COEFFICIENTS]
+    return Linearization(model=model, traj=traj, **coefficients_along(model, traj, names))
 
 
 def value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde):
@@ -326,7 +341,7 @@ def value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde):
     for k in range(n_steps):
         diff += (
             model.f(times[k], spiked.x[:, k], spiked.y[:, k], spiked.z[:, k], spiked.u[:, k])
-            - lin.f[:, k]
+            - model.f(times[k], base.x[:, k], base.y[:, k], base.z[:, k], base.u[:, k])
         ) * dt
 
     r1 = gamma_tilde[:, n_steps] * np.einsum(
@@ -344,6 +359,98 @@ def value_remainder_reference(lin, spiked, x1, adj, hats, gamma_tilde):
     samples = diff - r1 - r2
     m = samples.shape[0]
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(m))
+
+
+def _hatted_coefficients_reference(lin, candidate, window, adj):
+    """spike.hatted_coefficients as it stood before one hat set served every
+    window: the candidate's b, sigma and f read from whole arrays
+    (candidate, as from coefficients_along), and no q_sigma_hat."""
+    model, traj = lin.model, lin.traj
+    grid = traj.w.grid
+    k0, n_eps = window.window(grid)
+    m = traj.n_paths
+    ur = np.broadcast_to(np.asarray(window.replacement, dtype=float), (m, model.k))
+    b_hat = step_major((m, n_eps, model.n))
+    sigma_hat = step_major((m, n_eps, model.n, model.d))
+    sigma_x_hat = step_major((m, n_eps, model.d, model.n, model.n))
+    delta = step_major((m, n_eps, model.d))
+    gap = step_major((m, n_eps))
+    for j, k in enumerate(range(k0, k0 + n_eps)):
+        t, xk = grid.times[k], traj.x[:, k]
+        gap[:, j], b_hat[:, j], sigma_hat[:, j], delta[:, j] = hamiltonian_gap(
+            model, t, xk, traj.y[:, k], traj.z[:, k], ur, adj.p[:, k], adj.q[:, k], adj.big_p[:, k],
+            (candidate["b"][:, k], candidate["sigma"][:, k], candidate["f"][:, k]),
+        )
+        sigma_x_hat[:, j] = model.sigma_x(t, xk, ur) - lin.sigma_x[:, k]
+    return spike.HattedCoefficients(
+        k0=k0, b_hat=b_hat, sigma_hat=sigma_hat, sigma_x_hat=sigma_x_hat, delta=delta, gap=gap, q_sigma_hat=None
+    )
+
+
+def _value_remainder_estimate_reference(lin, cost_gap, x1, adj, hats, gamma_tilde):
+    """spike.value_remainder_estimate as it stood before the hat set carried
+    q_sigma_hat: the window coupling read from q at every window cell."""
+    dt, n_steps = lin.traj.w.grid.dt, lin.traj.w.grid.n_steps
+    r1 = gamma_tilde[:, n_steps] * np.einsum("mi,mi->m", adj.p[:, n_steps], x1[:, n_steps])
+    for k in range(hats.k0, n_steps):
+        drv = np.einsum("mi,mi->m", lin.f_x[:, k], x1[:, k])
+        if k < hats.k1:
+            drv -= np.einsum("md,md->m", lin.f_z[:, k], hats.delta[:, k - hats.k0])
+            drv -= np.einsum("mid,mid->m", adj.q[:, k], hats.sigma_hat[:, k - hats.k0])
+        r1 += gamma_tilde[:, k] * drv * dt
+    r2 = np.sum(gamma_tilde[:, hats.k0 : hats.k1] * hats.gap, axis=1) * dt
+    samples = cost_gap - r1 - r2
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.shape[0]))
+
+
+def run_spike_study_reference(model, x0, grid, n_paths, seed, t0, eps_steps, replacement, u_bar_value=0.0, degree=2):
+    """spike.run_spike_study as it stood before one hat set served every
+    window, without its underflow check: each window evaluates its own hat
+    set against the candidate's b, sigma and f stored at every step, the
+    remainder reads q, and Y2 is built on every node from the whole P."""
+    w = generate_brownian(n_paths, grid, model.d, seed)
+    u_bar = constant_control(u_bar_value, n_paths, grid.n_steps)
+    x_bar = simulate_forward_sde(model, x0, u_bar, w)
+    y_bar, z_bar, base_report = solve_bsde_lsmc(model, x_bar, u_bar, w, degree=degree)
+    lin = linearize(model, ControlledTrajectory(w=w, x=x_bar, y=y_bar, z=z_bar, u=u_bar))
+    adj = solve_adjoints(lin, degree=degree)
+    candidate = coefficients_along(model, lin.traj, ("b", "sigma", "f"))
+    gamma_tilde = exponential_weight(lin.f_y, lin.f_z, w)
+    dt = grid.dt
+    windows = []
+    for n_eps in eps_steps:
+        window = spike.SpikePerturbation(
+            t0=grid.times[grid.index_of(t0)], eps=n_eps * dt, replacement=np.atleast_1d(replacement)
+        )
+        hats = _hatted_coefficients_reference(lin, candidate, window, adj)
+        x1 = spike.solve_x1(lin, hats)
+        u_eps = spike.build_spiked_control(u_bar, window, grid)
+        x_eps = simulate_forward_sde(model, x0, u_eps, w)
+        y_eps, z_eps, spiked_report = solve_bsde_lsmc(model, x_eps, u_eps, w, degree=degree)
+        spiked = ControlledTrajectory(w=w, x=x_eps, y=y_eps, z=z_eps, u=u_eps)
+        res = spike.expansion_residuals(lin.traj, spiked, x1)
+        cost_gap = spiked_report.rollout - base_report.rollout
+        rem, rem_se = _value_remainder_estimate_reference(lin, cost_gap, x1, adj, hats, gamma_tilde)
+        x2 = spike.solve_x2(lin, x1, hats)
+        y2 = spike.compute_y2z2(adj, x1, x2, spike.solve_yhat(lin, hats, degree=degree))
+        windows.append({
+            "x1_sup_sq": spike.sup_square(x1),
+            "y1_sup_sq": spike.sup_square(spike.compute_y1z1(adj, x1)),
+            **dataclasses.asdict(res),
+            "value_remainder": abs(rem),
+            "value_remainder_se": rem_se,
+            "x2_sup_sq": spike.sup_square(x2),
+            "y2_at_zero": float(y2[:, 0].mean()),
+        })
+    eps_values = [n_eps * dt for n_eps in eps_steps]
+    return spike.SpikeStudyResult(
+        eps_values=tuple(eps_values),
+        fits={name: spike.fit_convergence_order(eps_values, [r[name] for r in windows]) for name in spike.FIT_TARGETS},
+        y2_at_zero=tuple(r["y2_at_zero"] for r in windows),
+        remainder_over_eps=tuple(r["value_remainder"] / e for r, e in zip(windows, eps_values)),
+        remainder_over_eps_se=tuple(r["value_remainder_se"] / e for r, e in zip(windows, eps_values)),
+        y_bar_0=base_report.y0,
+    )
 
 
 def expansion_residuals_reference(base, spiked, x1):

@@ -36,7 +36,7 @@ from quadsmp.models import benchmark_model, scalar_model
 from quadsmp.sde import simulate_forward_sde
 from quadsmp.spike import SpikePerturbation, hatted_coefficients, solve_x1, solve_x2
 
-FIELDS = ("b", "sigma", "f", "b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z")
+FIELDS = ("b_x", "sigma_x", "b_xx", "sigma_xx", "f_x", "f_y", "f_z")
 
 
 def broadcast(a) -> bool:
@@ -125,9 +125,9 @@ def _assert_equals_per_step_evaluation(model, traj):
     times = traj.w.grid.times
     for k in range(traj.w.grid.n_steps):
         t, xk, yk, zk, uk = times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
-        for name in ("b", "sigma", "b_x", "sigma_x", "b_xx", "sigma_xx"):
+        for name in ("b_x", "sigma_x", "b_xx", "sigma_xx"):
             assert np.array_equal(getattr(lin, name)[:, k], getattr(model, name)(t, xk, uk)), name
-        for name in ("f", "f_x", "f_y", "f_z"):
+        for name in ("f_x", "f_y", "f_z"):
             expected = getattr(model, name)(t, xk, yk, zk, uk)
             assert np.array_equal(getattr(lin, name)[:, k], expected), name
     for name in FIELDS:
@@ -139,6 +139,20 @@ class TestLinearization:
     def test_arrays_equal_per_step_evaluation(self, factory, x0):
         model = factory()
         _assert_equals_per_step_evaluation(model, _trajectory(model, x0, n_paths=300, n_steps=16, seed=8))
+
+    def test_evaluates_the_derivatives_alone(self):
+        # b, sigma and f are evaluated by the Hamiltonian-gap readers, on the
+        # cells each reads; linearize evaluates each derivative once a step
+        model = benchmark_model()
+        traj = _trajectory(model, 1.0, n_paths=50, n_steps=8, seed=3)
+        calls = []
+
+        def counted(name):
+            fn = getattr(model, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        linearize(dataclasses.replace(model, **{name: counted(name) for name in ("b", "sigma", "f", *FIELDS)}), traj)
+        assert sorted(calls) == sorted(FIELDS * 8)
 
     def test_planar_arrays_equal_per_step_evaluation(self):
         # n = d = k = 2 with every layout axis filled, along a random candidate

@@ -302,12 +302,13 @@ class TestGapAtPlanarCandidate:
             np.testing.assert_allclose(hats.gap[:, j], expected, rtol=1e-12, atol=1e-12 * scale)
 
     def test_checks_evaluate_only_the_test_controls(self, planar_candidate):
-        # the candidate's b, sigma, f and f_z come from the linearization
+        # f_z comes from the linearization, and the candidate's b, sigma and
+        # f are evaluated once per step, not once per test control
         lin, adj = planar_candidate
         model, calls = _counting(lin.model)
         lin = replace(lin, model=model)
         smp.check_global_smp(lin, adj, PLANAR_CONTROLS, tolerance=0.0)
-        assert calls == {"b": 4 * 2, "sigma": 4 * 2, "f": 4 * 2}
+        assert calls == {"b": 4 * (2 + 1), "sigma": 4 * (2 + 1), "f": 4 * (2 + 1)}
         calls.clear()
         smp.local_smp_gradient(lin, adj.p, adj.q, test_controls=PLANAR_CONTROLS, tolerance=0.0)
         assert calls == {"b_u": 4, "sigma_u": 4, "f_u": 4}

@@ -11,6 +11,7 @@ from support import (
     integrated_square_reference,
     path_major,
     planar_candidate,
+    run_spike_study_reference,
     same_bits,
     solve_yhat_full_reference,
     steps_contiguous,
@@ -135,17 +136,20 @@ class TestVariationalStates:
         f_hat_delta = np.empty((traj.n_paths, n_eps))
         for j in range(n_eps):
             k = k0 + j
-            t, x, y, z = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k]
-            assert np.array_equal(hats.b_hat[:, j], model.b(t, x, u) - lin.b[:, k])
-            assert np.array_equal(hats.sigma_hat[:, j], model.sigma(t, x, u) - lin.sigma[:, k])
+            t, x, y, z, u_bar = grid.times[k], traj.x[:, k], traj.y[:, k], traj.z[:, k], traj.u[:, k]
+            # against the candidate's coefficients, the calls linearize made when it held them
+            assert np.array_equal(hats.b_hat[:, j], model.b(t, x, u) - model.b(t, x, u_bar))
+            assert np.array_equal(hats.sigma_hat[:, j], model.sigma(t, x, u) - model.sigma(t, x, u_bar))
             assert np.array_equal(hats.sigma_x_hat[:, j], model.sigma_x(t, x, u) - lin.sigma_x[:, k])
             delta = np.einsum("mid,mi->md", hats.sigma_hat[:, j], adj.p[:, k])
             assert np.array_equal(hats.delta[:, j], delta)
-            f_hat_delta[:, j] = model.f(t, x, y, z + delta, u) - lin.f[:, k]
+            f_hat_delta[:, j] = model.f(t, x, y, z + delta, u) - model.f(t, x, y, z, u_bar)
         # the window-wide driver formula that hats.gap replaced, bit for bit
         k1 = k0 + n_eps
         drv = np.einsum("mti,mti->mt", adj.p[:, k0:k1], hats.b_hat)
-        drv += np.einsum("mtid,mtid->mt", adj.q[:, k0:k1], hats.sigma_hat)
+        q_sigma_hat = np.einsum("mtid,mtid->mt", adj.q[:, k0:k1], hats.sigma_hat)
+        assert np.array_equal(hats.q_sigma_hat, q_sigma_hat)
+        drv += q_sigma_hat
         drv += f_hat_delta
         drv += 0.5 * np.einsum("mtid,mtij,mtjd->mt", hats.sigma_hat, adj.big_p[:, k0:k1], hats.sigma_hat)
         assert np.array_equal(hats.gap, drv)
@@ -367,6 +371,51 @@ class TestBlockReducers:
             assert same_bits(integrated_square(steps, 0.01, other), integrated_square_reference(steps - other, 0.01))
 
 
+def _assert_heads_match_own_windows(lin, adj, widest):
+    """Each head of the widest window's hat set has the bits of the hat set
+    evaluated for that narrower window on its own."""
+    grid = lin.traj.w.grid
+    hats = hatted_coefficients(lin, widest, adj)
+    k0, n_eps = widest.window(grid)
+    for n in sorted({0, 1, n_eps // 2, n_eps - 1, n_eps} & set(range(n_eps + 1))):
+        own = hatted_coefficients(lin, dataclasses.replace(widest, eps=n * grid.dt), adj)
+        head = hats.head(n)
+        assert (head.k0, head.k1) == (own.k0, own.k1) == (k0, k0 + n)
+        for f in dataclasses.fields(own)[1:]:
+            assert same_bits(getattr(head, f.name), getattr(own, f.name)), (n, f.name)
+
+
+class TestWidestHatSet:
+    """The spike study evaluates one hat set, for its widest window, and
+    each window reads its first n_eps cells: the hat set evaluated for each
+    window on its own is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("t0,eps", WINDOWS + [(0.25, 0.0)], ids=["start", "interior", "end", "empty"])
+    def test_benchmark_candidate(self, base_pipeline, t0, eps):
+        model, grid, traj, adj, lin = base_pipeline
+        _assert_heads_match_own_windows(lin, adj, SpikePerturbation(t0=t0, eps=eps, replacement=np.array([1.0])))
+
+    def test_planar_candidate(self):
+        model, traj = planar_candidate(400, 160, seed=6)
+        lin = linearize(model, traj)
+        widest = SpikePerturbation(t0=0.25, eps=0.25, replacement=np.array([0.8, -0.6]))
+        _assert_heads_match_own_windows(lin, solve_adjoints(lin), widest)
+
+
+class TestStudyAgainstPerWindowReference:
+    """run_spike_study evaluates one hat set and keeps no Q, q or candidate
+    b, sigma and f, and P at node 0 alone; the per-window composition that
+    held them all (run_spike_study_reference) gives every result, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_every_field_equal(self, seed):
+        args = (benchmark_model(), 1.0, TimeGrid(1.0, 64), 400, seed, 0.25, (2, 4, 8, 16), 1.0)
+        study, reference = run_spike_study(*args), run_spike_study_reference(*args)
+        for f in dataclasses.fields(study):
+            assert getattr(study, f.name) == getattr(reference, f.name), f.name
+        assert repr(study) == repr(reference)  # a float's repr keeps its bits, -0.0 apart from 0.0
+
+
 class TestYhatToTheWindowEnd:
     """solve_yhat solves on the first k1 steps and pads with zeros; the solve
     on the whole grid is the reference, bit for bit."""
@@ -498,12 +547,12 @@ class TestStepMajorStorage:
         hats = hatted_coefficients(lin, spike, adj)
         x1 = solve_x1(lin, hats)
         x2 = solve_x2(lin, x1, hats)
-        for a in (hats.b_hat, hats.sigma_hat, hats.sigma_x_hat, hats.delta, hats.gap, x1, x2):
+        for a in (hats.b_hat, hats.sigma_hat, hats.sigma_x_hat, hats.delta, hats.gap, hats.q_sigma_hat, x1, x2):
             assert steps_contiguous(a)
 
         lin_pm, adj_pm = path_major(lin), path_major(adj)
         hats_pm = hatted_coefficients(lin_pm, spike, adj_pm)
-        for name in ("b_hat", "sigma_hat", "sigma_x_hat", "delta", "gap"):
+        for name in ("b_hat", "sigma_hat", "sigma_x_hat", "delta", "gap", "q_sigma_hat"):
             assert_close_rel(getattr(hats_pm, name), getattr(hats, name))
         x1_pm = solve_x1(lin_pm, path_major(hats))
         assert_close_rel(x1_pm, x1)

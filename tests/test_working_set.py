@@ -2,15 +2,15 @@
 (m, N+1) float64 node arrays, stays under a bound.
 
 Each bound sits about midway between two readings of this file run alone.
-The spike_gaps bound, at a scale where the gaps between the spiked and
-candidate systems set the spike peak, lies between the peak when those gaps
-were built as four whole arrays (23.65) and the peak now that they are
-reduced a block of nodes at a time (20.91). At the smaller scale of the
-spike run the peak sits in the widest spiked LSMC solve's regression factor
-block either way (25.99 both), so its bound keeps a margin of half a node
-array; it had lain between the peak when the linearization stored every
-coefficient at every path and step (31.98) and the peak once a coefficient
-that is constant along the candidate was stored once and broadcast (26.03).
+The spike and spike_gaps bounds lie between the peaks when the study held
+the candidate's b, sigma and f, q, P and Q at every step and evaluated a hat
+set per window (25.94 and 20.91) and the peaks now that it evaluates one hat
+set for its widest window and keeps p and P at node 0 alone (20.07 and
+15.05). Earlier spike_gaps readings: 23.65 with the gaps between the spiked
+and candidate systems built as four whole arrays, before they were reduced
+a block of nodes at a time. Earlier spike readings: 31.98 when the
+linearization stored every coefficient at every path and step, 26.03 once a
+coefficient constant along the candidate was stored once and broadcast.
 A guard that fails reruns its case under support.peak_call_stack and prints
 the call stack where the peak was reached. The example bound lies between the peak when the linear
 representation set up full-horizon scratch arrays before its backward pass
@@ -55,8 +55,8 @@ def _matrix():
 # name -> (paths, steps, bound in node arrays, a builder of the run's inputs
 # that returns the run); inputs built before tracing starts are not counted
 RUNS = {
-    "spike": (600, 128, 26.5, _spike(600, 128, (2, 4, 8, 16))),
-    "spike_gaps": (1500, 256, 22.3, _spike(1500, 256, (4, 8, 16, 32))),
+    "spike": (600, 128, 23.0, _spike(600, 128, (2, 4, 8, 16))),
+    "spike_gaps": (1500, 256, 18.0, _spike(1500, 256, (4, 8, 16, 32))),
     "example": (2000, 50, 13.8, lambda: lambda: run_example_experiment(2000, 50, 1.0, 1)),
     "weighted": (2000, 50, 7.7, _weighted),
     "matrix": (2000, 50, 16.8, _matrix),
